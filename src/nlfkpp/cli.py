@@ -298,13 +298,19 @@ def _emit_ring_csv(cfg, outdir, result):
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
               plot_script: bool = False) -> list:
-    os.makedirs(outdir, exist_ok=True)
-    jobs = []
+    jobs, seen = [], {}
     for value in values:
+        name = f"{axis.split('.')[-1]}_{value:g}"
+        if name in seen:
+            raise ConfigError(
+                f"sweep values {seen[name]!r} and {value!r} both write to "
+                f"{name!r}; give values that differ in 6 significant digits")
+        seen[name] = value
         sub = dataclasses.replace(cfg)
         apply_assignment(sub, axis, str(value))
         sub.validate()
-        jobs.append((value, sub, os.path.join(outdir, f"{axis.split('.')[-1]}_{value:g}")))
+        jobs.append((value, sub, os.path.join(outdir, name)))
+    os.makedirs(outdir, exist_ok=True)
     if _mode() == "parallel":
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
@@ -334,6 +340,14 @@ def _sweep_entry(job):
     return value, diag
 
 
+def _relative(err, scale) -> float:
+    """err / scale; against a zero reference, 0 if the two agree, else inf."""
+    err, scale = float(err), float(scale)
+    if scale == 0.0:
+        return 0.0 if err == 0.0 else math.inf
+    return err / scale
+
+
 def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
                     tol_linf: float = None) -> dict:
     """Relative L-inf/L2 errors between matching snapshot CSVs."""
@@ -353,10 +367,11 @@ def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
             sb = np.concatenate([sb, [sb[0] + TWO_PI]])
             rb = np.concatenate([rb, [rb[0]]])
             rho_b = np.interp(np.mod(s_a - sb[0], TWO_PI) + sb[0], sb, rb)
-        scale = float(np.max(np.abs(rho_b)))
-        linf_rel = float(np.max(np.abs(rho_a - rho_b))) / scale
-        l2_rel = float(np.linalg.norm(rho_a - rho_b) / np.linalg.norm(rho_b))
-        report[name] = {"rel_linf": linf_rel, "rel_l2": l2_rel}
+        diff = rho_a - rho_b
+        report[name] = {
+            "rel_linf": _relative(np.max(np.abs(diff)), np.max(np.abs(rho_b))),
+            "rel_l2": _relative(np.linalg.norm(diff), np.linalg.norm(rho_b)),
+        }
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         names = sorted(report)

@@ -12,15 +12,24 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _column_text(col: np.ndarray) -> list:
+    """fmt applied to every cell of a column, one pass per column."""
+    if col.dtype.kind in "iu":
+        return [str(v) for v in col.tolist()]
+    if col.dtype.kind in "fb":
+        return [format(v, ".17g") for v in col.tolist()]
+    return [fmt(v) for v in col]
+
+
 def write_csv(path, header, columns) -> None:
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("all columns must have equal length")
+    texts = [_column_text(c) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(fmt(c[i]) for c in columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def read_csv(path):

@@ -3,13 +3,15 @@
     rho_t = D rho_ss + a rho - kappa rho * int b(s,s') rho(s') ds',
 
 on a uniform periodic grid.  The nonlocal term is a circular convolution:
-the ``fast`` backend evaluates it with the FFT, the ``direct`` backend with
+the ``fast`` backend evaluates it with the FFT (the kernel row's transform
+is built once per kernel and grid size), the ``direct`` backend with
 the O(N^2) circulant sum (compiled when the extension is available), and
 ``checked`` runs both and fails loudly if they disagree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,18 +60,28 @@ def kernel_row(kern: CircleKernelParams, N: int) -> np.ndarray:
     return np.asarray(kernel_value(TWO_PI * np.arange(N) / N, 0.0, kern))
 
 
+@functools.lru_cache(maxsize=64)
+def _kernel_spectrum(kern: CircleKernelParams, N: int) -> np.ndarray:
+    """rfft of the kernel row, built once per (kernel, N) and shared read-only."""
+    spectrum = np.fft.rfft(kernel_row(kern, N))
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def nonlocal_term(state: GridState, kern: CircleKernelParams,
                   backend: str = "fast") -> np.ndarray:
     """I_k = (2 pi / N) sum_l b(s_k, s_l) rho_l."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    row = kernel_row(kern, state.N)
     ds = TWO_PI / state.N
     if backend == "direct":
-        return np.asarray(backends.circulant_apply(row, state.rho, ds))
-    fast = ds * np.fft.irfft(np.fft.rfft(row) * np.fft.rfft(state.rho), n=state.N)
+        return np.asarray(backends.circulant_apply(kernel_row(kern, state.N),
+                                                   state.rho, ds))
+    fast = ds * np.fft.irfft(_kernel_spectrum(kern, state.N)
+                             * np.fft.rfft(state.rho), n=state.N)
     if backend == "checked":
-        direct = np.asarray(backends.circulant_apply(row, state.rho, ds))
+        direct = np.asarray(backends.circulant_apply(kernel_row(kern, state.N),
+                                                     state.rho, ds))
         scale = max(float(np.max(np.abs(direct))), 1e-300)
         err = float(np.max(np.abs(fast - direct)))
         if err > 1e-12 * scale:

@@ -16,6 +16,7 @@ I_j being the modified Bessel function of the first kind.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,7 +139,14 @@ def kernel_value(s, s_prime, params: CircleKernelParams):
 
 def eigenvalue(j: int, params: CircleKernelParams) -> float:
     """Fredholm eigenvalue lambda_j = 2 pi b0 e^{-mu} I_|j|(mu)."""
-    return TWO_PI * params.b0 * bessel_i_scaled(abs(int(j)), params.mu)
+    return _eigenvalue(abs(int(j)), params)
+
+
+@functools.lru_cache(maxsize=4096)
+def _eigenvalue(order: int, params: CircleKernelParams) -> float:
+    # pure in its hashable arguments, so each (order, kernel) is evaluated once
+    # per process; at mu = 400 one Miller recurrence runs ~650 iterations
+    return TWO_PI * params.b0 * bessel_i_scaled(order, params.mu)
 
 
 def eigenvalues(J: int, params: CircleKernelParams) -> np.ndarray:

@@ -87,10 +87,18 @@ def constant_rate(a: float) -> Callable:
 
 
 def gaussian_influence(b0: float, gamma: float) -> Callable:
-    """b(x, y) = b0 exp(-|x - y|^2 / (2 gamma^2)), y vectorized over rows."""
+    """b(x, y) = b0 exp(-|x - y|^2 / (2 gamma^2)), y vectorized over rows.
+
+    The squared distance is summed one coordinate at a time, in the order
+    np.sum(d * d, axis=-1) adds them, without an (..., n_dim) temporary.
+    """
     def b(x, y):
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return b0 * np.exp(-np.sum(d * d, axis=-1) / (2.0 * gamma**2))
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sq = (y[..., 0] - x[..., 0]) ** 2
+        for k in range(1, y.shape[-1]):
+            sq = sq + (y[..., k] - x[..., k]) ** 2
+        return b0 * np.exp(-sq / (2.0 * gamma**2))
     return b
 
 

@@ -9,12 +9,12 @@ concentrate on a ring and reproduce the one-dimensional density.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .csvio import write_csv
 
@@ -58,25 +58,26 @@ class GaussianKernel2D:
             raise ValueError("b0 and gamma must be positive")
 
 
-def nonlocal_term_2d(field: Field2D, kern: GaussianKernel2D,
-                     backend: str = "fast") -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _gaussian_matrix(L: float, n: int, gamma: float) -> np.ndarray:
+    """G[i, i'] = exp(-(x_i - x_i')^2 / (2 gamma^2)) on the field's axis;
+    built once per (L, n, gamma) and shared read-only."""
+    ax = np.linspace(-L, L, n)
+    G = np.exp(-np.subtract.outer(ax, ax) ** 2 / (2.0 * gamma**2))
+    G.setflags(write=False)
+    return G
+
+
+def nonlocal_term_2d(field: Field2D, kern: GaussianKernel2D) -> np.ndarray:
     """I(x_i, y_j) = dx^2 sum_{i',j'} b(x - x', y - y') u(x', y').
 
-    The Gaussian separates, so ``direct`` evaluates the sum as two matrix
-    products with the one-dimensional kernel matrices, while ``fast`` uses
-    FFT convolution with the full sampled kernel; both compute the same sum.
+    The Gaussian separates, b(x - x', y - y') = b0 G[i, i'] G[j, j'], so the
+    double sum is the matrix product b0 dx^2 G @ u @ G: two O(n^3) products
+    with the one-dimensional kernel matrix G, which is symmetric and fixed
+    for a given grid and range.
     """
-    ax = field.axis
-    g2 = 2.0 * kern.gamma**2
-    if backend == "direct":
-        G = np.exp(-np.subtract.outer(ax, ax) ** 2 / g2)
-        return kern.b0 * field.dx**2 * (G @ field.u @ G)
-    if backend == "fast":
-        offsets = field.dx * np.arange(-(field.n - 1), field.n)
-        g1 = np.exp(-(offsets**2) / g2)
-        kernel = np.outer(g1, g1)
-        return kern.b0 * field.dx**2 * fftconvolve(field.u, kernel, mode="same")
-    raise ValueError(f"unknown backend {backend!r}")
+    G = _gaussian_matrix(field.L, field.n, kern.gamma)
+    return kern.b0 * field.dx**2 * (G @ field.u @ G)
 
 
 def _laplacian_reflect(u: np.ndarray, dx: float) -> np.ndarray:
@@ -86,9 +87,9 @@ def _laplacian_reflect(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
-           dt: float, backend: str = "fast") -> Field2D:
+           dt: float) -> Field2D:
     """One explicit Euler step of the planar equation."""
-    interaction = nonlocal_term_2d(field, kern, backend)
+    interaction = nonlocal_term_2d(field, kern)
     limit = 0.8 / (a + kappa * max(float(np.max(interaction)), 0.0))
     if field.D > 0:
         limit = min(limit, 0.8 * field.dx**2 / (4.0 * field.D))
@@ -105,10 +106,10 @@ def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
 
 
 def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
-          dt: float, t_end: float, backend: str = "fast") -> Field2D:
+          dt: float, t_end: float) -> Field2D:
     n_steps = int(round((t_end - field.t) / dt))
     for _ in range(n_steps):
-        field = step2d(field, kern, a, kappa, dt, backend)
+        field = step2d(field, kern, a, kappa, dt)
     return field
 
 

@@ -126,9 +126,15 @@ def project_initial(rho_phi, J: int, n_quad: int = 2048) -> SpectralState:
 def rhs(state: SpectralState, rates: DiffusiveRates, kern: CircleKernelParams,
         kappa: float) -> np.ndarray:
     """Coefficient derivatives of the band-truncated mode system."""
-    lam = eigenvalues(state.J, kern)
-    coupling = backends.quadratic_coupling(state.beta, lam)
-    return rates.band(state.J) * state.beta - (kappa / SQRT_TWO_PI) * coupling
+    return _mode_rhs(state.beta, rates.band(state.J), eigenvalues(state.J, kern),
+                     kappa)
+
+
+def _mode_rhs(beta, band, lam, kappa):
+    """(a - D j^2) beta_j - kappa/sqrt(2 pi) sum_l lambda_l beta_{j-l} beta_l
+    for a precomputed rate band and kernel spectrum."""
+    coupling = backends.quadratic_coupling(beta, lam)
+    return band * beta - (kappa / SQRT_TWO_PI) * coupling
 
 
 def rhs_bruteforce(state: SpectralState, rates: DiffusiveRates,
@@ -160,11 +166,12 @@ def integrate(state0: SpectralState, rates: DiffusiveRates,
     times = [t]
     history = [beta.copy()]
     drift = 0.0
+    # the rate band and the kernel spectrum are fixed for the whole run
+    band = rates.band(state0.J)
+    lam = eigenvalues(state0.J, kern)
 
     def f(b):
-        st = SpectralState.__new__(SpectralState)
-        st.J, st.beta, st.t = state0.J, b, t
-        return rhs(st, rates, kern, kappa)
+        return _mode_rhs(b, band, lam, kappa)
 
     for step_idx in range(n_steps):
         k1 = f(beta)

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nlfkpp import cli
+from nlfkpp import cli, csvio
 from nlfkpp.config import (ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
-from nlfkpp.csvio import read_csv
+from nlfkpp.csvio import read_csv, write_csv
 
 
 class TestConfig:
@@ -127,6 +129,36 @@ class TestCliEntry:
         rc = cli.main(["compare", a_dir, b_dir, "--tol-linf", "1e-12"])
         assert rc == 0
 
+    def test_compare_all_zero_snapshots(self, tmp_path, capsys):
+        s = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+        dirs = {}
+        for tag, rho in (("zero", np.zeros(16)), ("zero2", np.zeros(16)),
+                         ("flat", np.full(16, 0.5))):
+            dirs[tag] = tmp_path / tag
+            dirs[tag].mkdir()
+            write_csv(dirs[tag] / "snapshot_t1.csv", ["s", "rho"], [s, rho])
+        report = cli.compare_bundles(str(dirs["zero"]), str(dirs["zero2"]))
+        assert report["snapshot_t1.csv"] == {"rel_linf": 0.0, "rel_l2": 0.0}
+        report = cli.compare_bundles(str(dirs["flat"]), str(dirs["zero"]))
+        assert report["snapshot_t1.csv"] == {"rel_linf": math.inf,
+                                             "rel_l2": math.inf}
+        assert cli.main(["compare", str(dirs["zero"]), str(dirs["zero2"]),
+                         "--tol-linf", "1e-12"]) == 0
+        assert cli.main(["compare", str(dirs["flat"]), str(dirs["zero"]),
+                         "--tol-linf", "1e300"]) == 1
+        assert "rel_linf=inf" in capsys.readouterr().out
+
+    def test_sweep_rejects_colliding_directories(self, tmp_path, capsys):
+        for values, name in (("0.1234567,0.1234568", "'gamma_0.123457'"),
+                             ("0.5,1,0.5", "'gamma_0.5'")):
+            out = tmp_path / "sweep"
+            rc = cli.main(["sweep", "--axis", "model.gamma", "--values", values,
+                           "--set", "numerics.N=64", "--set", "numerics.t_end=0.1",
+                           "--outdir", str(out)])
+            assert rc == 2
+            assert name in capsys.readouterr().err
+            assert not out.exists()  # rejected before any entry ran
+
     def test_sweep_command(self, tmp_path):
         rc = cli.main(["sweep", "--axis", "model.D", "--values", "0,0.1",
                        "--set", "numerics.N=64", "--set", "numerics.t_end=0.5",
@@ -151,6 +183,39 @@ class TestCliEntry:
         assert rc == 0
         text = (tmp_path / "plot.gp").read_text()
         assert text.startswith("set datafile separator")
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        import nlfkpp
+
+        src = os.path.dirname(os.path.dirname(nlfkpp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nlfkpp.cli; print(nlfkpp.cli.__file__); "
+             "print('scipy.signal' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        path, loaded = out.stdout.split()
+        assert os.path.dirname(path) == os.path.dirname(nlfkpp.__file__)
+        assert loaded == "False"
+
+
+class TestCsvWriting:
+    def test_bulk_formatting_matches_per_cell_fmt(self, tmp_path):
+        rng = np.random.default_rng(31)
+        columns = [np.arange(-3, 9), rng.standard_normal(12) * 1e-300,
+                   rng.random(12).astype(np.float32), np.arange(12) % 2 == 0,
+                   [1, 2.5, -0.0, math.inf, 7, 1e22, 3, 4, 5, 6, 8, 9],
+                   np.arange(12, dtype=np.uint64) * 2**60]
+        path = tmp_path / "cols.csv"
+        write_csv(path, list("abcdef"), columns)
+        arrays = [np.asarray(c) for c in columns]
+        expected = "a,b,c,d,e,f\n" + "".join(
+            ",".join(csvio.fmt(c[i]) for c in arrays) + "\n" for i in range(12))
+        assert path.read_text() == expected
 
 
 class TestDeterminism:

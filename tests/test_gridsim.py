@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import exact, gridsim
+from nlfkpp import exact, gridsim, kernel
 from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
 
 LAMBDA0 = 2.926453923110091
@@ -95,6 +95,33 @@ class TestStep:
         fine = profiles[512][::2]
         rel = np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
         assert rel < 1e-4
+
+
+class TestRunInvariantOperator:
+    def test_lambda0_computed_once_per_run(self, monkeypatch):
+        # mu = 400, where one eigenvalue is a ~650-step Miller recurrence;
+        # b0 is one no other test uses, so the eigenvalue cache is cold
+        kern = CircleKernelParams(1.37, 0.05, 1.0)
+        calls = []
+        bessel = kernel.bessel_i_scaled
+
+        def counted(order, mu):
+            calls.append(order)
+            return bessel(order, mu)
+
+        monkeypatch.setattr(kernel, "bessel_i_scaled", counted)
+        state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
+        out, _ = gridsim.run(state, kern, 1.0, 0.2, 0.1, 0.01, 0.5, "imex")
+        assert out.t == pytest.approx(0.5)
+        assert calls == [0]
+
+    def test_cached_kernel_spectrum_is_read_only(self, unit_kernel):
+        spectrum = gridsim._kernel_spectrum(unit_kernel, 64)
+        assert spectrum is gridsim._kernel_spectrum(unit_kernel, 64)
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+        np.testing.assert_array_equal(
+            spectrum, np.fft.rfft(gridsim.kernel_row(unit_kernel, 64)))
 
 
 class TestInitialProfiles:

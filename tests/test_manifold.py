@@ -53,6 +53,19 @@ class TestEeRhs:
             manifold.ee_rhs(circle, spec)
 
 
+class TestGaussianInfluence:
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_equals_summed_square_formula(self, n_dim):
+        rng = np.random.default_rng(23 + n_dim)
+        X = rng.standard_normal((96, n_dim))
+        b0, gamma = 1.3, 0.7
+        b = manifold.gaussian_influence(b0, gamma)
+        d = X[None, :, :] - X[:, None, :]
+        expected = b0 * np.exp(-np.sum(d * d, axis=-1) / (2.0 * gamma**2))
+        assert np.array_equal(b(X[:, None, :], X[None, :, :]), expected)
+        assert np.array_equal(b(X[5], X), expected[5])
+
+
 class TestIntegrate:
     def test_compression_law(self, circle, static_spec):
         spec = manifold.ConvectionSpec(a=static_spec.a, b=static_spec.b,

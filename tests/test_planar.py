@@ -12,14 +12,36 @@ def kernel2d():
     return planar.GaussianKernel2D(1.0, 1.0)
 
 
+def fft_convolution_oracle(field, kern):
+    """dx^2 sum b(x - x', y - y') u(x', y') as an FFT convolution of the field
+    with the full sampled two-dimensional kernel; independent of the
+    separable product the package uses."""
+    from scipy.signal import fftconvolve
+
+    offsets = field.dx * np.arange(-(field.n - 1), field.n)
+    g1 = np.exp(-(offsets**2) / (2.0 * kern.gamma**2))
+    return kern.b0 * field.dx**2 * fftconvolve(field.u, np.outer(g1, g1),
+                                               mode="same")
+
+
 class TestNonlocalTerm2D:
     def test_backends_agree_on_random_fields(self, kernel2d):
         rng = np.random.default_rng(5)
         for _ in range(10):
             field = planar.Field2D(3.0, 64, rng.random((64, 64)))
-            direct = planar.nonlocal_term_2d(field, kernel2d, "direct")
-            fast = planar.nonlocal_term_2d(field, kernel2d, "fast")
-            assert np.max(np.abs(direct - fast)) < 1e-10 * np.max(np.abs(direct))
+            product = planar.nonlocal_term_2d(field, kernel2d)
+            oracle = fft_convolution_oracle(field, kernel2d)
+            assert np.max(np.abs(product - oracle)) < 1e-10 * np.max(np.abs(oracle))
+
+    def test_kernel_matrix_is_shared_read_only(self, kernel2d):
+        field = planar.Field2D(3.0, 32, np.ones((32, 32)))
+        first = planar.nonlocal_term_2d(field, kernel2d)
+        G = planar._gaussian_matrix(field.L, field.n, kernel2d.gamma)
+        assert G is planar._gaussian_matrix(field.L, field.n, kernel2d.gamma)
+        with pytest.raises(ValueError):
+            G[0, 0] = 0.0
+        np.testing.assert_array_equal(planar.nonlocal_term_2d(field, kernel2d),
+                                      first)
 
     def test_local_limit_small_gamma(self):
         # gamma << domain: int b dy -> 2 pi gamma^2 b0, so for uniform u the
@@ -27,7 +49,7 @@ class TestNonlocalTerm2D:
         gamma = 0.05
         kern = planar.GaussianKernel2D(1.0, gamma)
         field = planar.Field2D(3.0, 128, np.full((128, 128), 0.7))
-        I = planar.nonlocal_term_2d(field, kern, "fast")
+        I = planar.nonlocal_term_2d(field, kern)
         expected = 2.0 * math.pi * gamma**2 * 1.0 * 0.7
         center = I[40:88, 40:88]  # away from the boundary layer
         assert np.max(np.abs(center - expected)) / expected < 0.05

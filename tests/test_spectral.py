@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import exact, spectral
+from nlfkpp import exact, kernel, spectral
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams, eigenvalue
 
 LAMBDA0 = 2.926453923110091
@@ -118,6 +118,55 @@ class TestIntegrate:
         n_modes = 2 * traj.J + 1
         assert len(cols[0]) == len(traj.t) * n_modes
         np.testing.assert_allclose(cols[2][:n_modes], traj.beta[0].real, rtol=0)
+
+
+class TestRunInvariantOperator:
+    def test_spectrum_built_once_per_run(self, monkeypatch):
+        # kernel parameters no other test uses, so the eigenvalue cache is cold
+        kern = CircleKernelParams(1.0, 0.731, 1.0)
+        calls = []
+        bessel = kernel.bessel_i_scaled
+
+        def counted(order, mu):
+            calls.append(order)
+            return bessel(order, mu)
+
+        builds = []
+
+        def counted_spectrum(J, params):
+            builds.append(J)
+            return kernel.eigenvalues(J, params)
+
+        monkeypatch.setattr(kernel, "bessel_i_scaled", counted)
+        monkeypatch.setattr(spectral, "eigenvalues", counted_spectrum)
+        state0 = spectral.project_initial(bump, 6)
+        spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1), kern,
+                           0.2, 0.1, 0.01)
+        assert sorted(calls) == list(range(7))
+        assert builds == [6]  # one spectrum per run, not one per RHS call
+
+    def test_trajectory_equals_rk4_on_public_rhs(self, unit_kernel):
+        J, dt, n_steps = 8, 0.01, 50
+        state0 = spectral.project_initial(bump, J)
+        rates = spectral.DiffusiveRates(1.0, 0.1)
+
+        def f(b):
+            return spectral.rhs(spectral.SpectralState(J, b), rates,
+                                unit_kernel, 0.2)
+
+        beta = state0.beta.copy()
+        history = [beta.copy()]
+        for _ in range(n_steps):
+            k1 = f(beta)
+            k2 = f(beta + 0.5 * dt * k1)
+            k3 = f(beta + 0.5 * dt * k2)
+            k4 = f(beta + dt * k3)
+            beta = beta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            beta = 0.5 * (beta + beta[::-1].conj())
+            history.append(beta.copy())
+        traj = spectral.integrate(state0, rates, unit_kernel, 0.2,
+                                  n_steps * dt, dt)
+        assert np.array_equal(traj.beta, np.array(history))
 
 
 class TestOmegaCoefficients:
