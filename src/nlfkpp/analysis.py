@@ -17,49 +17,35 @@ def count_peaks(profile, prominence: float = 0.05) -> int:
     A maximum counts only if it exceeds both flanking minima (found by
     walking downhill with periodic wrap) by at least prominence * mean.
     Plateau maxima of equal neighbours are collapsed to a single peak.
+
+    The downhill walk is done for all candidates at once: walking left from
+    k ends at the nearest j before k (cyclically) with rho[j-1] > rho[j],
+    walking right at the nearest j after k with rho[j+1] > rho[j], and the
+    flanking minima are rho[j] at those stops.
     """
     rho = np.asarray(profile, dtype=float)
     n = len(rho)
     if n < 8:
         raise ValueError(f"profile too short for peak counting: {n} < 8")
     mean = float(np.mean(rho))
-    if mean <= 0:
+    # a NaN mean counts nothing either: no prominence reaches a NaN threshold
+    if not mean > 0:
         return 0
     threshold = prominence * mean
     left = np.roll(rho, 1)
     right = np.roll(rho, -1)
     # collapse plateaus: a candidate is the left edge of a flat top
     cand = np.flatnonzero((rho > left) & (rho >= right))
-    count = 0
-    for k in cand:
-        # skip interior/right edges of plateaus
-        if rho[(k + 1) % n] == rho[k]:
-            m = (k + 1) % n
-            while rho[m] == rho[k]:
-                m = (m + 1) % n
-            if rho[m] > rho[k]:
-                continue
-        lo_l = rho[k]
-        i = k
-        while True:
-            i = (i - 1) % n
-            if rho[i] > lo_l:
-                break
-            lo_l = min(lo_l, rho[i])
-            if i == k:
-                break
-        lo_r = rho[k]
-        i = k
-        while True:
-            i = (i + 1) % n
-            if rho[i] > lo_r:
-                break
-            lo_r = min(lo_r, rho[i])
-            if i == k:
-                break
-        if rho[k] - max(lo_l, lo_r) >= threshold:
-            count += 1
-    return count
+    if cand.size == 0:
+        return 0
+    stop_l = np.flatnonzero(left > rho)
+    stop_r = np.flatnonzero(right > rho)
+    top = rho[cand]
+    lo_l = rho[stop_l[np.searchsorted(stop_l, cand) - 1]]
+    lo_r = rho[stop_r[np.searchsorted(stop_r, cand, side="right") % stop_r.size]]
+    # a flat top whose right walk stops at its own height ends rising: no peak
+    return int(np.count_nonzero(
+        (lo_r != top) & (top - np.maximum(lo_l, lo_r) >= threshold)))
 
 
 def homogeneity(profile) -> float:

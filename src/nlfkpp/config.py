@@ -76,6 +76,13 @@ class ScenarioConfig:
         positive("numerics.dt", self.dt)
         if self.t_end < 0:
             raise ConfigError(f"numerics.t_end: must be >= 0, got {self.t_end}")
+        # the solvers take round(t_end / dt) steps; anything else would stop
+        # short of t_end or run past it
+        n_steps = round(self.t_end / self.dt)
+        if abs(self.t_end / self.dt - n_steps) > 1e-9 * max(1, n_steps):
+            raise ConfigError(
+                f"numerics.t_end: {self.t_end} is not a whole number of "
+                f"steps of numerics.dt = {self.dt}")
         if self.N < 8:
             raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
         if self.J < 0:

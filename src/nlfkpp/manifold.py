@@ -106,11 +106,6 @@ def linear_drag(k0: float) -> Callable:
     return lambda x, t: -k0 * np.asarray(x, dtype=float)
 
 
-BUILTIN_RATES = {"constant": constant_rate}
-BUILTIN_INFLUENCES = {"gaussian": gaussian_influence}
-BUILTIN_VELOCITIES = {"linear_drag": linear_drag}
-
-
 def circle_state(R: float, N: int, rho_phi, t0: float = 0.0) -> ManifoldState:
     """Circle of radius R sampled at s_k = -pi + 2 pi k / N."""
     s = -math.pi + 2.0 * math.pi * np.arange(N) / N

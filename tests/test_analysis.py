@@ -5,10 +5,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfkpp import analysis, exact
+from nlfkpp import analysis, exact, gridsim
 
 
 S512 = -math.pi + 2.0 * math.pi * np.arange(512) / 512
+
+
+def count_peaks_walk(profile, prominence: float = 0.05) -> int:
+    """Oracle for ``analysis.count_peaks``: the same rule as a literal loop,
+    walking downhill from each candidate maximum one node at a time."""
+    rho = np.asarray(profile, dtype=float)
+    n = len(rho)
+    if n < 8:
+        raise ValueError(f"profile too short for peak counting: {n} < 8")
+    mean = float(np.mean(rho))
+    if mean <= 0:
+        return 0
+    threshold = prominence * mean
+    left = np.roll(rho, 1)
+    right = np.roll(rho, -1)
+    # collapse plateaus: a candidate is the left edge of a flat top
+    cand = np.flatnonzero((rho > left) & (rho >= right))
+    count = 0
+    for k in cand:
+        # skip interior/right edges of plateaus
+        if rho[(k + 1) % n] == rho[k]:
+            m = (k + 1) % n
+            while rho[m] == rho[k]:
+                m = (m + 1) % n
+            if rho[m] > rho[k]:
+                continue
+        lo_l = rho[k]
+        i = k
+        while True:
+            i = (i - 1) % n
+            if rho[i] > lo_l:
+                break
+            lo_l = min(lo_l, rho[i])
+            if i == k:
+                break
+        lo_r = rho[k]
+        i = k
+        while True:
+            i = (i + 1) % n
+            if rho[i] > lo_r:
+                break
+            lo_r = min(lo_r, rho[i])
+            if i == k:
+                break
+        if rho[k] - max(lo_l, lo_r) >= threshold:
+            count += 1
+    return count
 
 
 class TestCountPeaks:
@@ -39,6 +86,48 @@ class TestCountPeaks:
         profile = 1.0 + 0.5 * np.cos(3 * S512) + 0.2 * np.cos(5 * S512)
         base = analysis.count_peaks(profile)
         assert analysis.count_peaks(scale * np.roll(profile, shift)) == base
+
+    # small integers force ties, so plateaus (also across the seam) are common
+    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=8,
+                    max_size=64),
+           st.integers(min_value=0, max_value=63),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_downhill_walk(self, values, shift, prominence):
+        profile = np.roll(np.array(values, dtype=float), shift)
+        assert analysis.count_peaks(profile, prominence) == \
+            count_peaks_walk(profile, prominence)
+
+    def test_plateau_ending_rising_is_no_peak(self):
+        profile = np.array([1.0, 2.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+        assert analysis.count_peaks(profile) == count_peaks_walk(profile) == 1
+
+    def test_plateau_ending_falling_is_one_peak(self):
+        profile = np.array([1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+        assert analysis.count_peaks(profile) == count_peaks_walk(profile) == 1
+
+    def test_plateau_across_the_seam(self):
+        profile = np.array([3.0, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
+        assert analysis.count_peaks(profile) == count_peaks_walk(profile) == 2
+
+    def test_all_nan_profile(self):
+        profile = np.full(16, np.nan)
+        assert analysis.count_peaks(profile) == count_peaks_walk(profile) == 0
+
+    def test_single_inf_spike(self):
+        profile = np.ones(16)
+        profile[5] = np.inf
+        assert analysis.count_peaks(profile) == count_peaks_walk(profile) == 1
+
+    def test_matches_downhill_walk_on_grid_frames(self, unit_kernel):
+        # frames of a circle-grid run with several real, unequal peaks
+        state = gridsim.make_initial("cutoff", 128, edge=2.0)
+        for _ in range(30):
+            state, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0, 0.05,
+                                   state.t + 0.5, "rk4")
+            for prominence in (0.0, 0.05):
+                assert analysis.count_peaks(state.rho, prominence) == \
+                    count_peaks_walk(state.rho, prominence)
 
 
 class TestHomogeneity:

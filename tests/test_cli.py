@@ -119,6 +119,23 @@ class TestCliEntry:
         assert rc == 3
         assert "solver abort" in capsys.readouterr().err
 
+    def test_t_end_off_the_step_grid_rejected(self, tmp_path, capsys):
+        # 1.005 / 0.01 = 100.5 steps: round() would stop at t = 1.00
+        rc = cli.main(["exact", "--set", "numerics.t_end=1.005",
+                       "--set", "numerics.dt=0.01", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "numerics.t_end" in capsys.readouterr().err
+        assert not (tmp_path / "exact.csv").exists()
+
+    def test_t_end_on_the_step_grid_accepted(self, tmp_path):
+        # 0.7 / 0.1 is 6.999999999999999 in floating point: 7 steps
+        rc = cli.main(["exact", "--set", "numerics.t_end=0.7",
+                       "--set", "numerics.dt=0.1", "--outdir", str(tmp_path)])
+        assert rc == 0
+        _, (t, _, _) = read_csv(tmp_path / "exact.csv")
+        assert len(t) == 8
+        assert t[-1] == pytest.approx(0.7)
+
     def test_compare_command(self, tmp_path):
         a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
         for d in (a_dir, b_dir):
@@ -183,6 +200,38 @@ class TestCliEntry:
         assert rc == 0
         text = (tmp_path / "plot.gp").read_text()
         assert text.startswith("set datafile separator")
+
+
+class TestParallelMode:
+    def test_parallel_sweep_byte_identical_to_reference(self, tmp_path,
+                                                        monkeypatch):
+        bundles = {}
+        for mode in ("reference", "parallel"):
+            monkeypatch.setenv("NLFKPP_MODE", mode)
+            out = tmp_path / mode
+            assert cli.main(["preset", "fig8", "--set", "numerics.t_end=1",
+                             "--outdir", str(out)]) == 0
+            bundles[mode] = {
+                os.path.relpath(os.path.join(root, name), out):
+                    os.path.join(root, name)
+                for root, _, names in os.walk(out) for name in names}
+        ref, par = bundles["reference"], bundles["parallel"]
+        assert sorted(ref) == sorted(par)
+        csvs = [name for name in ref if name.endswith(".csv")]
+        assert len(csvs) == 10  # summary; series, t = 0 and t = 1 per D
+        for name in csvs:
+            with open(ref[name], "rb") as a, open(par[name], "rb") as b:
+                assert a.read() == b.read(), name
+        manifests = [name for name in ref if name.endswith("manifest.json")]
+        assert len(manifests) == 3
+        for name in manifests:
+            with open(ref[name]) as a, open(par[name]) as b:
+                m_ref, m_par = json.load(a), json.load(b)
+            assert (m_ref.pop("mode"), m_par.pop("mode")) == ("reference",
+                                                              "parallel")
+            m_ref.pop("wall_time_s")
+            m_par.pop("wall_time_s")
+            assert m_ref == m_par
 
 
 class TestImport:

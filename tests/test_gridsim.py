@@ -83,6 +83,17 @@ class TestStep:
             # negative coupling turns the quadratic term into a source
             gridsim.run(state, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0, "euler")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * gridsim.BLOWUP_LIMIT])
+    def test_blowup_guard_catches_bad_update(self, unit_kernel, monkeypatch,
+                                             bad):
+        # an update of bad / dt on every node puts bad into the new state
+        dt = 0.01
+        monkeypatch.setattr(gridsim, "_rhs",
+                            lambda rho, *args: np.full_like(rho, bad / dt))
+        state = gridsim.make_initial("homogeneous", 64)
+        with pytest.raises(RuntimeError, match="blew up"):
+            gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, dt, "euler")
+
     def test_grid_convergence(self, unit_kernel):
         # halving ds changes the t=5 profile below 1e-4 relative
         profiles = {}
@@ -122,6 +133,37 @@ class TestRunInvariantOperator:
             spectrum[0] = 0.0
         np.testing.assert_array_equal(
             spectrum, np.fft.rfft(gridsim.kernel_row(unit_kernel, 64)))
+
+
+    def test_circulant_symbol_is_read_only(self):
+        symbol = gridsim._circulant_symbol(1.5, -0.25, 64)
+        assert symbol is gridsim._circulant_symbol(1.5, -0.25, 64)
+        with pytest.raises(ValueError):
+            symbol[0] = 0.0
+
+    def test_imex_symbol_built_once_per_run(self, unit_kernel):
+        # (D, dt, N) no other test uses, so the symbol cache starts cold
+        state = gridsim.make_initial("gaussian_bump", 96, T=10.0)
+        before = gridsim._circulant_symbol.cache_info().misses
+        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0371, 0.0137,
+                             50 * 0.0137, "imex")
+        assert out.t == pytest.approx(50 * 0.0137)
+        assert gridsim._circulant_symbol.cache_info().misses - before == 1
+
+    def test_imex_step_matches_inline_symbol(self, unit_kernel):
+        a, kappa, D, dt, N = 1.0, 0.2, 0.1, 0.01, 128
+        state = gridsim.make_initial("gaussian_bump", N, T=10.0)
+        rho, ds = state.rho, TWO_PI / N
+        interaction = ds * np.fft.irfft(
+            np.fft.rfft(gridsim.kernel_row(unit_kernel, N)) * np.fft.rfft(rho),
+            n=N)
+        rho_star = rho + dt * (a * rho - kappa * rho * interaction)
+        r = dt * D / ds**2
+        eig = (1.0 + 2.0 * r) + 2.0 * (-r) * np.cos(
+            TWO_PI * np.arange(N // 2 + 1) / N)
+        expected = np.fft.irfft(np.fft.rfft(rho_star) / eig, n=N)
+        out = gridsim.step(state, unit_kernel, a, kappa, D, dt, "imex")
+        assert np.array_equal(out.rho, expected)
 
 
 class TestInitialProfiles:

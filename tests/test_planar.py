@@ -79,6 +79,17 @@ class TestStep2D:
             planar.step2d(field, kernel2d, 1.0, 0.2, 0.5)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * planar.BLOWUP_LIMIT])
+    def test_blowup_guard_catches_bad_update(self, kernel2d, monkeypatch, bad):
+        # a diffusion update of bad / (dt D) on every node puts bad into u
+        dt, D = 0.01, 0.01
+        monkeypatch.setattr(planar, "_laplacian_reflect",
+                            lambda u, dx: np.full_like(u, bad / (dt * D)))
+        field = planar.gaussian_ring(3.0, 32, 1.0, 0.2, 1.0, D=D)
+        with pytest.raises(RuntimeError, match="blew up"):
+            planar.step2d(field, kernel2d, 1.0, 0.2, dt)
+
+
 class TestMoments:
     def test_symmetric_ring_centroid(self):
         field = planar.gaussian_ring(3.0, 128, 1.0, 0.1)
