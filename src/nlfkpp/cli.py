@@ -313,7 +313,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
     os.makedirs(outdir, exist_ok=True)
     if _mode() == "parallel":
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
+        # one worker per entry, at most one per CPU
+        workers = max(1, min(len(jobs), os.cpu_count() or 1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, jobs))
     else:
         results = [_sweep_entry(job) for job in jobs]

@@ -91,14 +91,24 @@ def gaussian_influence(b0: float, gamma: float) -> Callable:
 
     The squared distance is summed one coordinate at a time, in the order
     np.sum(d * d, axis=-1) adds them, without an (..., n_dim) temporary.
+    Every later operation works in place on that fresh sum; dividing by
+    -(2 gamma^2) rounds exactly as negating and dividing by 2 gamma^2.
     """
     def b(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        sq = (y[..., 0] - x[..., 0]) ** 2
+        sq = y[..., 0] - x[..., 0]
+        sq *= sq
         for k in range(1, y.shape[-1]):
-            sq = sq + (y[..., k] - x[..., k]) ** 2
-        return b0 * np.exp(-sq / (2.0 * gamma**2))
+            d = y[..., k] - x[..., k]
+            d *= d
+            sq += d
+        sq /= -(2.0 * gamma**2)
+        if np.ndim(sq) == 0:  # a point pair gives a numpy scalar, not an array
+            return b0 * np.exp(sq)
+        np.exp(sq, out=sq)
+        sq *= b0
+        return sq
     return b
 
 
@@ -139,9 +149,13 @@ def _rates_vector(spec: ConvectionSpec, state: ManifoldState) -> np.ndarray:
 
 def ee_rhs(state: ManifoldState, spec: ConvectionSpec):
     """Returns (drho/dt, dX/dt) by rectangle/trapezoid quadrature over G."""
+    return _rhs(state, spec, _influence_matrix(spec, state.X))
+
+
+def _rhs(state: ManifoldState, spec: ConvectionSpec, B: np.ndarray):
+    """ee_rhs with the influence matrix B = b(X_k, X_l) of state.X given."""
     w = state.weights()
     n = len(state.s)
-    B = _influence_matrix(spec, state.X)
     competition = B @ (w * state.rho)
     rates = _rates_vector(spec, state)
     rho_dot = state.rho * (rates - spec.kappa * competition)
@@ -178,11 +192,17 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
     X = state0.X.copy()
     t = float(state0.t)
     times, rho_hist, X_hist = [t], [rho.copy()], [X.copy()]
+    # B depends on the positions alone: rebuild it only when they move
+    # (never, when V_x and W_x are None and X_dot is exactly zero)
+    last_x, B = None, None
 
     def f(r, x, t_now):
+        nonlocal last_x, B
+        if last_x is None or not np.array_equal(x, last_x):
+            last_x, B = x, _influence_matrix(spec, x)
         st = ManifoldState.__new__(ManifoldState)
         st.s, st.X, st.rho, st.t, st.periodic = state0.s, x, r, t_now, state0.periodic
-        return ee_rhs(st, spec)
+        return _rhs(st, spec, B)
 
     for i in range(n_steps):
         kr1, kx1 = f(rho, X, t)
@@ -194,8 +214,9 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
         t = state0.t + (i + 1) * dt
         if np.max(np.abs(rho)) > BLOWUP_LIMIT or np.max(np.abs(X)) > BLOWUP_LIMIT:
             raise RuntimeError(f"manifold integration blew up at t={t}")
-        rho = np.where((rho < 0) & (rho > -1e-10 * max(np.max(rho), 1e-300)),
-                       0.0, rho)
+        if rho.min() < 0:
+            rho = np.where((rho < 0) & (rho > -1e-10 * max(np.max(rho), 1e-300)),
+                           0.0, rho)
         if (i + 1) % store_every == 0 or i == n_steps - 1:
             times.append(t)
             rho_hist.append(rho.copy())

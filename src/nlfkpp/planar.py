@@ -35,9 +35,9 @@ class Field2D:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.n, self.n):
             raise ValueError(f"expected ({self.n}, {self.n}) field, got {self.u.shape}")
-        top = max(float(np.max(self.u)), 1e-300)
-        if np.min(self.u) < -1e-10 * top:
-            raise ValueError(f"field has a hard negative value {np.min(self.u)}")
+        lowest = np.min(self.u)
+        if lowest < 0 and lowest < -1e-10 * max(float(np.max(self.u)), 1e-300):
+            raise ValueError(f"field has a hard negative value {lowest}")
 
     @property
     def axis(self) -> np.ndarray:
@@ -101,8 +101,9 @@ def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
     # one pass: a NaN fails the comparison and +-inf exceeds the limit
     if not np.max(np.abs(u_new)) <= BLOWUP_LIMIT:
         raise RuntimeError(f"planar solution blew up at t={field.t + dt}")
-    top = max(float(np.max(u_new)), 1e-300)
-    u_new = np.where((u_new < 0) & (u_new >= -1e-10 * top), 0.0, u_new)
+    if u_new.min() < 0:
+        top = max(float(np.max(u_new)), 1e-300)
+        u_new = np.where((u_new < 0) & (u_new >= -1e-10 * top), 0.0, u_new)
     return Field2D(field.L, field.n, u_new, field.t + dt, field.D)
 
 

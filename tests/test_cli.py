@@ -233,6 +233,39 @@ class TestParallelMode:
             m_par.pop("wall_time_s")
             assert m_ref == m_par
 
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
+    def test_pool_capped_at_entries_and_cpus(self, tmp_path, monkeypatch,
+                                             cpus, workers):
+        # a stand-in pool records its size and maps in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("NLFKPP_MODE", "parallel")
+        rc = cli.main(["sweep", "--axis", "model.D", "--values", "0,0.1,0.2",
+                       "--set", "numerics.N=64", "--set", "numerics.t_end=0.5",
+                       "--set", "numerics.scheme=imex",
+                       "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert sizes == [workers]
+        assert len(read_csv(tmp_path / "summary.csv")[1][0]) == 3
+
 
 class TestImport:
     def test_cli_import_leaves_out_scipy_signal(self):

@@ -45,6 +45,19 @@ class TestEeRhs:
         _, X_dot = manifold.ee_rhs(circle, spec)
         np.testing.assert_allclose(X_dot, -0.03 * circle.X, rtol=1e-14)
 
+    def test_nonlocal_velocity_contracts_uniform_circle(self):
+        # W_x(x, y) = y - x sums to m (xbar - X_k); the uniform circle's
+        # centroid xbar is 0 to rounding, so X_dot = -kappa m X
+        state = manifold.circle_state(1.3, 64, lambda s: np.full_like(s, 0.7))
+        spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
+                                       b=manifold.gaussian_influence(1.0, 1.0),
+                                       kappa=0.2,
+                                       W_x=lambda x, y, t: y - x)
+        _, X_dot = manifold.ee_rhs(state, spec)
+        m = float(np.sum(state.weights() * state.rho))
+        assert m == pytest.approx(2.0 * math.pi * 0.7, rel=1e-14)
+        assert np.max(np.abs(X_dot + 0.2 * m * state.X)) < 1e-12
+
     def test_nonfinite_model_aborts(self, circle):
         spec = manifold.ConvectionSpec(a=lambda x, t: math.nan,
                                        b=manifold.gaussian_influence(1.0, 1.0),
@@ -54,7 +67,7 @@ class TestEeRhs:
 
 
 class TestGaussianInfluence:
-    @pytest.mark.parametrize("n_dim", [2, 3])
+    @pytest.mark.parametrize("n_dim", [2, 3, 1])
     def test_equals_summed_square_formula(self, n_dim):
         rng = np.random.default_rng(23 + n_dim)
         X = rng.standard_normal((96, n_dim))
@@ -64,6 +77,8 @@ class TestGaussianInfluence:
         expected = b0 * np.exp(-np.sum(d * d, axis=-1) / (2.0 * gamma**2))
         assert np.array_equal(b(X[:, None, :], X[None, :, :]), expected)
         assert np.array_equal(b(X[5], X), expected[5])
+        pair = b(X[5], X[7])  # a point pair gives a scalar
+        assert np.ndim(pair) == 0 and pair == expected[5, 7]
 
 
 class TestIntegrate:
@@ -103,6 +118,63 @@ class TestIntegrate:
         mid = manifold.ManifoldState(circle.s, circle.X, rho_hist[1], dt)
         rho_dot, _ = manifold.ee_rhs(mid, static_spec)
         assert fd == pytest.approx(ds * np.sum(rho_dot), rel=1e-6)
+
+
+def rk4_on_ee_rhs(state0, spec, t_end, dt):
+    """integrate's RK4 written out on the public ee_rhs, which builds the
+    influence matrix on every call."""
+    n_steps = int(round((t_end - state0.t) / dt))
+    rho, X, t = state0.rho.copy(), state0.X.copy(), float(state0.t)
+    times, rho_hist, X_hist = [t], [rho.copy()], [X.copy()]
+
+    def f(r, x, t_now):
+        return manifold.ee_rhs(manifold.ManifoldState(state0.s, x, r, t_now),
+                               spec)
+
+    for i in range(n_steps):
+        kr1, kx1 = f(rho, X, t)
+        kr2, kx2 = f(rho + 0.5 * dt * kr1, X + 0.5 * dt * kx1, t + 0.5 * dt)
+        kr3, kx3 = f(rho + 0.5 * dt * kr2, X + 0.5 * dt * kx2, t + 0.5 * dt)
+        kr4, kx4 = f(rho + dt * kr3, X + dt * kx3, t + dt)
+        rho = rho + (dt / 6.0) * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
+        X = X + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
+        t = state0.t + (i + 1) * dt
+        assert rho.min() >= 0  # no clamp to replicate
+        times.append(t)
+        rho_hist.append(rho.copy())
+        X_hist.append(X.copy())
+    return np.array(times), np.array(rho_hist), np.array(X_hist)
+
+
+class TestInfluenceReuse:
+    @staticmethod
+    def spec(drag, b=None):
+        return manifold.ConvectionSpec(
+            a=manifold.constant_rate(1.0),
+            b=b or manifold.gaussian_influence(1.0, 1.0), kappa=0.2,
+            V_x=manifold.linear_drag(0.03) if drag else None)
+
+    @pytest.mark.parametrize("drag", [False, True])
+    def test_trajectory_equals_rk4_on_ee_rhs(self, circle, drag):
+        spec = self.spec(drag)
+        got = manifold.integrate(circle, spec, 0.5, 0.05)
+        expected = rk4_on_ee_rhs(circle, spec, 0.5, 0.05)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+
+    @pytest.mark.parametrize("drag, calls_per_run", [(False, 1), (True, 40)])
+    def test_influence_built_once_per_position_set(self, circle, drag,
+                                                   calls_per_run):
+        # stationary X: one build per run; drag moves X in every RK4 stage
+        inner = manifold.gaussian_influence(1.0, 1.0)
+        calls = []
+
+        def b(x, y):
+            calls.append(1)
+            return inner(x, y)
+
+        manifold.integrate(circle, self.spec(drag, b), 0.5, 0.05)
+        assert len(calls) == calls_per_run
 
 
 class TestInitialCorrespondence:
