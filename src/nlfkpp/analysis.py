@@ -1,5 +1,6 @@
 """Profile diagnostics shared by the solvers: peak counting on periodic
-grids, homogeneity, norms, steady-state detection and empirical order."""
+grids, homogeneity, norms, steady-state detection, empirical order, and the
+trapezoid rule (``np.trapezoid``, or ``np.trapz`` before numpy 2)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 NEVER_STEADY = -1.0
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def count_peaks(profile, prominence: float = 0.05) -> int:

@@ -25,8 +25,6 @@ import numpy as np
 from .exact import HomogeneousModel, beta0
 from .kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue, eigenvalues
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass
 class AsymptoticExpansion:

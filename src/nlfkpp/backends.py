@@ -1,27 +1,26 @@
-"""Backend selection for the hot kernels.
+"""The two hot kernels in numpy: the circulant interaction sum of the
+grid's ``direct`` backend and the quadratic mode coupling of the spectral
+solver."""
 
-Prefers the compiled Cython extension; falls back to the numpy twin.
-``NLFKPP_BACKEND=python`` forces the fallback (useful for benchmarking and
-for debugging the extension).
-"""
+import numpy as np
 
-import os
 
-from . import _kernels_py
+def circulant_apply(row, rho, ds):
+    """out[k] = ds * sum_l row[(k - l) mod N] * rho[l]."""
+    row = np.asarray(row, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    n = row.shape[0]
+    k = np.arange(n)
+    mat = row[(k[:, None] - k[None, :]) % n]
+    return ds * (mat @ rho)
 
-if os.environ.get("NLFKPP_BACKEND", "").lower() == "python":
-    _impl = _kernels_py
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
 
-        HAVE_COMPILED = True
-    except ImportError:
-        _impl = _kernels_py
-        HAVE_COMPILED = False
-
-circulant_apply = _impl.circulant_apply
-quadratic_coupling = _impl.quadratic_coupling
-
-__all__ = ["circulant_apply", "quadratic_coupling", "HAVE_COMPILED"]
+def quadratic_coupling(beta, lam):
+    """out[j] = sum_l lam[l] * beta[j-l] * beta[l], band-truncated."""
+    beta = np.asarray(beta, dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    m = beta.shape[0]
+    big_j = (m - 1) // 2
+    # full linear convolution of beta with lam*beta, then keep the band
+    full = np.convolve(beta, lam * beta)
+    return full[big_j : big_j + m]

@@ -51,24 +51,8 @@ def _kernel(cfg: ScenarioConfig) -> CircleKernelParams:
 
 def scenario_initial(cfg: ScenarioConfig):
     """rho_phi(s) callable for the configured initial condition."""
-    v0 = 1.0 / SQRT_TWO_PI
-    if cfg.initial_kind == "homogeneous":
-        return lambda s: np.full_like(np.asarray(s, dtype=float), v0 * cfg.beta00)
-    if cfg.initial_kind == "gaussian_bump":
-        width, T, beta00 = cfg.initial_width, cfg.T, cfg.beta00
-        return lambda s: v0 * beta00 + np.exp(-np.asarray(s) ** 2 / width) / T
-    if cfg.initial_kind == "gaussian":
-        width = cfg.initial_width
-        return lambda s: np.exp(-np.asarray(s) ** 2 / width)
-    if cfg.initial_kind == "cutoff":
-        edge = cfg.initial_edge
-        def rho_phi(s):
-            s = np.asarray(s, dtype=float)
-            out = np.where(np.abs(s) < edge, 1.0, 0.0)
-            return np.where(np.isclose(np.abs(s), edge, rtol=0, atol=1e-12),
-                            0.5, out)
-        return rho_phi
-    raise ConfigError(f"initial.kind: {cfg.initial_kind!r} needs explicit samples")
+    return gridsim.initial_profile(cfg.initial_kind, cfg.beta00, cfg.T,
+                                   cfg.initial_width, cfg.initial_edge)
 
 
 def _series_stride(cfg: ScenarioConfig) -> int:
@@ -140,40 +124,28 @@ def run_spectral(cfg: ScenarioConfig, outdir: str) -> dict:
 
 
 def run_grid(cfg: ScenarioConfig, outdir: str) -> dict:
-    kern = _kernel(cfg)
-    rho_phi = scenario_initial(cfg)
-    state = gridsim.GridState(cfg.N, rho_phi(gridsim.grid_nodes(cfg.N)))
-    stride = _series_stride(cfg)
+    s = gridsim.grid_nodes(cfg.N)
+    state0 = gridsim.GridState(cfg.N, scenario_initial(cfg)(s))
     snap_times = sorted(set(float(t) for t in cfg.snapshot_times) | {cfg.t_end})
+    rec = gridsim.integrate(state0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
+                            cfg.dt, cfg.t_end, cfg.scheme, cfg.backend,
+                            [t for t in snap_times if t > 0],
+                            _series_stride(cfg))
+    state = gridsim.GridState(cfg.N, rec.y, rec.t, rec.clamped)
     names = []
-    series_t, series_mass, series_hom, series_peaks = [], [], [], []
-    n_steps = int(round(cfg.t_end / cfg.dt))
-
-    def record(st):
-        series_t.append(st.t)
-        series_mass.append(gridsim.total_mass(st))
-        series_hom.append(analysis.homogeneity(st.rho))
-        series_peaks.append(analysis.count_peaks(st.rho))
-
-    record(state)
-    remaining = [t for t in snap_times if t > 0]
-    for i in range(n_steps):
-        state = gridsim.step(state, kern, cfg.a, cfg.kappa, cfg.D, cfg.dt,
-                             cfg.scheme, cfg.backend)
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            record(state)
-        while remaining and state.t >= remaining[0] - 0.5 * cfg.dt:
-            name = _snapshot_name(remaining.pop(0))
-            gridsim.snapshot_to_csv(os.path.join(outdir, name), state)
-            names.append(name)
+    snapshots = dict(rec.snapshots)
     if 0.0 in snap_times:
-        name = _snapshot_name(0.0)
-        write_csv(os.path.join(outdir, name), ["s", "rho"],
-                  [gridsim.grid_nodes(cfg.N), rho_phi(gridsim.grid_nodes(cfg.N))])
+        snapshots[0.0] = state0.rho
+    for t_snap, rho in snapshots.items():
+        name = _snapshot_name(t_snap)
+        write_csv(os.path.join(outdir, name), ["s", "rho"], [s, rho])
         names.append(name)
     write_csv(os.path.join(outdir, "series.csv"),
               ["t", "mass", "homogeneity", "n_peaks"],
-              [series_t, series_mass, series_hom, series_peaks])
+              [rec.times,
+               [gridsim.total_mass(gridsim.GridState(cfg.N, f)) for f in rec.frames],
+               [analysis.homogeneity(f) for f in rec.frames],
+               [analysis.count_peaks(f) for f in rec.frames]])
     names.append("series.csv")
     diag = {
         "n_peaks_final": analysis.count_peaks(state.rho),

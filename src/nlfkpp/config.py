@@ -12,8 +12,7 @@ class ConfigError(ValueError):
 SOLVERS = ("spectral", "grid", "manifold", "planar2d", "exact", "asymptotic")
 SCHEMES = ("euler", "rk4", "imex")
 BACKENDS = ("direct", "fast", "checked")
-INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff",
-                 "from_samples")
+INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff")
 
 
 @dataclass

@@ -5,8 +5,8 @@
 on a uniform periodic grid.  The nonlocal term is a circular convolution:
 the ``fast`` backend evaluates it with the FFT (the kernel row's transform
 is built once per kernel and grid size), the ``direct`` backend with
-the O(N^2) circulant sum (compiled when the extension is available), and
-``checked`` runs both and fails loudly if they disagree.
+the O(N^2) circulant sum, and ``checked`` runs both and fails loudly if
+they disagree.  Time stepping is the shared driver of ``stepping``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
-from .config import BACKENDS, SCHEMES
-from .csvio import write_csv
-from .kernel import TWO_PI, CircleKernelParams, eigenvalue, kernel_value
-
-BLOWUP_LIMIT = 1e12
-NEGATIVE_TOL = 1e-10
+from . import backends, stepping
+from .config import BACKENDS
+from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
+                     kernel_value)
 
 
 def grid_nodes(N: int) -> np.ndarray:
@@ -42,14 +39,11 @@ class GridState:
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho.shape != (self.N,):
             raise ValueError(f"expected {self.N} density values, got {self.rho.shape}")
-        lowest = np.min(self.rho)
-        if lowest < 0:
-            top = float(np.max(self.rho))
-            if lowest < -NEGATIVE_TOL * max(top, 1e-300):
-                raise ValueError(
-                    f"density has a hard negative value {lowest} "
-                    f"(max {top}); the scheme is unstable"
-                )
+        if stepping.hard_negative(self.rho):
+            raise ValueError(
+                f"density has a hard negative value {np.min(self.rho)} "
+                f"(max {np.max(self.rho)}); the scheme is unstable"
+            )
 
     @property
     def s(self) -> np.ndarray:
@@ -107,18 +101,6 @@ def _rhs(rho, kern, a, kappa, D, ds, backend):
     return out
 
 
-def stability_limit(state: GridState, kern: CircleKernelParams, a: float,
-                    kappa: float, D: float, scheme: str) -> float:
-    """Largest admissible dt: 0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho));
-    the implicit-diffusion scheme drops the ds^2 restriction."""
-    ds = TWO_PI / state.N
-    lam0 = eigenvalue(0, kern)
-    reaction = 1.0 / (a + kappa * lam0 * max(float(np.max(state.rho)), 0.0))
-    if scheme == "imex" or D == 0.0:
-        return 0.8 * reaction
-    return 0.8 * min(ds**2 / (2.0 * D), reaction)
-
-
 @functools.lru_cache(maxsize=64)
 def _circulant_symbol(diag: float, off: float, n: int) -> np.ndarray:
     """Eigenvalues diag + 2 off cos(2 pi j / n), j = 0..n//2, of the circulant
@@ -140,92 +122,84 @@ def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
          D: float, dt: float, scheme: str = "rk4",
          backend: str = "fast") -> GridState:
     """Advance the density by one time step."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    limit = stability_limit(state, kern, a, kappa, D, scheme)
-    if dt > limit:
-        raise ValueError(
-            f"dt={dt} violates the stability bound {limit:.3e} "
-            f"for scheme {scheme!r}"
-        )
+    return run(state, kern, a, kappa, D, dt, state.t + dt, scheme, backend)[0]
+
+
+def integrate(state: GridState, kern: CircleKernelParams, a: float,
+              kappa: float, D: float, dt: float, t_end: float,
+              scheme: str = "rk4", backend: str = "fast", snapshot_times=(),
+              store_every: int = 0) -> stepping.Record:
+    """Step from state.t to t_end with the shared driver.
+
+    The stability bound is 0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho));
+    imex, explicit reaction and implicit (backward Euler) diffusion, drops
+    the ds^2 restriction.
+    """
     ds = TWO_PI / state.N
-    rho = state.rho
-    if scheme == "euler":
-        rho_new = rho + dt * _rhs(rho, kern, a, kappa, D, ds, backend)
-    elif scheme == "rk4":
-        k1 = _rhs(rho, kern, a, kappa, D, ds, backend)
-        k2 = _rhs(rho + 0.5 * dt * k1, kern, a, kappa, D, ds, backend)
-        k3 = _rhs(rho + 0.5 * dt * k2, kern, a, kappa, D, ds, backend)
-        k4 = _rhs(rho + dt * k3, kern, a, kappa, D, ds, backend)
-        rho_new = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:  # imex: explicit reaction, implicit (backward Euler) diffusion
-        rho_star = rho + dt * _rhs(rho, kern, a, kappa, 0.0, ds, backend)
-        if D > 0:
-            r = dt * D / ds**2
-            rho_new = _cyclic_tridiag_solve(1.0 + 2.0 * r, -r, rho_star)
-        else:
-            rho_new = rho_star
-    # one pass: a NaN fails the comparison and +-inf exceeds the limit
-    if not np.max(np.abs(rho_new)) <= BLOWUP_LIMIT:
-        raise RuntimeError(f"grid solution blew up at t={state.t + dt}")
-    clamped = state.clamped
-    if rho_new.min() < 0:
-        top = max(float(np.max(rho_new)), 1e-300)
-        band = (rho_new < 0) & (rho_new >= -NEGATIVE_TOL * top)
-        clamped += int(np.count_nonzero(band))
-        rho_new = np.where(band, 0.0, rho_new)
-    return GridState(state.N, rho_new, state.t + dt, clamped)
+    lam0 = eigenvalue(0, kern)
+    implicit = scheme == "imex" and D > 0
+    diffusive = math.inf if scheme == "imex" or D == 0.0 else ds**2 / (2.0 * D)
+    D_explicit = 0.0 if scheme == "imex" else D
+    r = dt * D / ds**2
+
+    def rhs(rho, t):
+        return _rhs(rho, kern, a, kappa, D_explicit, ds, backend)
+
+    def limit(rho):
+        reaction = 1.0 / (a + kappa * lam0 * max(float(np.max(rho)), 0.0))
+        return 0.8 * min(diffusive, reaction)
+
+    def solve(rho):
+        return _cyclic_tridiag_solve(1.0 + 2.0 * r, -r, rho)
+
+    n_steps = int(round((t_end - state.t) / dt))
+    return stepping.march(state.rho, state.t, dt, n_steps, rhs, scheme,
+                          solve=solve if implicit else None, limit=limit,
+                          density=lambda rho: rho, store_every=store_every,
+                          at=snapshot_times)
 
 
 def run(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
         D: float, dt: float, t_end: float, scheme: str = "rk4",
         backend: str = "fast", snapshot_times=()):
     """Step to t_end; returns (final state, {time: density snapshot})."""
-    remaining = sorted(float(ts) for ts in snapshot_times)
-    snaps = {}
-    n_steps = int(round((t_end - state.t) / dt))
-    for _ in range(n_steps):
-        state = step(state, kern, a, kappa, D, dt, scheme, backend)
-        while remaining and state.t >= remaining[0] - 0.5 * dt:
-            snaps[remaining.pop(0)] = state.rho.copy()
-    return state, snaps
+    rec = integrate(state, kern, a, kappa, D, dt, t_end, scheme, backend,
+                    snapshot_times)
+    return GridState(state.N, rec.y, rec.t, state.clamped + rec.clamped), \
+        rec.snapshots
+
+
+def initial_profile(kind: str, beta00: float = 1.0, T: float = 10.0,
+                    width: float = 0.6, edge: float = 2.0):
+    """rho_phi(s) of a named initial profile, v0 = 1/sqrt(2 pi):
+
+    homogeneous:   v0 beta00
+    gaussian_bump: v0 beta00 + (1/T) exp(-s^2 / width)
+    gaussian:      exp(-s^2 / width)
+    cutoff:        1 on |s| < edge, 0 outside, 0.5 at the jump
+    """
+    v0 = 1.0 / SQRT_TWO_PI
+    if kind == "homogeneous":
+        return lambda s: np.full_like(np.asarray(s, dtype=float), v0 * beta00)
+    if kind == "gaussian_bump":
+        return lambda s: v0 * beta00 + np.exp(-np.asarray(s) ** 2 / width) / T
+    if kind == "gaussian":
+        return lambda s: np.exp(-np.asarray(s) ** 2 / width)
+    if kind == "cutoff":
+        def rho_phi(s):
+            s = np.asarray(s, dtype=float)
+            out = np.where(np.abs(s) < edge, 1.0, 0.0)
+            return np.where(np.isclose(np.abs(s), edge, rtol=0, atol=1e-12),
+                            0.5, out)
+        return rho_phi
+    raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 
 def make_initial(kind: str, N: int, **params) -> GridState:
-    """Named initial profiles sampled on the grid.
-
-    homogeneous:   beta00 / sqrt(2 pi)
-    gaussian_bump: 1/sqrt(2 pi) + (1/T) exp(-s^2 / width), width default 0.6
-    gaussian:      exp(-s^2 / width), width default 0.6
-    cutoff:        1 on |s| < edge, 0 outside, 0.5 at the jump (edge default 2)
-    from_samples:  user-provided array of length N
-    """
-    s = grid_nodes(N)
-    if kind == "homogeneous":
-        beta00 = params.get("beta00", 1.0)
-        rho = np.full(N, beta00 / math.sqrt(TWO_PI))
-    elif kind == "gaussian":
-        rho = np.exp(-(s**2) / params.get("width", 0.6))
-    elif kind == "gaussian_bump":
-        T = params.get("T", 10.0)
-        width = params.get("width", 0.6)
-        rho = 1.0 / math.sqrt(TWO_PI) + np.exp(-(s**2) / width) / T
-    elif kind == "cutoff":
-        edge = params.get("edge", 2.0)
-        rho = np.where(np.abs(s) < edge, 1.0, 0.0)
-        jump = np.isclose(np.abs(s), edge, rtol=0.0, atol=1e-12)
-        rho = np.where(jump, 0.5, rho)
-    elif kind == "from_samples":
-        rho = np.asarray(params["samples"], dtype=float)
-    else:
-        raise ValueError(f"unknown initial-condition kind {kind!r}")
-    return GridState(N, rho, params.get("t0", 0.0))
+    """The named initial profile sampled on the grid (see initial_profile)."""
+    return GridState(N, initial_profile(kind, **params)(grid_nodes(N)))
 
 
 def total_mass(state: GridState) -> float:
     """m = (2 pi / N) sum_k rho_k."""
     return float(TWO_PI / state.N * np.sum(state.rho))
-
-
-def snapshot_to_csv(path, state: GridState) -> None:
-    write_csv(path, ["s", "rho"], [state.s, state.rho])

@@ -17,9 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import stepping
 from .csvio import write_csv
-
-BLOWUP_LIMIT = 1e12
 
 
 @dataclass
@@ -39,8 +38,7 @@ class ManifoldState:
             raise ValueError(f"X must be (n_samples, n_dim), got {self.X.shape}")
         if self.rho.shape != (n,):
             raise ValueError(f"rho must have {n} samples, got {self.rho.shape}")
-        if np.min(self.rho) < 0 and np.min(self.rho) < -1e-10 * max(
-                float(np.max(self.rho)), 1e-300):
+        if stepping.hard_negative(self.rho):
             raise ValueError(f"density is negative: min rho = {np.min(self.rho)}")
         gaps = np.linalg.norm(np.diff(self.X, axis=0), axis=1)
         if self.periodic:
@@ -180,48 +178,37 @@ def _rhs(state: ManifoldState, spec: ConvectionSpec, B: np.ndarray):
 
 def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
               dt: float, store_every: int = 1):
-    """Fixed-step RK4 on the coupled (rho, X) system.
+    """Fixed-step RK4 on the coupled (rho, X) system, packed as one array
+    [rho, X.ravel()] for the shared driver; RK4 is elementwise, so packing
+    changes no bit.
 
     Returns (times, rho history, X history) with shapes (n_stored,),
     (n_stored, N) and (n_stored, N, n_dim).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round((t_end - state0.t) / dt))
-    rho = state0.rho.copy()
-    X = state0.X.copy()
-    t = float(state0.t)
-    times, rho_hist, X_hist = [t], [rho.copy()], [X.copy()]
+    n, shape = len(state0.s), state0.X.shape
     # B depends on the positions alone: rebuild it only when they move
     # (never, when V_x and W_x are None and X_dot is exactly zero)
     last_x, B = None, None
 
-    def f(r, x, t_now):
+    def rhs(y, t):
         nonlocal last_x, B
+        x = y[n:].reshape(shape)
         if last_x is None or not np.array_equal(x, last_x):
             last_x, B = x, _influence_matrix(spec, x)
         st = ManifoldState.__new__(ManifoldState)
-        st.s, st.X, st.rho, st.t, st.periodic = state0.s, x, r, t_now, state0.periodic
-        return _rhs(st, spec, B)
+        st.s, st.X, st.rho, st.t, st.periodic = state0.s, x, y[:n], t, state0.periodic
+        rho_dot, X_dot = _rhs(st, spec, B)
+        return np.concatenate([rho_dot, X_dot.ravel()])
 
-    for i in range(n_steps):
-        kr1, kx1 = f(rho, X, t)
-        kr2, kx2 = f(rho + 0.5 * dt * kr1, X + 0.5 * dt * kx1, t + 0.5 * dt)
-        kr3, kx3 = f(rho + 0.5 * dt * kr2, X + 0.5 * dt * kx2, t + 0.5 * dt)
-        kr4, kx4 = f(rho + dt * kr3, X + dt * kx3, t + dt)
-        rho = rho + (dt / 6.0) * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
-        X = X + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        t = state0.t + (i + 1) * dt
-        if np.max(np.abs(rho)) > BLOWUP_LIMIT or np.max(np.abs(X)) > BLOWUP_LIMIT:
-            raise RuntimeError(f"manifold integration blew up at t={t}")
-        if rho.min() < 0:
-            rho = np.where((rho < 0) & (rho > -1e-10 * max(np.max(rho), 1e-300)),
-                           0.0, rho)
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
-            times.append(t)
-            rho_hist.append(rho.copy())
-            X_hist.append(X.copy())
-    return np.array(times), np.array(rho_hist), np.array(X_hist)
+    rec = stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
+                         float(state0.t), dt,
+                         int(round((t_end - state0.t) / dt)), rhs, "rk4",
+                         density=lambda y: y[:n], store_every=store_every)
+    frames = np.array(rec.frames)
+    return (np.array(rec.times), frames[:, :n],
+            frames[:, n:].reshape((len(frames),) + shape))
 
 
 def initial_correspondence(state: ManifoldState):

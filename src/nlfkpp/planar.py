@@ -9,6 +9,7 @@ concentrate on a ring and reproduce the one-dimensional density.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stepping
+from .analysis import trapezoid
 from .csvio import write_csv
-
-BLOWUP_LIMIT = 1e12
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass
@@ -35,9 +34,8 @@ class Field2D:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.n, self.n):
             raise ValueError(f"expected ({self.n}, {self.n}) field, got {self.u.shape}")
-        lowest = np.min(self.u)
-        if lowest < 0 and lowest < -1e-10 * max(float(np.max(self.u)), 1e-300):
-            raise ValueError(f"field has a hard negative value {lowest}")
+        if stepping.hard_negative(self.u):
+            raise ValueError(f"field has a hard negative value {np.min(self.u)}")
 
     @property
     def axis(self) -> np.ndarray:
@@ -89,30 +87,40 @@ def _laplacian_reflect(u: np.ndarray, dx: float) -> np.ndarray:
 def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
            dt: float) -> Field2D:
     """One explicit Euler step of the planar equation."""
-    interaction = nonlocal_term_2d(field, kern)
-    limit = 0.8 / (a + kappa * max(float(np.max(interaction)), 0.0))
-    if field.D > 0:
-        limit = min(limit, 0.8 * field.dx**2 / (4.0 * field.D))
-    if dt > limit:
-        raise ValueError(f"dt={dt} violates the stability bound {limit:.3e}")
-    u_new = field.u + dt * (a * field.u - kappa * field.u * interaction)
-    if field.D > 0:
-        u_new = u_new + dt * field.D * _laplacian_reflect(field.u, field.dx)
-    # one pass: a NaN fails the comparison and +-inf exceeds the limit
-    if not np.max(np.abs(u_new)) <= BLOWUP_LIMIT:
-        raise RuntimeError(f"planar solution blew up at t={field.t + dt}")
-    if u_new.min() < 0:
-        top = max(float(np.max(u_new)), 1e-300)
-        u_new = np.where((u_new < 0) & (u_new >= -1e-10 * top), 0.0, u_new)
-    return Field2D(field.L, field.n, u_new, field.t + dt, field.D)
+    return run2d(field, kern, a, kappa, dt, field.t + dt)
 
 
 def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
           dt: float, t_end: float) -> Field2D:
-    n_steps = int(round((t_end - field.t) / dt))
-    for _ in range(n_steps):
-        field = step2d(field, kern, a, kappa, dt)
-    return field
+    """Explicit Euler steps to t_end with the shared driver.  The stability
+    bound 0.8 min(1/(a + kappa max I), dx^2/(4D)) uses the step's own
+    interaction I, which the right-hand side then reuses."""
+    work = copy.copy(field)  # carries L, n and dx for nonlocal_term_2d
+    last_u, last_I = None, None
+
+    def interaction(u):
+        nonlocal last_u, last_I
+        if u is not last_u:
+            work.u = u
+            last_u, last_I = u, nonlocal_term_2d(work, kern)
+        return last_I
+
+    def limit(u):
+        bound = 0.8 / (a + kappa * max(float(np.max(interaction(u))), 0.0))
+        if field.D > 0:
+            bound = min(bound, 0.8 * field.dx**2 / (4.0 * field.D))
+        return bound
+
+    def rhs(u, t):
+        out = a * u - kappa * u * interaction(u)
+        if field.D > 0:
+            out = out + field.D * _laplacian_reflect(u, field.dx)
+        return out
+
+    rec = stepping.march(field.u, field.t, dt,
+                         int(round((t_end - field.t) / dt)), rhs, "euler",
+                         limit=limit, density=lambda u: u)
+    return Field2D(field.L, field.n, rec.y, rec.t, field.D)
 
 
 def gaussian_ring(L: float, n: int, R: float, sigma: float,
@@ -185,7 +193,7 @@ def extract_sld(field: Field2D, n_angles: int, n_radial: int = 400):
         r_max = field.L / max(abs(math.cos(angle)), abs(math.sin(angle)))
         r = np.linspace(0.0, r_max, n_radial)
         vals = _bilinear(field, r * math.cos(angle), r * math.sin(angle))
-        rho[k] = _trapz(vals * r, r)
+        rho[k] = trapezoid(vals * r, r)
     return s, rho
 
 

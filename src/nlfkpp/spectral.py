@@ -7,7 +7,8 @@ The density is expanded in the kernel eigenmodes v_j(s) = e^{ijs}/sqrt(2 pi),
                  - kappa/sqrt(2 pi) * sum_l lambda_l beta_{j-l} beta_l,
 
 with products falling outside the band dropped (projection truncation).
-Time stepping is fixed-step classical RK4; the conjugate symmetry
+Time stepping is fixed-step classical RK4 on the shared driver of
+``stepping``; the conjugate symmetry
 beta_{-j} = conj(beta_j) of real densities is re-enforced after every step
 and the enforcement drift is recorded.
 """
@@ -19,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
+from . import backends, stepping
+from .analysis import trapezoid
 from .csvio import write_csv
 from .kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalues
-
-BLOWUP_LIMIT = 1e12
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass
@@ -160,38 +158,25 @@ def integrate(state0: SpectralState, rates: DiffusiveRates,
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
-    n_steps = int(round(t_end / dt))
-    beta = state0.beta.copy()
-    t = float(state0.t)
-    times = [t]
-    history = [beta.copy()]
-    drift = 0.0
     # the rate band and the kernel spectrum are fixed for the whole run
     band = rates.band(state0.J)
     lam = eigenvalues(state0.J, kern)
+    drift = 0.0
 
-    def f(b):
-        return _mode_rhs(b, band, lam, kappa)
+    def rhs(beta, t):
+        return _mode_rhs(beta, band, lam, kappa)
 
-    for step_idx in range(n_steps):
-        k1 = f(beta)
-        k2 = f(beta + 0.5 * dt * k1)
-        k3 = f(beta + 0.5 * dt * k2)
-        k4 = f(beta + dt * k3)
-        beta = beta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def pair(beta):
+        nonlocal drift
         paired = 0.5 * (beta + beta[::-1].conj())
         drift = max(drift, float(np.max(np.abs(paired - beta))))
-        beta = paired
-        t = state0.t + (step_idx + 1) * dt
-        if np.max(np.abs(beta)) > BLOWUP_LIMIT:
-            raise RuntimeError(
-                f"spectral integration blew up at t={t}: "
-                f"max|beta| = {np.max(np.abs(beta)):.3e}"
-            )
-        if (step_idx + 1) % store_every == 0 or step_idx == n_steps - 1:
-            times.append(t)
-            history.append(beta.copy())
-    return SpectralTrajectory(state0.J, np.array(times), np.array(history), drift)
+        return paired
+
+    rec = stepping.march(state0.beta, float(state0.t), dt,
+                         int(round(t_end / dt)), rhs, "rk4", project=pair,
+                         store_every=store_every)
+    return SpectralTrajectory(state0.J, np.array(rec.times),
+                              np.array(rec.frames), drift)
 
 
 def reconstruct(state: SpectralState, s_grid) -> np.ndarray:
@@ -244,7 +229,7 @@ def exponential_form(traj: SpectralTrajectory, kern: CircleKernelParams,
     """
     s = np.asarray(s_grid, dtype=float)
     lam = eigenvalues(traj.J, kern)
-    integrals = _trapz(traj.beta, traj.t, axis=0)
+    integrals = trapezoid(traj.beta, traj.t, axis=0)
     exponent = a * (traj.t[-1] - traj.t[0]) - kappa * (
         basis_matrix(traj.J, s) @ (lam * integrals)
     )

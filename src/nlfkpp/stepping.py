@@ -1,0 +1,109 @@
+"""Fixed-step time marching shared by every solver.
+
+A solver holds its state in one array and hands ``march`` the right-hand
+side ``rhs(y, t)`` of its per-run operator.  The driver owns what all the
+solvers do alike: the stage arithmetic of the euler, rk4 and imex schemes,
+the time t0 + k dt (never an accumulated sum), the stability check, the
+blow-up guard, the round-off clamp of the density with its count, and the
+storage of frames and snapshots.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import SCHEMES, ConfigError
+
+BLOWUP_LIMIT = 1e12
+NEGATIVE_TOL = 1e-10
+
+
+def hard_negative(y) -> bool:
+    """True when y holds a value below -NEGATIVE_TOL * max(y), a negative
+    that round-off cannot explain."""
+    lowest = np.min(y)
+    return bool(lowest < 0
+                and lowest < -NEGATIVE_TOL * max(float(np.max(y)), 1e-300))
+
+
+@dataclass
+class Record:
+    """The final state y at time t, the number of density values clamped to
+    zero, the stored times and frames, and {requested time: state}."""
+
+    y: np.ndarray
+    t: float
+    clamped: int
+    times: list
+    frames: list
+    snapshots: dict
+
+
+def _clamp(d, t) -> int:
+    """Zero the round-off negatives of the density view d in place; returns
+    how many there were."""
+    if not d.min() < 0:
+        return 0
+    if hard_negative(d):
+        raise RuntimeError(f"density has a hard negative value {d.min()} at "
+                           f"t={t}; the scheme is unstable")
+    band = (d < 0) & (d >= -NEGATIVE_TOL * max(float(np.max(d)), 1e-300))
+    d[band] = 0.0
+    return int(np.count_nonzero(band))
+
+
+def march(y, t0, dt, n_steps, rhs, scheme, *, solve=None, limit=None,
+          density=None, project=None, store_every=0, at=()) -> Record:
+    """Advance y by n_steps steps of dt from time t0.
+
+    euler is y + dt rhs(y, t); rk4 the classical four stages at t, t + dt/2,
+    t + dt/2 and t + dt; imex is solve(y + dt rhs(y, t)), where rhs is the
+    explicit part and solve the implicit one (None: there is none).
+
+    Before each step, dt > limit(y) raises ConfigError.  After it, y becomes
+    project(y); max|y| must stay within BLOWUP_LIMIT (a NaN fails too); and
+    values of the view density(y) in [-NEGATIVE_TOL max, 0) are set to zero
+    and counted, while a lower one raises RuntimeError.  The initial y, every
+    store_every-th step and the last one are stored (store_every = 0 stores
+    none), and so is the first step with t >= ts - dt/2 for each ts in at.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    times, frames = ([t0], [y]) if store_every else ([], [])
+    remaining = sorted(float(ts) for ts in at)
+    snapshots = {}
+    clamped = 0
+    t = t0
+    for k in range(n_steps):
+        if limit is not None:
+            bound = limit(y)
+            if dt > bound:
+                raise ConfigError(
+                    f"numerics.dt: dt={dt} violates the stability bound "
+                    f"{bound:.3e} for scheme {scheme!r}")
+        if scheme == "rk4":
+            k1 = rhs(y, t)
+            k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(y + dt * k3, t + dt)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            y = y + dt * rhs(y, t)
+            if solve is not None:
+                y = solve(y)
+        if project is not None:
+            y = project(y)
+        t = t0 + (k + 1) * dt
+        peak = np.max(np.abs(y))
+        if not peak <= BLOWUP_LIMIT:
+            raise RuntimeError(f"solution blew up at t={t}: max|y| = {peak:.3e}")
+        if density is not None:
+            clamped += _clamp(density(y), t)
+        if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
+            times.append(t)
+            frames.append(y)
+        while remaining and t >= remaining[0] - 0.5 * dt:
+            snapshots[remaining.pop(0)] = y
+    return Record(y, t, clamped, times, frames, snapshots)

@@ -1,9 +1,7 @@
-import importlib.util
-
 import numpy as np
 import pytest
 
-from nlfkpp import _kernels_py, backends
+from nlfkpp import backends
 
 
 def brute_circulant(row, rho, ds):
@@ -35,7 +33,7 @@ class TestPythonBackend:
         for n in (8, 17, 64):
             row, rho = rng.random(n), rng.random(n)
             np.testing.assert_allclose(
-                _kernels_py.circulant_apply(row, rho, 0.1),
+                backends.circulant_apply(row, rho, 0.1),
                 brute_circulant(row, rho, 0.1), rtol=1e-13)
 
     def test_coupling_matches_bruteforce(self, rng):
@@ -43,35 +41,10 @@ class TestPythonBackend:
             m = 2 * J + 1
             beta = rng.random(m) + 1j * rng.random(m)
             lam = rng.random(m)
-            np.testing.assert_allclose(_kernels_py.quadratic_coupling(beta, lam),
+            np.testing.assert_allclose(backends.quadratic_coupling(beta, lam),
                                        brute_coupling(beta, lam), rtol=1e-13)
-
-
-@pytest.mark.skipif(importlib.util.find_spec("nlfkpp._kernels") is None,
-                    reason="compiled extension nlfkpp._kernels is not built")
-class TestCompiledBackend:
-    def test_circulant_matches_python(self, rng):
-        from nlfkpp import _kernels
-
-        for n in (8, 64, 256):
-            row, rho = rng.random(n), rng.random(n)
-            np.testing.assert_allclose(
-                _kernels.circulant_apply(row, rho, 0.05),
-                _kernels_py.circulant_apply(row, rho, 0.05), rtol=1e-13)
-
-    def test_coupling_matches_python(self, rng):
-        from nlfkpp import _kernels
-
-        for J in (1, 10, 30):
-            m = 2 * J + 1
-            beta = rng.random(m) + 1j * rng.random(m)
-            lam = rng.random(m)
-            np.testing.assert_allclose(
-                np.asarray(_kernels.quadratic_coupling(beta, lam)),
-                _kernels_py.quadratic_coupling(beta, lam), rtol=1e-13)
 
 
 def test_selected_backend_exports():
     assert callable(backends.circulant_apply)
     assert callable(backends.quadratic_coupling)
-    assert isinstance(backends.HAVE_COMPILED, bool)

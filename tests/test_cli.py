@@ -119,6 +119,25 @@ class TestCliEntry:
         assert rc == 3
         assert "solver abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--set", "numerics.dt=0.5", "--set", "numerics.scheme=rk4",
+         "--set", "model.D=0.1", "--set", "numerics.t_end=1"],
+        ["planar2d", "--set", "numerics.n2d=32", "--set", "numerics.dt=5",
+         "--set", "numerics.t_end=10"],
+    ], ids=["grid", "planar"])
+    def test_exit_two_on_stability_violation(self, tmp_path, capsys, args):
+        rc = cli.main(args + ["--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "numerics.dt" in capsys.readouterr().err
+
+    def test_from_samples_rejected_before_output(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        rc = cli.main(["simulate", "--set", "initial.kind=from_samples",
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert "initial.kind" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_t_end_off_the_step_grid_rejected(self, tmp_path, capsys):
         # 1.005 / 0.01 = 100.5 steps: round() would stop at t = 1.00
         rc = cli.main(["exact", "--set", "numerics.t_end=1.005",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import exact, gridsim, kernel
+from nlfkpp import exact, gridsim, kernel, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
 
 LAMBDA0 = 2.926453923110091
@@ -83,7 +83,7 @@ class TestStep:
             # negative coupling turns the quadratic term into a source
             gridsim.run(state, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0, "euler")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * gridsim.BLOWUP_LIMIT])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
     def test_blowup_guard_catches_bad_update(self, unit_kernel, monkeypatch,
                                              bad):
         # an update of bad / dt on every node puts bad into the new state
@@ -93,6 +93,13 @@ class TestStep:
         state = gridsim.make_initial("homogeneous", 64)
         with pytest.raises(RuntimeError, match="blew up"):
             gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, dt, "euler")
+
+    def test_run_time_is_an_exact_multiple_of_dt(self, unit_kernel):
+        # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
+        state = gridsim.make_initial("homogeneous", 64)
+        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0,
+                             "euler")
+        assert out.t == 1.0
 
     def test_grid_convergence(self, unit_kernel):
         # halving ds changes the t=5 profile below 1e-4 relative
@@ -232,3 +239,17 @@ class TestClamping:
         rho[3] = -0.5
         with pytest.raises(ValueError):
             gridsim.GridState(64, rho)
+
+    def test_hard_negative_during_run_aborts(self, unit_kernel, monkeypatch):
+        # an update of -0.5 / dt at one node leaves a value far below round-off
+        dt = 0.01
+
+        def rhs(rho, *args):
+            out = np.zeros_like(rho)
+            out[3] = -0.5 / dt
+            return out
+
+        monkeypatch.setattr(gridsim, "_rhs", rhs)
+        state = gridsim.make_initial("homogeneous", 64)
+        with pytest.raises(RuntimeError, match="hard negative"):
+            gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, dt, "euler")

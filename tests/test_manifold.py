@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import analysis, gridsim, manifold
+from nlfkpp import analysis, gridsim, manifold, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
 
 
@@ -108,6 +108,22 @@ class TestIntegrate:
                                    circle.rho * math.exp(0.7 * 3.0), rtol=1e-9)
         np.testing.assert_allclose(X_hist[-1], circle.X, rtol=0)
 
+    def test_stored_times_are_exact_multiples_of_dt(self, circle, static_spec):
+        times, _, _ = manifold.integrate(circle, static_spec, 1.0, 0.01,
+                                         store_every=10)
+        assert times.tolist() == [k * 0.01 for k in range(0, 101, 10)]
+        assert times[-1] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
+    def test_blowup_guard_catches_bad_update(self, circle, static_spec,
+                                             monkeypatch, bad):
+        # an update of bad / dt on every node puts about bad into rho
+        dt = 0.01
+        monkeypatch.setattr(manifold, "_rhs", lambda state, spec, B: (
+            np.full_like(state.rho, bad / dt), np.zeros_like(state.X)))
+        with pytest.raises(RuntimeError, match="blew up"):
+            manifold.integrate(circle, static_spec, dt, dt)
+
     def test_mass_law_consistency(self, circle, static_spec):
         # d/dt int rho ds from the trajectory vs int rho_dot ds from the rhs
         dt = 1e-3
@@ -175,6 +191,33 @@ class TestInfluenceReuse:
 
         manifold.integrate(circle, self.spec(drag, b), 0.5, 0.05)
         assert len(calls) == calls_per_run
+
+
+class TestClamping:
+    @staticmethod
+    def one_step(monkeypatch, spec, change):
+        """One RK4 step from rho = 1 with rho[3] = 0, under a constant
+        derivative that is zero except change / dt at node 3."""
+        dt = 0.01
+
+        def rhs(state, spec, B):
+            rho_dot = np.zeros_like(state.rho)
+            rho_dot[3] = change / dt
+            return rho_dot, np.zeros_like(state.X)
+
+        monkeypatch.setattr(manifold, "_rhs", rhs)
+        state = manifold.circle_state(
+            1.0, 64, lambda s: np.where(np.arange(len(s)) == 3, 0.0, 1.0))
+        return manifold.integrate(state, spec, dt, dt)[1][-1]
+
+    def test_roundoff_band_clamped(self, monkeypatch, static_spec):
+        rho = self.one_step(monkeypatch, static_spec, -1e-12)
+        assert rho[3] == 0.0
+        assert np.all(np.delete(rho, 3) == 1.0)
+
+    def test_hard_negative_aborts(self, monkeypatch, static_spec):
+        with pytest.raises(RuntimeError, match="hard negative"):
+            self.one_step(monkeypatch, static_spec, -0.5)
 
 
 class TestInitialCorrespondence:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import manifold, planar
+from nlfkpp import manifold, planar, stepping
 from nlfkpp.kernel import SQRT_TWO_PI
 
 
@@ -63,6 +63,11 @@ class TestStep2D:
         out = planar.run2d(field, kernel2d, 1.0, 0.0, 0.01, 1.0)
         np.testing.assert_allclose(out.u, u0 * math.exp(1.0), rtol=1e-2)
 
+    def test_run_time_is_an_exact_multiple_of_dt(self, kernel2d):
+        # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
+        field = planar.gaussian_ring(3.0, 16, 1.0, 0.3, 1.0, D=0.01)
+        assert planar.run2d(field, kernel2d, 1.0, 0.2, 0.01, 1.0).t == 1.0
+
     def test_ring_mass_saturates_logistically(self, kernel2d):
         field = planar.gaussian_ring(3.0, 64, 1.0, 0.15, 1.0, D=0.01)
         masses = [planar.moments(field)[0]]
@@ -79,7 +84,7 @@ class TestStep2D:
             planar.step2d(field, kernel2d, 1.0, 0.2, 0.5)
 
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * planar.BLOWUP_LIMIT])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
     def test_blowup_guard_catches_bad_update(self, kernel2d, monkeypatch, bad):
         # a diffusion update of bad / (dt D) on every node puts bad into u
         dt, D = 0.01, 0.01

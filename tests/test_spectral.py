@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import exact, kernel, spectral
+from nlfkpp import exact, kernel, spectral, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams, eigenvalue
 
 LAMBDA0 = 2.926453923110091
@@ -105,6 +105,18 @@ class TestIntegrate:
         with pytest.raises(RuntimeError):
             spectral.integrate(state0, spectral.DiffusiveRates(5.0),
                                unit_kernel, -2.0, 50.0, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
+    def test_blowup_guard_catches_bad_update(self, unit_kernel, monkeypatch,
+                                             bad):
+        # an update of bad / dt on every mode puts about bad into beta
+        dt = 0.01
+        monkeypatch.setattr(spectral, "_mode_rhs",
+                            lambda beta, *args: np.full_like(beta, bad / dt))
+        state0 = spectral.project_initial(bump, 3)
+        with pytest.raises(RuntimeError, match="blew up"):
+            spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                               unit_kernel, 0.2, dt, dt)
 
     def test_trajectory_csv_roundtrip(self, unit_kernel, tmp_path):
         from nlfkpp.csvio import read_csv
