@@ -17,13 +17,13 @@ so that t-sweeps with a*t of a few hundred stay finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import HomogeneousModel, beta0
-from .kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue, eigenvalues
+from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalue, eigenvalues,
+                     fourier_coefficients, fourier_modes, real_part)
 
 
 @dataclass
@@ -59,13 +59,8 @@ class AsymptoticExpansion:
                                    self.J, self.kernel, self.a, self.kappa, 0.0)
 
 
-def beta1_initial(rho_tilde_phi, J: int, n_quad: int = 2048) -> np.ndarray:
-    """beta_{1j} = (2 pi)^{-1/2} int rho_tilde_phi(s) e^{-ijs} ds, j = -J..J."""
-    s = -math.pi + TWO_PI * np.arange(n_quad) / n_quad
-    vals = np.asarray(rho_tilde_phi(s), dtype=float)
-    ds = TWO_PI / n_quad
-    js = np.arange(-J, J + 1)
-    return ds * (np.exp(-1j * np.outer(js, s)) @ vals) / SQRT_TWO_PI
+# beta_{1j} = (2 pi)^{-1/2} int rho_tilde_phi(s) e^{-ijs} ds, j = -J..J
+beta1_initial = fourier_coefficients
 
 
 def _mode_factors(exp: AsymptoticExpansion, t):
@@ -98,19 +93,10 @@ def beta1_evolution(j: int, t, exp: AsymptoticExpansion):
 
 def composite_density(t, s, exp: AsymptoticExpansion) -> np.ndarray:
     """Zero-order homogeneous density plus all first-order corrections."""
-    s = np.asarray(s, dtype=float)
-    js = np.arange(-exp.J, exp.J + 1)
     coeffs = exp.beta1 * _mode_factors(exp, float(t))
-    correction = np.exp(1j * np.outer(s, js)) @ coeffs / (exp.T * SQRT_TWO_PI)
-    rho = beta0(float(t), exp.model) / SQRT_TWO_PI + correction
-    scale = max(float(np.max(np.abs(rho))), 1e-300)
-    resid = float(np.max(np.abs(rho.imag)))
-    if resid > 1e-10 * scale:
-        raise ValueError(
-            f"composite density has imaginary residue {resid:.3e}; "
-            "first-order coefficients are not conjugate-symmetric"
-        )
-    return rho.real
+    correction = fourier_modes(exp.J, s) @ coeffs / (exp.T * SQRT_TWO_PI)
+    return real_part(beta0(float(t), exp.model) / SQRT_TWO_PI + correction,
+                     "composite density")
 
 
 def appendix_b_solution(j: int, theta, c0, exp: AsymptoticExpansion):
@@ -130,11 +116,9 @@ def appendix_b_solution(j: int, theta, c0, exp: AsymptoticExpansion):
 
 def assemble_appendix_b(t, s, c0, exp: AsymptoticExpansion) -> np.ndarray:
     """Density built from the Appendix-route coefficients C_j(a t)."""
-    s = np.asarray(s, dtype=float)
-    js = np.arange(-exp.J, exp.J + 1)
     coeffs = np.array([appendix_b_solution(j, exp.a * float(t), c0, exp)
-                       for j in js])
-    correction = np.exp(1j * np.outer(s, js)) @ coeffs / (exp.T * SQRT_TWO_PI)
+                       for j in range(-exp.J, exp.J + 1)])
+    correction = fourier_modes(exp.J, s) @ coeffs / (exp.T * SQRT_TWO_PI)
     rho = beta0(float(t), exp.model) / SQRT_TWO_PI + correction
     return rho.real
 

@@ -23,9 +23,11 @@ import numpy as np
 from . import __version__, analysis, asymptotics, exact, gridsim, manifold, planar
 from . import spectral
 from .config import (ConfigError, ScenarioConfig, apply_assignment,
-                     load_config, parse_config_text, resolved_items)
+                     apply_overrides, load_config, parse_config_text,
+                     resolved_items)
 from .csvio import write_csv, read_csv
-from .kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
+from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
+                     grid_nodes)
 
 PRESET_SWEEPS = {
     # composite presets: one bundle per value of the named axis
@@ -59,7 +61,16 @@ def _series_stride(cfg: ScenarioConfig) -> int:
     return max(1, int(round(cfg.t_end / cfg.dt / 400)))
 
 
-def _write_manifest(outdir, cfg, wall, extra=None):
+def _artifact_path(outdir: str):
+    """name -> os.path.join(outdir, name), making outdir on first use, so a
+    run that aborts before it writes anything leaves no directory."""
+    def path(name: str) -> str:
+        os.makedirs(outdir, exist_ok=True)
+        return os.path.join(outdir, name)
+    return path
+
+
+def _write_manifest(path, cfg, wall, extra=None):
     manifest = {
         "config": resolved_items(cfg),
         "version": __version__,
@@ -68,31 +79,43 @@ def _write_manifest(outdir, cfg, wall, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with open(path("manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
-def _snapshot_name(t: float) -> str:
-    return f"snapshot_t{t:g}.csv"
+def _write_snapshots(path, s, snapshots: dict) -> list:
+    """snapshot_t<time>.csv with columns (s, rho) for each {time: rho};
+    returns the file names."""
+    names = []
+    for t_snap, rho in snapshots.items():
+        name = f"snapshot_t{t_snap:g}.csv"
+        write_csv(path(name), ["s", "rho"], [s, rho])
+        names.append(name)
+    return names
 
 
-def _emit_plot_script(outdir, csv_names, title):
+def _final_diagnostics(d: analysis.ProfileDiagnostics) -> dict:
+    return {"n_peaks_final": d.n_peaks, "homogeneity_final": d.homogeneity,
+            "mass_final": d.mass}
+
+
+def _emit_plot_script(path, csv_names, title):
     lines = ["set datafile separator ','", "set key outside",
              f"set title '{title}'"]
     plots = [f"'{name}' using 1:2 with lines title '{name}'"
              for name in csv_names]
     lines.append("plot " + ", \\\n     ".join(plots))
-    with open(os.path.join(outdir, "plot.gp"), "w", newline="\n") as fh:
+    with open(path("plot.gp"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def run_exact(cfg: ScenarioConfig, outdir: str) -> dict:
+def run_exact(cfg: ScenarioConfig, path) -> dict:
     model = exact.HomogeneousModel(cfg.a, cfg.kappa,
                                    eigenvalue(0, _kernel(cfg)), cfg.beta00)
     t = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
     b = exact.beta0(t, model)
-    write_csv(os.path.join(outdir, "exact.csv"), ["t", "beta0", "rho0"],
+    write_csv(path("exact.csv"), ["t", "beta0", "rho0"],
               [t, b, b / SQRT_TWO_PI])
     diag = {"rho_lim": exact.rho_lim(model) if cfg.kappa > 0 else None,
             "saturation": model.saturation}
@@ -106,54 +129,38 @@ def run_exact(cfg: ScenarioConfig, outdir: str) -> dict:
     return {"csv": ["exact.csv"], "diagnostics": diag}
 
 
-def run_spectral(cfg: ScenarioConfig, outdir: str) -> dict:
+def run_spectral(cfg: ScenarioConfig, path) -> dict:
     kern = _kernel(cfg)
     state0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
     rates = spectral.DiffusiveRates(cfg.a, cfg.D)
     traj = spectral.integrate(state0, rates, kern, cfg.kappa, cfg.t_end,
-                              cfg.dt, store_every=_series_stride(cfg))
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
-    s = gridsim.grid_nodes(cfg.N)
-    names = ["trajectory.csv"]
-    for t_snap in cfg.snapshot_times or (cfg.t_end,):
-        rho = spectral.reconstruct(traj.at_time(float(t_snap)), s)
-        name = _snapshot_name(float(t_snap))
-        write_csv(os.path.join(outdir, name), ["s", "rho"], [s, rho])
-        names.append(name)
-    return {"csv": names, "diagnostics": {"reality_drift": traj.reality_drift}}
+                              cfg.dt, store_every=_series_stride(cfg),
+                              snapshot_times=cfg.snapshot_times or (cfg.t_end,))
+    traj.to_csv(path("trajectory.csv"))
+    s = grid_nodes(cfg.N)
+    snapshots = {t: spectral.reconstruct(spectral.SpectralState(cfg.J, beta, t), s)
+                 for t, beta in traj.snapshots.items()}
+    return {"csv": ["trajectory.csv"] + _write_snapshots(path, s, snapshots),
+            "diagnostics": {"reality_drift": traj.reality_drift}}
 
 
-def run_grid(cfg: ScenarioConfig, outdir: str) -> dict:
-    s = gridsim.grid_nodes(cfg.N)
+def run_grid(cfg: ScenarioConfig, path) -> dict:
+    s = grid_nodes(cfg.N)
     state0 = gridsim.GridState(cfg.N, scenario_initial(cfg)(s))
-    snap_times = sorted(set(float(t) for t in cfg.snapshot_times) | {cfg.t_end})
     rec = gridsim.integrate(state0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
                             cfg.dt, cfg.t_end, cfg.scheme, cfg.backend,
-                            [t for t in snap_times if t > 0],
+                            set(cfg.snapshot_times) | {cfg.t_end},
                             _series_stride(cfg))
-    state = gridsim.GridState(cfg.N, rec.y, rec.t, rec.clamped)
-    names = []
-    snapshots = dict(rec.snapshots)
-    if 0.0 in snap_times:
-        snapshots[0.0] = state0.rho
-    for t_snap, rho in snapshots.items():
-        name = _snapshot_name(t_snap)
-        write_csv(os.path.join(outdir, name), ["s", "rho"], [s, rho])
-        names.append(name)
-    write_csv(os.path.join(outdir, "series.csv"),
-              ["t", "mass", "homogeneity", "n_peaks"],
-              [rec.times,
-               [gridsim.total_mass(gridsim.GridState(cfg.N, f)) for f in rec.frames],
-               [analysis.homogeneity(f) for f in rec.frames],
-               [analysis.count_peaks(f) for f in rec.frames]])
-    names.append("series.csv")
-    diag = {
-        "n_peaks_final": analysis.count_peaks(state.rho),
-        "homogeneity_final": analysis.homogeneity(state.rho),
-        "mass_final": gridsim.total_mass(state),
-        "clamped_nodes": state.clamped,
-    }
-    return {"csv": names, "diagnostics": diag, "final_state": state}
+    names = _write_snapshots(path, s, rec.snapshots)
+    # the last stored frame is the final state
+    series = [analysis.diagnose(f, TWO_PI / cfg.N) for f in rec.frames]
+    write_csv(path("series.csv"), ["t", "mass", "homogeneity", "n_peaks"],
+              [rec.times, [d.mass for d in series],
+               [d.homogeneity for d in series], [d.n_peaks for d in series]])
+    diag = _final_diagnostics(series[-1])
+    diag["clamped_nodes"] = rec.clamped
+    return {"csv": names + ["series.csv"], "diagnostics": diag,
+            "final_state": gridsim.GridState(cfg.N, rec.y, rec.t, rec.clamped)}
 
 
 def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
@@ -168,19 +175,16 @@ def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
                                            _kernel(cfg), cfg.a, cfg.kappa, cfg.D)
 
 
-def run_asymptotic(cfg: ScenarioConfig, outdir: str) -> dict:
+def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
     expn = _expansion(cfg)
-    s = gridsim.grid_nodes(cfg.N)
-    names = []
-    for t_snap in cfg.snapshot_times or (cfg.t_end,):
-        rho = asymptotics.composite_density(float(t_snap), s, expn)
-        name = _snapshot_name(float(t_snap))
-        write_csv(os.path.join(outdir, name), ["s", "rho"], [s, rho])
-        names.append(name)
-    return {"csv": names, "diagnostics": {"saturation": expn.model.saturation}}
+    s = grid_nodes(cfg.N)
+    snapshots = {float(t): asymptotics.composite_density(float(t), s, expn)
+                 for t in cfg.snapshot_times or (cfg.t_end,)}
+    return {"csv": _write_snapshots(path, s, snapshots),
+            "diagnostics": {"saturation": expn.model.saturation}}
 
 
-def run_manifold(cfg: ScenarioConfig, outdir: str) -> dict:
+def run_manifold(cfg: ScenarioConfig, path) -> dict:
     spec = manifold.ConvectionSpec(
         a=manifold.constant_rate(cfg.a),
         b=manifold.gaussian_influence(cfg.b0, cfg.gamma),
@@ -190,27 +194,23 @@ def run_manifold(cfg: ScenarioConfig, outdir: str) -> dict:
     state0 = manifold.circle_state(cfg.R, cfg.N, scenario_initial(cfg))
     times, rho_hist, X_hist = manifold.integrate(
         state0, spec, cfg.t_end, cfg.dt, store_every=_series_stride(cfg))
-    manifold.trajectory_to_csv(os.path.join(outdir, "trajectory.csv"),
-                               times, state0.s, rho_hist, X_hist)
-    ds = state0.s[1] - state0.s[0]
-    diag = {
-        "n_peaks_final": analysis.count_peaks(rho_hist[-1]),
-        "homogeneity_final": analysis.homogeneity(rho_hist[-1]),
-        "mass_final": float(ds * np.sum(rho_hist[-1])),
-        "radius_final": float(np.mean(np.linalg.norm(X_hist[-1], axis=1))),
-    }
+    manifold.trajectory_to_csv(path("trajectory.csv"), times, state0.s,
+                               rho_hist, X_hist)
+    diag = _final_diagnostics(
+        analysis.diagnose(rho_hist[-1], state0.s[1] - state0.s[0]))
+    diag["radius_final"] = float(np.mean(np.linalg.norm(X_hist[-1], axis=1)))
     return {"csv": ["trajectory.csv"], "diagnostics": diag}
 
 
-def run_planar2d(cfg: ScenarioConfig, outdir: str) -> dict:
+def run_planar2d(cfg: ScenarioConfig, path) -> dict:
     kern2d = planar.GaussianKernel2D(cfg.b0, cfg.gamma)
     amplitude = 1.0 / (cfg.sigma * math.sqrt(TWO_PI) * cfg.R * SQRT_TWO_PI)
     field = planar.gaussian_ring(cfg.L, cfg.n2d, cfg.R, cfg.sigma,
                                  amplitude * cfg.beta00, cfg.D)
     field = planar.run2d(field, kern2d, cfg.a, cfg.kappa, cfg.dt, cfg.t_end)
-    planar.field_to_csv(os.path.join(outdir, "field.csv"), field)
+    planar.field_to_csv(path("field.csv"), field)
     s, rho = planar.extract_sld(field, cfg.N)
-    write_csv(os.path.join(outdir, "extraction.csv"), ["s", "rho"], [s, rho])
+    write_csv(path("extraction.csv"), ["s", "rho"], [s, rho])
     m, xbar = planar.moments(field)
     diag = {"mass": m, "first_moment": list(xbar),
             "boundary_mass_fraction": planar.boundary_mass_fraction(field)}
@@ -230,29 +230,32 @@ RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
                  plot_script: bool = False, extra: str = None) -> dict:
     cfg.validate()
-    outdir = outdir or cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
+    late = [t for t in cfg.snapshot_times if t > cfg.t_end]
+    if late and cfg.solver in ("grid", "spectral"):
+        print(f"note: numerics.snapshot_times {late} lie past numerics.t_end = "
+              f"{cfg.t_end:g}; no snapshot is written for them", file=sys.stderr)
+    path = _artifact_path(outdir or cfg.outdir)
     start = time.perf_counter()
-    result = RUNNERS[cfg.solver](cfg, outdir)
+    result = RUNNERS[cfg.solver](cfg, path)
     if extra == "compare_asymptotic" and cfg.solver == "grid":
-        _compare_with_asymptotic(cfg, outdir, result)
+        _compare_with_asymptotic(cfg, path, result)
     if extra == "ring_csv" and cfg.solver == "grid":
-        _emit_ring_csv(cfg, outdir, result)
+        _emit_ring_csv(cfg, path, result)
     wall = time.perf_counter() - start
-    _write_manifest(outdir, cfg, wall, {"diagnostics": result["diagnostics"],
-                                        "artifacts": result["csv"]})
+    _write_manifest(path, cfg, wall, {"diagnostics": result["diagnostics"],
+                                      "artifacts": result["csv"]})
     if plot_script:
         snaps = [n for n in result["csv"] if n.startswith("snapshot")]
-        _emit_plot_script(outdir, snaps or result["csv"][:1],
+        _emit_plot_script(path, snaps or result["csv"][:1],
                           f"{cfg.label} ({cfg.solver})")
     return result
 
 
-def _compare_with_asymptotic(cfg, outdir, result):
+def _compare_with_asymptotic(cfg, path, result):
     expn = _expansion(cfg)
     state = result["final_state"]
     rho_asym = asymptotics.composite_density(state.t, state.s, expn)
-    write_csv(os.path.join(outdir, "asymptotic_comparison.csv"),
+    write_csv(path("asymptotic_comparison.csv"),
               ["s", "rho_grid", "rho_asymptotic"],
               [state.s, state.rho, rho_asym])
     result["csv"].append("asymptotic_comparison.csv")
@@ -260,9 +263,9 @@ def _compare_with_asymptotic(cfg, outdir, result):
         analysis.relative_linf(state.rho, rho_asym)
 
 
-def _emit_ring_csv(cfg, outdir, result):
+def _emit_ring_csv(cfg, path, result):
     state = result["final_state"]
-    write_csv(os.path.join(outdir, "ring.csv"), ["s", "x", "y", "rho"],
+    write_csv(path("ring.csv"), ["s", "x", "y", "rho"],
               [state.s, cfg.R * np.cos(state.s), cfg.R * np.sin(state.s),
                state.rho])
     result["csv"].append("ring.csv")
@@ -282,7 +285,6 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
         apply_assignment(sub, axis, str(value))
         sub.validate()
         jobs.append((value, sub, os.path.join(outdir, name)))
-    os.makedirs(outdir, exist_ok=True)
     if _mode() == "parallel":
         from concurrent.futures import ProcessPoolExecutor
         # one worker per entry, at most one per CPU
@@ -293,21 +295,17 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
         results = [_sweep_entry(job) for job in jobs]
     rows = list(zip(*[(v, d["n_peaks_final"], d["homogeneity_final"],
                        d["mass_final"]) for v, d in results])) if results else []
-    write_csv(os.path.join(outdir, "summary.csv"),
+    path = _artifact_path(outdir)
+    write_csv(path("summary.csv"),
               ["value", "n_peaks", "homogeneity", "mass"], rows)
     if plot_script:
-        _emit_plot_script(outdir, ["summary.csv"], f"sweep over {axis}")
+        _emit_plot_script(path, ["summary.csv"], f"sweep over {axis}")
     return results
 
 
 def _sweep_entry(job):
     value, sub, subdir = job
-    result = run_scenario(sub, subdir)
-    diag = result["diagnostics"]
-    if "n_peaks_final" not in diag:
-        state = result.get("final_state")
-        if state is not None:
-            diag["n_peaks_final"] = analysis.count_peaks(state.rho)
+    diag = run_scenario(sub, subdir)["diagnostics"]
     diag.setdefault("n_peaks_final", 0)
     diag.setdefault("homogeneity_final", 0.0)
     diag.setdefault("mass_final", 0.0)
@@ -347,9 +345,8 @@ def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
             "rel_l2": _relative(np.linalg.norm(diff), np.linalg.norm(rho_b)),
         }
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         names = sorted(report)
-        write_csv(os.path.join(outdir, "compare.csv"),
+        write_csv(_artifact_path(outdir)("compare.csv"),
                   ["snapshot_index", "rel_linf", "rel_l2"],
                   [np.arange(len(names)),
                    [report[n]["rel_linf"] for n in names],
@@ -429,16 +426,8 @@ SOLVER_COMMANDS = {
 
 def _load_cfg(args) -> ScenarioConfig:
     if args.config:
-        cfg = load_config(args.config, args.set)
-    else:
-        cfg = ScenarioConfig()
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set {item!r}: expected key=value")
-            key, _, value = item.partition("=")
-            apply_assignment(cfg, key, value)
-        cfg.validate()
-    return cfg
+        return load_config(args.config, args.set)
+    return apply_overrides(ScenarioConfig(), args.set).validate()
 
 
 def main(argv=None) -> int:
@@ -466,10 +455,8 @@ def main(argv=None) -> int:
                 return 0
             if not args.name:
                 raise ConfigError("preset: a preset name is required")
-            cfg = parse_config_text(preset_text(args.name))
-            for item in args.set:
-                key, _, value = item.partition("=")
-                apply_assignment(cfg, key, value)
+            cfg = apply_overrides(parse_config_text(preset_text(args.name)),
+                                  args.set)
             cfg.label = args.name
             cfg.validate()
             outdir = args.outdir or os.path.join(cfg.outdir, args.name)

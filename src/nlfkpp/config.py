@@ -73,15 +73,19 @@ class ScenarioConfig:
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigError(f"initial.kind: unknown kind {self.initial_kind!r}")
         positive("numerics.dt", self.dt)
-        if self.t_end < 0:
-            raise ConfigError(f"numerics.t_end: must be >= 0, got {self.t_end}")
-        # the solvers take round(t_end / dt) steps; anything else would stop
-        # short of t_end or run past it
-        n_steps = round(self.t_end / self.dt)
-        if abs(self.t_end / self.dt - n_steps) > 1e-9 * max(1, n_steps):
-            raise ConfigError(
-                f"numerics.t_end: {self.t_end} is not a whole number of "
-                f"steps of numerics.dt = {self.dt}")
+        # the solvers take round(t_end / dt) steps and snapshot the nearest
+        # step; anything off that grid would stop short, run past or be
+        # written under a time it does not hold
+        for name, times in (("numerics.t_end", (self.t_end,)),
+                            ("numerics.snapshot_times", self.snapshot_times)):
+            for t in times:
+                if t < 0:
+                    raise ConfigError(f"{name}: must be >= 0, got {t}")
+                n_steps = round(t / self.dt)
+                if abs(t / self.dt - n_steps) > 1e-9 * max(1, n_steps):
+                    raise ConfigError(
+                        f"{name}: {t} is not a whole number of steps of "
+                        f"numerics.dt = {self.dt}")
         if self.N < 8:
             raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
         if self.J < 0:
@@ -149,16 +153,20 @@ def parse_config_text(text: str, base: ScenarioConfig = None) -> ScenarioConfig:
     return cfg
 
 
-def load_config(path, overrides=()) -> ScenarioConfig:
-    """Parse a config file, apply ``key=value`` override strings, validate."""
-    with open(path) as fh:
-        cfg = parse_config_text(fh.read())
+def apply_overrides(cfg: ScenarioConfig, overrides) -> ScenarioConfig:
+    """Apply ``key=value`` override strings to cfg in order; returns cfg."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
         apply_assignment(cfg, key, value)
-    return cfg.validate()
+    return cfg
+
+
+def load_config(path, overrides=()) -> ScenarioConfig:
+    """Parse a config file, apply ``key=value`` override strings, validate."""
+    with open(path) as fh:
+        return apply_overrides(parse_config_text(fh.read()), overrides).validate()
 
 
 def resolved_items(cfg: ScenarioConfig) -> dict:

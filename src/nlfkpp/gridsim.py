@@ -20,12 +20,7 @@ import numpy as np
 from . import backends, stepping
 from .config import BACKENDS
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
-                     kernel_value)
-
-
-def grid_nodes(N: int) -> np.ndarray:
-    """Uniform angles s_k = -pi + 2 pi k / N."""
-    return -math.pi + TWO_PI * np.arange(N) / N
+                     grid_nodes, kernel_value)
 
 
 @dataclass

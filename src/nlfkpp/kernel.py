@@ -11,7 +11,10 @@ v_j(s) = e^{ijs}/sqrt(2 pi) with eigenvalues
 
     lambda_j = 2 pi b0 e^{-mu} I_|j|(mu),
 
-I_j being the modified Bessel function of the first kind.
+I_j being the modified Bessel function of the first kind.  The module also
+owns the circle convention every solver shares: the nodes
+s_k = -pi + 2 pi k / N, the projection onto the v_j and the check that a
+density synthesized from them is real.
 """
 
 from __future__ import annotations
@@ -32,6 +35,49 @@ _BESSEL_MU_MAX = 700.0
 def wrap_angle(s):
     """Map angles to the canonical branch [-pi, pi)."""
     return (np.asarray(s) + math.pi) % TWO_PI - math.pi
+
+
+def grid_nodes(N: int) -> np.ndarray:
+    """Uniform angles s_k = -pi + 2 pi k / N."""
+    return -math.pi + TWO_PI * np.arange(N) / N
+
+
+def fourier_coefficients(f, J: int, n_quad: int = 2048) -> np.ndarray:
+    """beta_j = int v_j*(s) f(s) ds for j = -J..J, at index j + J.
+
+    ``f`` is a callable on [-pi, pi); the integral uses the rectangle rule on
+    grid_nodes(n_quad) (spectrally accurate for smooth data).
+    """
+    if J < 0:
+        raise ValueError(f"J must be >= 0, got {J}")
+    if n_quad < 1024:
+        raise ValueError(f"need at least 1024 quadrature points, got {n_quad}")
+    s = grid_nodes(n_quad)
+    vals = np.asarray(f(s), dtype=float)
+    if vals.shape != s.shape or not np.all(np.isfinite(vals)):
+        raise ValueError("f returned non-finite or misshaped samples")
+    ds = TWO_PI / n_quad
+    js = np.arange(-J, J + 1)
+    return ds * (np.exp(-1j * np.outer(js, s)) @ vals) / SQRT_TWO_PI
+
+
+def fourier_modes(J: int, s) -> np.ndarray:
+    """e^{ijs_k} for j = -J..J, shape (len(s), 2J+1); v_j is this / sqrt(2 pi)."""
+    js = np.arange(-J, J + 1)
+    return np.exp(1j * np.outer(np.asarray(s, dtype=float), js))
+
+
+def real_part(vals, what: str) -> np.ndarray:
+    """vals.real of a synthesized density; an imaginary residue above
+    1e-10 max|vals| means the coefficients are not conjugate-symmetric."""
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    resid = float(np.max(np.abs(vals.imag)))
+    if resid > 1e-10 * scale:
+        raise ValueError(
+            f"{what} has imaginary residue {resid:.3e} (> 1e-10 * {scale:.3e}); "
+            "conjugate symmetry violated"
+        )
+    return vals.real
 
 
 @dataclass(frozen=True)
@@ -158,14 +204,3 @@ def eigenvalues(J: int, params: CircleKernelParams) -> np.ndarray:
 def default_truncation(params: CircleKernelParams) -> int:
     """Band limit past which the Bessel tail is negligible."""
     return math.ceil(8.0 * params.mu) + 20
-
-
-def spectral_reconstruction(s, s_prime, J: int, params: CircleKernelParams):
-    """Truncated Mercer sum sum_{|j|<=J} lambda_j v_j(s) v_j*(s')."""
-    if J < 0:
-        raise ValueError(f"truncation order must be >= 0, got {J}")
-    delta = wrap_angle(np.asarray(s) - np.asarray(s_prime))
-    total = eigenvalue(0, params) * np.ones_like(np.asarray(delta, dtype=float))
-    for j in range(1, J + 1):
-        total = total + 2.0 * eigenvalue(j, params) * np.cos(j * delta)
-    return total / TWO_PI

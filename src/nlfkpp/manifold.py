@@ -11,7 +11,6 @@ periodic grid and the trapezoid rule otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import stepping
 from .csvio import write_csv
+from .kernel import grid_nodes
 
 
 @dataclass
@@ -116,7 +116,7 @@ def linear_drag(k0: float) -> Callable:
 
 def circle_state(R: float, N: int, rho_phi, t0: float = 0.0) -> ManifoldState:
     """Circle of radius R sampled at s_k = -pi + 2 pi k / N."""
-    s = -math.pi + 2.0 * math.pi * np.arange(N) / N
+    s = grid_nodes(N)
     X = np.column_stack([R * np.cos(s), R * np.sin(s)])
     return ManifoldState(s, X, np.asarray(rho_phi(s), dtype=float), t0, True)
 

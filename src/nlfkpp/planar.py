@@ -20,6 +20,7 @@ import numpy as np
 from . import stepping
 from .analysis import trapezoid
 from .csvio import write_csv
+from .kernel import grid_nodes
 
 
 @dataclass
@@ -187,7 +188,7 @@ def extract_sld(field: Field2D, n_angles: int, n_radial: int = 400):
         warnings.warn(
             f"{100 * frac:.2f}% of the mass lies at the domain border; "
             "the radial extraction is untrusted", RuntimeWarning)
-    s = -math.pi + 2.0 * math.pi * np.arange(n_angles) / n_angles
+    s = grid_nodes(n_angles)
     rho = np.empty(n_angles)
     for k, angle in enumerate(s):
         r_max = field.L / max(abs(math.cos(angle)), abs(math.sin(angle)))

@@ -16,14 +16,15 @@ and the enforcement drift is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backends, stepping
 from .analysis import trapezoid
 from .csvio import write_csv
-from .kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalues
+from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalues,
+                     fourier_coefficients, fourier_modes, real_part)
 
 
 @dataclass
@@ -71,6 +72,7 @@ class SpectralTrajectory:
     t: np.ndarray
     beta: np.ndarray  # shape (n_times, 2J+1)
     reality_drift: float = 0.0
+    snapshots: dict = field(default_factory=dict)  # requested time -> beta
 
     def state(self, i: int) -> SpectralState:
         return SpectralState(self.J, self.beta[i].copy(), float(self.t[i]))
@@ -94,31 +96,14 @@ class SpectralTrajectory:
 
 def basis_matrix(J: int, s_grid) -> np.ndarray:
     """v_j(s_k) for j = -J..J, shape (len(s), 2J+1)."""
-    s = np.asarray(s_grid, dtype=float)
-    js = np.arange(-J, J + 1)
-    return np.exp(1j * np.outer(s, js)) / SQRT_TWO_PI
+    return fourier_modes(J, s_grid) / SQRT_TWO_PI
 
 
 def project_initial(rho_phi, J: int, n_quad: int = 2048) -> SpectralState:
-    """Fourier coefficients beta_{0j} = int v_j*(s) rho_phi(s) ds.
-
-    ``rho_phi`` is a callable on [-pi, pi); the integral uses the rectangle
-    rule on a uniform periodic grid (spectrally accurate for smooth data).
-    """
-    if J < 0:
-        raise ValueError(f"J must be >= 0, got {J}")
-    if n_quad < 1024:
-        raise ValueError(f"need at least 1024 quadrature points, got {n_quad}")
-    s = -math.pi + TWO_PI * np.arange(n_quad) / n_quad
-    vals = np.asarray(rho_phi(s), dtype=float)
-    if vals.shape != s.shape or not np.all(np.isfinite(vals)):
-        raise ValueError("initial density returned non-finite or misshaped samples")
-    ds = TWO_PI / n_quad
-    js = np.arange(-J, J + 1)
-    coeffs = ds * (np.exp(-1j * np.outer(js, s)) @ vals) / SQRT_TWO_PI
-    # exact conjugate pairing for real input data
-    coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
-    return SpectralState(J, coeffs, 0.0)
+    """Fourier coefficients beta_{0j} = int v_j*(s) rho_phi(s) ds
+    (kernel.fourier_coefficients), paired exactly conjugate for real data."""
+    coeffs = fourier_coefficients(rho_phi, J, n_quad)
+    return SpectralState(J, 0.5 * (coeffs + coeffs[::-1].conj()), 0.0)
 
 
 def rhs(state: SpectralState, rates: DiffusiveRates, kern: CircleKernelParams,
@@ -135,25 +120,11 @@ def _mode_rhs(beta, band, lam, kappa):
     return band * beta - (kappa / SQRT_TWO_PI) * coupling
 
 
-def rhs_bruteforce(state: SpectralState, rates: DiffusiveRates,
-                   kern: CircleKernelParams, kappa: float) -> np.ndarray:
-    """Literal double loop over (j, l); oracle for the banded convolution."""
-    J = state.J
-    lam = eigenvalues(J, kern)
-    out = np.zeros(2 * J + 1, dtype=complex)
-    for j in range(-J, J + 1):
-        acc = 0.0 + 0.0j
-        for l in range(-J, J + 1):
-            if -J <= j - l <= J:
-                acc += lam[l + J] * state.beta[j - l + J] * state.beta[l + J]
-        out[j + J] = rates.rate(j) * state.beta[j + J] - (kappa / SQRT_TWO_PI) * acc
-    return out
-
-
 def integrate(state0: SpectralState, rates: DiffusiveRates,
               kern: CircleKernelParams, kappa: float, t_end: float, dt: float,
-              store_every: int = 1) -> SpectralTrajectory:
-    """Fixed-step RK4 trajectory from state0.t to state0.t + t_end."""
+              store_every: int = 1, snapshot_times=()) -> SpectralTrajectory:
+    """Fixed-step RK4 trajectory from state0.t to state0.t + t_end, with the
+    coefficients at each of snapshot_times (see stepping.march)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
@@ -174,47 +145,15 @@ def integrate(state0: SpectralState, rates: DiffusiveRates,
 
     rec = stepping.march(state0.beta, float(state0.t), dt,
                          int(round(t_end / dt)), rhs, "rk4", project=pair,
-                         store_every=store_every)
+                         store_every=store_every, at=snapshot_times)
     return SpectralTrajectory(state0.J, np.array(rec.times),
-                              np.array(rec.frames), drift)
+                              np.array(rec.frames), drift, rec.snapshots)
 
 
 def reconstruct(state: SpectralState, s_grid) -> np.ndarray:
     """Density rho(t, s_k) = sum_j beta_j v_j(s_k); must come out real."""
-    vals = basis_matrix(state.J, s_grid) @ state.beta
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-10 * scale:
-        raise ValueError(
-            f"reconstruction has imaginary residue {resid:.3e} "
-            f"(> 1e-10 * {scale:.3e}); conjugate symmetry violated"
-        )
-    return vals.real
-
-
-def omega_coefficients(j: int, j_prime: int, basis, indices,
-                       n_quad: int = 2048) -> dict:
-    """Expansion coefficients of v_j*(s) v_j'(s) in the family {v_j''*(s)}.
-
-    ``basis`` maps an integer index to a callable on [-pi, pi); ``indices``
-    lists the j'' to project on.  The family is verified to be orthonormal
-    (Gram residual below 1e-8) on the quadrature grid before projecting.
-    """
-    s = -math.pi + TWO_PI * np.arange(n_quad) / n_quad
-    ds = TWO_PI / n_quad
-    checked = sorted(set(indices) | {j, j_prime})
-    samples = {k: np.asarray(basis(k)(s), dtype=complex) for k in checked}
-    for a_idx in checked:
-        for b_idx in checked:
-            gram = ds * np.sum(np.conj(samples[a_idx]) * samples[b_idx])
-            expected = 1.0 if a_idx == b_idx else 0.0
-            if abs(gram - expected) > 1e-8:
-                raise ValueError(
-                    f"family is not orthonormal: <v_{a_idx}, v_{b_idx}> = {gram}"
-                )
-    product = np.conj(samples[j]) * samples[j_prime]
-    # product = sum_k c_k v_k*(s)  =>  c_k = int v_k(s) product(s) ds
-    return {k: ds * np.sum(samples[k] * product) for k in indices}
+    return real_part(basis_matrix(state.J, s_grid) @ state.beta,
+                     "reconstruction")
 
 
 def exponential_form(traj: SpectralTrajectory, kern: CircleKernelParams,

@@ -67,13 +67,20 @@ def march(y, t0, dt, n_steps, rhs, scheme, *, solve=None, limit=None,
     values of the view density(y) in [-NEGATIVE_TOL max, 0) are set to zero
     and counted, while a lower one raises RuntimeError.  The initial y, every
     store_every-th step and the last one are stored (store_every = 0 stores
-    none), and so is the first step with t >= ts - dt/2 for each ts in at.
+    none), and so is the first state, the initial one included, with
+    t >= ts - dt/2 for each ts in at.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     times, frames = ([t0], [y]) if store_every else ([], [])
     remaining = sorted(float(ts) for ts in at)
     snapshots = {}
+
+    def snap(t, y):
+        while remaining and t >= remaining[0] - 0.5 * dt:
+            snapshots[remaining.pop(0)] = y
+
+    snap(t0, y)
     clamped = 0
     t = t0
     for k in range(n_steps):
@@ -104,6 +111,5 @@ def march(y, t0, dt, n_steps, rhs, scheme, *, solve=None, limit=None,
         if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
             times.append(t)
             frames.append(y)
-        while remaining and t >= remaining[0] - 0.5 * dt:
-            snapshots[remaining.pop(0)] = y
+        snap(t, y)
     return Record(y, t, clamped, times, frames, snapshots)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp.kernel import CircleKernelParams
+from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
+                           eigenvalues, wrap_angle)
 
 
 @pytest.fixture
@@ -28,3 +29,55 @@ def eigenvalue_quadrature(j: int, params: CircleKernelParams,
     mu = params.mu
     vals = params.b0 * np.exp(mu * (np.cos(s) - 1.0)) * np.cos(j * s)
     return float(2.0 * math.pi / n * np.sum(vals))
+
+
+def spectral_reconstruction(s, s_prime, J: int, params: CircleKernelParams):
+    """Truncated Mercer sum sum_{|j|<=J} lambda_j v_j(s) v_j*(s')."""
+    if J < 0:
+        raise ValueError(f"truncation order must be >= 0, got {J}")
+    delta = wrap_angle(np.asarray(s) - np.asarray(s_prime))
+    total = eigenvalue(0, params) * np.ones_like(np.asarray(delta, dtype=float))
+    for j in range(1, J + 1):
+        total = total + 2.0 * eigenvalue(j, params) * np.cos(j * delta)
+    return total / TWO_PI
+
+
+def rhs_bruteforce(state, rates, kern: CircleKernelParams,
+                   kappa: float) -> np.ndarray:
+    """Literal double loop over (j, l); oracle for the banded convolution of
+    spectral.rhs."""
+    J = state.J
+    lam = eigenvalues(J, kern)
+    out = np.zeros(2 * J + 1, dtype=complex)
+    for j in range(-J, J + 1):
+        acc = 0.0 + 0.0j
+        for l in range(-J, J + 1):
+            if -J <= j - l <= J:
+                acc += lam[l + J] * state.beta[j - l + J] * state.beta[l + J]
+        out[j + J] = rates.rate(j) * state.beta[j + J] - (kappa / SQRT_TWO_PI) * acc
+    return out
+
+
+def omega_coefficients(j: int, j_prime: int, basis, indices,
+                       n_quad: int = 2048) -> dict:
+    """Expansion coefficients of v_j*(s) v_j'(s) in the family {v_j''*(s)}.
+
+    ``basis`` maps an integer index to a callable on [-pi, pi); ``indices``
+    lists the j'' to project on.  The family is verified to be orthonormal
+    (Gram residual below 1e-8) on the quadrature grid before projecting.
+    """
+    s = -math.pi + 2.0 * math.pi * np.arange(n_quad) / n_quad
+    ds = TWO_PI / n_quad
+    checked = sorted(set(indices) | {j, j_prime})
+    samples = {k: np.asarray(basis(k)(s), dtype=complex) for k in checked}
+    for a_idx in checked:
+        for b_idx in checked:
+            gram = ds * np.sum(np.conj(samples[a_idx]) * samples[b_idx])
+            expected = 1.0 if a_idx == b_idx else 0.0
+            if abs(gram - expected) > 1e-8:
+                raise ValueError(
+                    f"family is not orthonormal: <v_{a_idx}, v_{b_idx}> = {gram}"
+                )
+    product = np.conj(samples[j]) * samples[j_prime]
+    # product = sum_k c_k v_k*(s)  =>  c_k = int v_k(s) product(s) ds
+    return {k: ds * np.sum(samples[k] * product) for k in indices}

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlfkpp import cli, csvio
+from nlfkpp import cli, csvio, spectral
 from nlfkpp.config import (ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
@@ -68,11 +68,13 @@ class TestRunners:
         cfg = ScenarioConfig(solver="grid", N=64, t_end=1.0, dt=0.01,
                              D=0.1, scheme="imex",
                              initial_kind="gaussian_bump",
-                             snapshot_times=(0.0, 0.5, 1.0))
-        cli.run_scenario(cfg, str(tmp_path))
-        for name in ("snapshot_t0.csv", "snapshot_t0.5.csv", "snapshot_t1.csv",
-                     "series.csv", "manifest.json"):
-            assert (tmp_path / name).exists()
+                             snapshot_times=(1.0, 0.0, 0.5))
+        result = cli.run_scenario(cfg, str(tmp_path))
+        assert result["csv"] == ["snapshot_t0.csv", "snapshot_t0.5.csv",
+                                 "snapshot_t1.csv", "series.csv"]
+        assert (tmp_path / "manifest.json").exists()
+        s, rho0 = read_csv(tmp_path / "snapshot_t0.csv")[1]
+        np.testing.assert_array_equal(rho0, cli.scenario_initial(cfg)(s))
         header, _ = read_csv(tmp_path / "series.csv")
         assert header == ["t", "mass", "homogeneity", "n_peaks"]
 
@@ -112,12 +114,14 @@ class TestCliEntry:
 
     def test_exit_three_on_solver_abort(self, tmp_path, capsys):
         # spectral blow-up from a huge growth rate and tiny competition
+        outdir = tmp_path / "run"
         rc = cli.main(["spectral", "--set", "model.a=80",
                        "--set", "model.kappa=0", "--set", "numerics.dt=0.05",
                        "--set", "numerics.t_end=50",
-                       "--outdir", str(tmp_path)])
+                       "--outdir", str(outdir)])
         assert rc == 3
         assert "solver abort" in capsys.readouterr().err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--set", "numerics.dt=0.5", "--set", "numerics.scheme=rk4",
@@ -126,9 +130,55 @@ class TestCliEntry:
          "--set", "numerics.t_end=10"],
     ], ids=["grid", "planar"])
     def test_exit_two_on_stability_violation(self, tmp_path, capsys, args):
-        rc = cli.main(args + ["--outdir", str(tmp_path)])
+        outdir = tmp_path / "run"
+        rc = cli.main(args + ["--outdir", str(outdir)])
         assert rc == 2
         assert "numerics.dt" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_abort_leaves_an_existing_directory_as_it_was(self, tmp_path):
+        (tmp_path / "keep.txt").write_text("kept")
+        rc = cli.main(["simulate", "--set", "numerics.dt=0.5",
+                       "--set", "model.D=0.1", "--set", "numerics.t_end=1",
+                       "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("extra, rc, message", [
+        (["numerics.snapshot_times=-0.1"], 2,
+         "numerics.snapshot_times: must be >= 0"),
+        (["numerics.dt=0.1", "numerics.snapshot_times=0.37"], 2,
+         "numerics.snapshot_times: 0.37 is not a whole number of steps"),
+        (["numerics.snapshot_times=5"], 0, "lie past numerics.t_end = 1"),
+    ], ids=["negative", "off_step", "past_t_end"])
+    def test_snapshot_times_checked(self, tmp_path, capsys, extra, rc, message):
+        # a time past t_end is written nowhere, and said so: the benchmark and
+        # sweeps shorten presets whose snapshot_times reach their own t_end
+        outdir = tmp_path / "run"
+        args = ["simulate", "--set", "numerics.N=64", "--set", "numerics.t_end=1"]
+        for item in extra:
+            args += ["--set", item]
+        assert cli.main(args + ["--outdir", str(outdir)]) == rc
+        assert message in capsys.readouterr().err
+        if rc:
+            assert not outdir.exists()
+        else:
+            assert sorted(p.name for p in outdir.glob("snapshot_*")) == [
+                "snapshot_t1.csv"]
+
+    def test_spectral_snapshot_between_stored_frames(self, tmp_path):
+        rc = cli.main(["spectral", "--set", "initial.kind=gaussian_bump",
+                       "--set", "numerics.t_end=2",
+                       "--set", "numerics.snapshot_times=0.37 2",
+                       "--outdir", str(tmp_path)])
+        assert rc == 0
+        cfg = ScenarioConfig(initial_kind="gaussian_bump")
+        state0 = spectral.project_initial(cli.scenario_initial(cfg), cfg.J)
+        traj = spectral.integrate(state0, spectral.DiffusiveRates(cfg.a, cfg.D),
+                                  cli._kernel(cfg), cfg.kappa, 0.37, cfg.dt)
+        s, rho = read_csv(tmp_path / "snapshot_t0.37.csv")[1]
+        np.testing.assert_array_equal(
+            rho, spectral.reconstruct(traj.state(37), s))
 
     def test_from_samples_rejected_before_output(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -212,6 +262,14 @@ class TestCliEntry:
 
     def test_unknown_preset(self, capsys):
         assert cli.main(["preset", "fig99"]) == 2
+
+    @pytest.mark.parametrize("command", [["preset", "fig1"], ["exact"]])
+    def test_override_without_value_rejected(self, tmp_path, capsys, command):
+        rc = cli.main(command + ["--set", "numerics.dt",
+                                 "--outdir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "'numerics.dt': expected key=value" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_plot_script_emission(self, tmp_path):
         rc = cli.main(["exact", "--set", "numerics.t_end=1",

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from nlfkpp.kernel import (TWO_PI, CircleKernelParams, bessel_i, bessel_i_scaled,
                            default_truncation, eigenvalue, eigenvalues,
-                           kernel_value, spectral_reconstruction, wrap_angle)
-from conftest import bessel_quadrature, eigenvalue_quadrature
+                           kernel_value, wrap_angle)
+from conftest import (bessel_quadrature, eigenvalue_quadrature,
+                      spectral_reconstruction)
 
 
 class TestBessel:

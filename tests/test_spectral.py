@@ -5,6 +5,7 @@ import pytest
 
 from nlfkpp import exact, kernel, spectral, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams, eigenvalue
+from conftest import omega_coefficients, rhs_bruteforce
 
 LAMBDA0 = 2.926453923110091
 
@@ -52,7 +53,7 @@ class TestRhs:
             rates = spectral.DiffusiveRates(1.0, 0.1)
             np.testing.assert_allclose(
                 spectral.rhs(state, rates, unit_kernel, 0.2),
-                spectral.rhs_bruteforce(state, rates, unit_kernel, 0.2),
+                rhs_bruteforce(state, rates, unit_kernel, 0.2),
                 rtol=1e-12, atol=1e-14)
 
     def test_zero_mode_only_is_logistic(self, unit_kernel):
@@ -117,6 +118,16 @@ class TestIntegrate:
         with pytest.raises(RuntimeError, match="blew up"):
             spectral.integrate(state0, spectral.DiffusiveRates(1.0),
                                unit_kernel, 0.2, dt, dt)
+
+    def test_snapshots_are_the_stepped_states(self, unit_kernel):
+        state0 = spectral.project_initial(bump, 4)
+        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                                  unit_kernel, 0.2, 1.0, 0.01,
+                                  snapshot_times=(0.37, 0.0, 1.0))
+        assert list(traj.snapshots) == [0.0, 0.37, 1.0]
+        np.testing.assert_array_equal(traj.snapshots[0.0], state0.beta)
+        np.testing.assert_array_equal(traj.snapshots[0.37], traj.beta[37])
+        np.testing.assert_array_equal(traj.snapshots[1.0], traj.beta[-1])
 
     def test_trajectory_csv_roundtrip(self, unit_kernel, tmp_path):
         from nlfkpp.csvio import read_csv
@@ -185,7 +196,7 @@ class TestOmegaCoefficients:
     def test_fourier_product_selection_rule(self):
         # v_j*(s) v_j'(s) = (2 pi)^{-1/2} v_{j-j'}*(s) picks one coefficient
         basis = lambda k: (lambda s: np.exp(1j * k * s) / SQRT_TWO_PI)
-        coeffs = spectral.omega_coefficients(2, 5, basis, range(-6, 7))
+        coeffs = omega_coefficients(2, 5, basis, range(-6, 7))
         for k, c in coeffs.items():
             expected = 1.0 / SQRT_TWO_PI if k == -3 else 0.0
             assert abs(c - expected) < 1e-12
@@ -193,7 +204,7 @@ class TestOmegaCoefficients:
     def test_rejects_non_orthonormal_family(self):
         basis = lambda k: (lambda s: np.ones_like(s))
         with pytest.raises(ValueError):
-            spectral.omega_coefficients(0, 1, basis, [0, 1])
+            omega_coefficients(0, 1, basis, [0, 1])
 
 
 class TestExponentialForm:
