@@ -1,6 +1,6 @@
-"""The two hot kernels in numpy: the circulant interaction sum of the
-grid's ``direct`` backend and the quadratic mode coupling of the spectral
-solver."""
+"""Two kernels in numpy: the O(N^2) circulant interaction sum, which is the
+reference for the grid's FFT convolution, and the quadratic mode coupling
+of the spectral solver."""
 
 import numpy as np
 

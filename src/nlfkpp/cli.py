@@ -84,6 +84,16 @@ def _write_manifest(path, cfg, wall, extra=None):
         fh.write("\n")
 
 
+def _snapshot_times(cfg: ScenarioConfig) -> list:
+    """The requested snapshot times up to t_end, plus t_end, in order; the
+    times past t_end are named on stderr and dropped."""
+    late = [t for t in cfg.snapshot_times if t > cfg.t_end]
+    if late:
+        print(f"note: numerics.snapshot_times {late} lie past numerics.t_end = "
+              f"{cfg.t_end:g}; no snapshot is written for them", file=sys.stderr)
+    return sorted({t for t in cfg.snapshot_times if t <= cfg.t_end} | {cfg.t_end})
+
+
 def _write_snapshots(path, s, snapshots: dict) -> list:
     """snapshot_t<time>.csv with columns (s, rho) for each {time: rho};
     returns the file names."""
@@ -135,7 +145,7 @@ def run_spectral(cfg: ScenarioConfig, path) -> dict:
     rates = spectral.DiffusiveRates(cfg.a, cfg.D)
     traj = spectral.integrate(state0, rates, kern, cfg.kappa, cfg.t_end,
                               cfg.dt, store_every=_series_stride(cfg),
-                              snapshot_times=cfg.snapshot_times or (cfg.t_end,))
+                              snapshot_times=_snapshot_times(cfg))
     traj.to_csv(path("trajectory.csv"))
     s = grid_nodes(cfg.N)
     snapshots = {t: spectral.reconstruct(spectral.SpectralState(cfg.J, beta, t), s)
@@ -148,8 +158,7 @@ def run_grid(cfg: ScenarioConfig, path) -> dict:
     s = grid_nodes(cfg.N)
     state0 = gridsim.GridState(cfg.N, scenario_initial(cfg)(s))
     rec = gridsim.integrate(state0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
-                            cfg.dt, cfg.t_end, cfg.scheme, cfg.backend,
-                            set(cfg.snapshot_times) | {cfg.t_end},
+                            cfg.dt, cfg.t_end, cfg.scheme, _snapshot_times(cfg),
                             _series_stride(cfg))
     names = _write_snapshots(path, s, rec.snapshots)
     # the last stored frame is the final state
@@ -178,8 +187,8 @@ def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
 def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
     expn = _expansion(cfg)
     s = grid_nodes(cfg.N)
-    snapshots = {float(t): asymptotics.composite_density(float(t), s, expn)
-                 for t in cfg.snapshot_times or (cfg.t_end,)}
+    snapshots = {t: asymptotics.composite_density(t, s, expn)
+                 for t in _snapshot_times(cfg)}
     return {"csv": _write_snapshots(path, s, snapshots),
             "diagnostics": {"saturation": expn.model.saturation}}
 
@@ -230,10 +239,6 @@ RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
                  plot_script: bool = False, extra: str = None) -> dict:
     cfg.validate()
-    late = [t for t in cfg.snapshot_times if t > cfg.t_end]
-    if late and cfg.solver in ("grid", "spectral"):
-        print(f"note: numerics.snapshot_times {late} lie past numerics.t_end = "
-              f"{cfg.t_end:g}; no snapshot is written for them", file=sys.stderr)
     path = _artifact_path(outdir or cfg.outdir)
     start = time.perf_counter()
     result = RUNNERS[cfg.solver](cfg, path)
@@ -273,6 +278,10 @@ def _emit_ring_csv(cfg, path, result):
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
               plot_script: bool = False) -> list:
+    if cfg.solver not in ("grid", "manifold"):
+        raise ConfigError(
+            f"solver: a sweep tabulates final peaks, homogeneity and mass, "
+            f"which only the grid and manifold solvers report; got {cfg.solver!r}")
     jobs, seen = [], {}
     for value in values:
         name = f"{axis.split('.')[-1]}_{value:g}"
@@ -305,11 +314,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
 
 def _sweep_entry(job):
     value, sub, subdir = job
-    diag = run_scenario(sub, subdir)["diagnostics"]
-    diag.setdefault("n_peaks_final", 0)
-    diag.setdefault("homogeneity_final", 0.0)
-    diag.setdefault("mass_final", 0.0)
-    return value, diag
+    return value, run_scenario(sub, subdir)["diagnostics"]
 
 
 def _relative(err, scale) -> float:

@@ -11,7 +11,6 @@ class ConfigError(ValueError):
 
 SOLVERS = ("spectral", "grid", "manifold", "planar2d", "exact", "asymptotic")
 SCHEMES = ("euler", "rk4", "imex")
-BACKENDS = ("direct", "fast", "checked")
 INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff")
 
 
@@ -35,7 +34,6 @@ class ScenarioConfig:
     dt: float = 0.01
     t_end: float = 10.0
     scheme: str = "rk4"
-    backend: str = "fast"
     snapshot_times: tuple = ()
     # planar extras
     L: float = 3.0
@@ -68,8 +66,6 @@ class ScenarioConfig:
             raise ConfigError(f"solver: unknown solver {self.solver!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"numerics.scheme: unknown scheme {self.scheme!r}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"numerics.backend: unknown backend {self.backend!r}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigError(f"initial.kind: unknown kind {self.initial_kind!r}")
         positive("numerics.dt", self.dt)
@@ -105,7 +101,7 @@ KEY_MAP = {
     "solver": "solver",
     "numerics.N": "N", "numerics.J": "J", "numerics.dt": "dt",
     "numerics.t_end": "t_end", "numerics.scheme": "scheme",
-    "numerics.backend": "backend", "numerics.snapshot_times": "snapshot_times",
+    "numerics.snapshot_times": "snapshot_times",
     "numerics.L": "L", "numerics.n2d": "n2d", "numerics.sigma": "sigma",
     "initial.kind": "initial_kind", "initial.width": "initial_width",
     "initial.edge": "initial_edge",

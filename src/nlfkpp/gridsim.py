@@ -2,11 +2,10 @@
 
     rho_t = D rho_ss + a rho - kappa rho * int b(s,s') rho(s') ds',
 
-on a uniform periodic grid.  The nonlocal term is a circular convolution:
-the ``fast`` backend evaluates it with the FFT (the kernel row's transform
-is built once per kernel and grid size), the ``direct`` backend with
-the O(N^2) circulant sum, and ``checked`` runs both and fails loudly if
-they disagree.  Time stepping is the shared driver of ``stepping``.
+on a uniform periodic grid.  The nonlocal term is a circular convolution,
+evaluated with the FFT against the kernel row's transform, which is built
+once per kernel and grid size.  Time stepping is the shared driver of
+``stepping``.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends, stepping
-from .config import BACKENDS
+from . import stepping
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                      grid_nodes, kernel_value)
 
@@ -58,39 +56,24 @@ def _kernel_spectrum(kern: CircleKernelParams, N: int) -> np.ndarray:
     return spectrum
 
 
-def nonlocal_term(state: GridState, kern: CircleKernelParams,
-                  backend: str = "fast") -> np.ndarray:
+def nonlocal_term(state: GridState, kern: CircleKernelParams) -> np.ndarray:
     """I_k = (2 pi / N) sum_l b(s_k, s_l) rho_l."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    ds = TWO_PI / state.N
-    if backend == "direct":
-        return np.asarray(backends.circulant_apply(kernel_row(kern, state.N),
-                                                   state.rho, ds))
-    fast = ds * np.fft.irfft(_kernel_spectrum(kern, state.N)
-                             * np.fft.rfft(state.rho), n=state.N)
-    if backend == "checked":
-        direct = np.asarray(backends.circulant_apply(kernel_row(kern, state.N),
-                                                     state.rho, ds))
-        scale = max(float(np.max(np.abs(direct))), 1e-300)
-        err = float(np.max(np.abs(fast - direct)))
-        if err > 1e-12 * scale:
-            raise RuntimeError(
-                f"nonlocal backends disagree: |fast - direct| = {err:.3e} "
-                f"(scale {scale:.3e})"
-            )
-    return fast
+    return _interaction(state.rho, _kernel_spectrum(kern, state.N),
+                        TWO_PI / state.N)
+
+
+def _interaction(rho, spectrum, ds):
+    """The circular convolution ds * (kernel row * rho) through the FFT."""
+    return ds * np.fft.irfft(spectrum * np.fft.rfft(rho), n=len(rho))
 
 
 def _laplacian(rho: np.ndarray, ds: float) -> np.ndarray:
     return (np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)) / ds**2
 
 
-def _rhs(rho, kern, a, kappa, D, ds, backend):
-    state = GridState.__new__(GridState)
-    state.N, state.rho, state.t, state.clamped = len(rho), rho, 0.0, 0
-    interaction = nonlocal_term(state, kern, backend)
-    out = a * rho - kappa * rho * interaction
+def _rhs(rho, spectrum, a, kappa, D, ds):
+    """a rho - kappa rho I + D rho_ss for the kernel spectrum of the run."""
+    out = a * rho - kappa * rho * _interaction(rho, spectrum, ds)
     if D > 0:
         out += D * _laplacian(rho, ds)
     return out
@@ -114,15 +97,14 @@ def _cyclic_tridiag_solve(diag: float, off: float, rhs_vec: np.ndarray) -> np.nd
 
 
 def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
-         D: float, dt: float, scheme: str = "rk4",
-         backend: str = "fast") -> GridState:
+         D: float, dt: float, scheme: str = "rk4") -> GridState:
     """Advance the density by one time step."""
-    return run(state, kern, a, kappa, D, dt, state.t + dt, scheme, backend)[0]
+    return run(state, kern, a, kappa, D, dt, state.t + dt, scheme)[0]
 
 
 def integrate(state: GridState, kern: CircleKernelParams, a: float,
               kappa: float, D: float, dt: float, t_end: float,
-              scheme: str = "rk4", backend: str = "fast", snapshot_times=(),
+              scheme: str = "rk4", snapshot_times=(),
               store_every: int = 0) -> stepping.Record:
     """Step from state.t to t_end with the shared driver.
 
@@ -131,6 +113,7 @@ def integrate(state: GridState, kern: CircleKernelParams, a: float,
     the ds^2 restriction.
     """
     ds = TWO_PI / state.N
+    spectrum = _kernel_spectrum(kern, state.N)
     lam0 = eigenvalue(0, kern)
     implicit = scheme == "imex" and D > 0
     diffusive = math.inf if scheme == "imex" or D == 0.0 else ds**2 / (2.0 * D)
@@ -138,7 +121,7 @@ def integrate(state: GridState, kern: CircleKernelParams, a: float,
     r = dt * D / ds**2
 
     def rhs(rho, t):
-        return _rhs(rho, kern, a, kappa, D_explicit, ds, backend)
+        return _rhs(rho, spectrum, a, kappa, D_explicit, ds)
 
     def limit(rho):
         reaction = 1.0 / (a + kappa * lam0 * max(float(np.max(rho)), 0.0))
@@ -156,10 +139,9 @@ def integrate(state: GridState, kern: CircleKernelParams, a: float,
 
 def run(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
         D: float, dt: float, t_end: float, scheme: str = "rk4",
-        backend: str = "fast", snapshot_times=()):
+        snapshot_times=()):
     """Step to t_end; returns (final state, {time: density snapshot})."""
-    rec = integrate(state, kern, a, kappa, D, dt, t_end, scheme, backend,
-                    snapshot_times)
+    rec = integrate(state, kern, a, kappa, D, dt, t_end, scheme, snapshot_times)
     return GridState(state.N, rec.y, rec.t, state.clamped + rec.clamped), \
         rec.snapshots
 

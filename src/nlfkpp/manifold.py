@@ -132,45 +132,45 @@ def _influence_matrix(spec: ConvectionSpec, X: np.ndarray) -> np.ndarray:
     return np.array([spec.b(x, X) for x in X], dtype=float)
 
 
-def _rates_vector(spec: ConvectionSpec, state: ManifoldState) -> np.ndarray:
+def _rates_vector(spec: ConvectionSpec, X: np.ndarray, t: float) -> np.ndarray:
     """a(X_k, t) for all samples; broadcast when a supports it."""
     try:
-        r = np.asarray(spec.a(state.X, state.t), dtype=float)
+        r = np.asarray(spec.a(X, t), dtype=float)
         if r.ndim == 0:
-            return np.full(len(state.s), float(r))
-        if r.shape == (len(state.s),):
+            return np.full(len(X), float(r))
+        if r.shape == (len(X),):
             return r
     except Exception:
         pass
-    return np.array([spec.a(x, state.t) for x in state.X], dtype=float)
+    return np.array([spec.a(x, t) for x in X], dtype=float)
 
 
 def ee_rhs(state: ManifoldState, spec: ConvectionSpec):
     """Returns (drho/dt, dX/dt) by rectangle/trapezoid quadrature over G."""
-    return _rhs(state, spec, _influence_matrix(spec, state.X))
+    return _rhs(spec, state.weights(), state.X, state.rho, state.t,
+                _influence_matrix(spec, state.X))
 
 
-def _rhs(state: ManifoldState, spec: ConvectionSpec, B: np.ndarray):
-    """ee_rhs with the influence matrix B = b(X_k, X_l) of state.X given."""
-    w = state.weights()
-    n = len(state.s)
-    competition = B @ (w * state.rho)
-    rates = _rates_vector(spec, state)
-    rho_dot = state.rho * (rates - spec.kappa * competition)
-    X_dot = np.zeros_like(state.X)
+def _rhs(spec: ConvectionSpec, w: np.ndarray, X: np.ndarray, rho: np.ndarray,
+         t: float, B: np.ndarray):
+    """ee_rhs on arrays: quadrature weights w, positions X, density rho and
+    the influence matrix B = b(X_k, X_l) of X."""
+    competition = B @ (w * rho)
+    rates = _rates_vector(spec, X, t)
+    rho_dot = rho * (rates - spec.kappa * competition)
+    X_dot = np.zeros_like(X)
     if spec.V_x is not None:
         try:
-            vel = np.asarray(spec.V_x(state.X, state.t), dtype=float)
-            if vel.shape != state.X.shape:
+            vel = np.asarray(spec.V_x(X, t), dtype=float)
+            if vel.shape != X.shape:
                 raise ValueError
         except Exception:
-            vel = np.array([spec.V_x(x, state.t) for x in state.X], dtype=float)
+            vel = np.array([spec.V_x(x, t) for x in X], dtype=float)
         X_dot += vel
     if spec.W_x is not None:
-        for k in range(n):
-            contrib = np.asarray(spec.W_x(state.X[k], state.X, state.t),
-                                 dtype=float)
-            X_dot[k] += spec.kappa * (w * state.rho) @ contrib
+        for k in range(len(X)):
+            contrib = np.asarray(spec.W_x(X[k], X, t), dtype=float)
+            X_dot[k] += spec.kappa * (w * rho) @ contrib
     if not (np.all(np.isfinite(rho_dot)) and np.all(np.isfinite(X_dot))):
         raise RuntimeError("model functions returned non-finite values")
     return rho_dot, X_dot
@@ -188,6 +188,7 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n, shape = len(state0.s), state0.X.shape
+    w = state0.weights()  # the parameter sampling is fixed for the run
     # B depends on the positions alone: rebuild it only when they move
     # (never, when V_x and W_x are None and X_dot is exactly zero)
     last_x, B = None, None
@@ -197,9 +198,7 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
         x = y[n:].reshape(shape)
         if last_x is None or not np.array_equal(x, last_x):
             last_x, B = x, _influence_matrix(spec, x)
-        st = ManifoldState.__new__(ManifoldState)
-        st.s, st.X, st.rho, st.t, st.periodic = state0.s, x, y[:n], t, state0.periodic
-        rho_dot, X_dot = _rhs(st, spec, B)
+        rho_dot, X_dot = _rhs(spec, w, x, y[:n], t, B)
         return np.concatenate([rho_dot, X_dot.ravel()])
 
     rec = stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),

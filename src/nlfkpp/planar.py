@@ -9,7 +9,6 @@ concentrate on a ring and reproduce the one-dimensional density.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -96,14 +95,15 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
     """Explicit Euler steps to t_end with the shared driver.  The stability
     bound 0.8 min(1/(a + kappa max I), dx^2/(4D)) uses the step's own
     interaction I, which the right-hand side then reuses."""
-    work = copy.copy(field)  # carries L, n and dx for nonlocal_term_2d
+    # nonlocal_term_2d's factors, fixed for the run
+    G = _gaussian_matrix(field.L, field.n, kern.gamma)
+    scale = kern.b0 * field.dx**2
     last_u, last_I = None, None
 
     def interaction(u):
         nonlocal last_u, last_I
         if u is not last_u:
-            work.u = u
-            last_u, last_I = u, nonlocal_term_2d(work, kern)
+            last_u, last_I = u, scale * (G @ u @ G)
         return last_I
 
     def limit(u):

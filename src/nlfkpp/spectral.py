@@ -15,7 +15,6 @@ and the enforcement drift is recorded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,12 +75,6 @@ class SpectralTrajectory:
 
     def state(self, i: int) -> SpectralState:
         return SpectralState(self.J, self.beta[i].copy(), float(self.t[i]))
-
-    def at_time(self, t: float) -> SpectralState:
-        i = int(np.argmin(np.abs(self.t - t)))
-        if not math.isclose(self.t[i], t, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"time {t} not stored (closest is {self.t[i]})")
-        return self.state(i)
 
     def to_csv(self, path):
         """Rows (t, j, re_beta, im_beta) for every stored time and mode."""

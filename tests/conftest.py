@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlfkpp import backends, gridsim
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                            eigenvalues, wrap_angle)
 
@@ -11,6 +12,13 @@ from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
 def unit_kernel():
     """b0 = 1, gamma = 1, R = 1, so mu = 1."""
     return CircleKernelParams(1.0, 1.0, 1.0)
+
+
+def circulant_term(rho, kern: CircleKernelParams) -> np.ndarray:
+    """(2 pi / N) sum_l b(s_k, s_l) rho_l as the O(N^2) circulant sum, the
+    reference for the grid's FFT interaction."""
+    n = len(rho)
+    return backends.circulant_apply(gridsim.kernel_row(kern, n), rho, TWO_PI / n)
 
 
 def bessel_quadrature(j: int, mu: float, n: int = 40001) -> float:

@@ -39,7 +39,7 @@ from nlfkpp import spectral
 from nlfkpp.config import ScenarioConfig
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                            eigenvalues)
-from conftest import eigenvalue_quadrature
+from conftest import circulant_term, eigenvalue_quadrature
 
 KERNEL = CircleKernelParams(1.0, 1.0, 1.0)
 LAMBDA0 = eigenvalue(0, KERNEL)
@@ -68,11 +68,11 @@ def grid_run(gamma, D, t_end, initial, **kwargs):
 
 def test_criterion_01_exact_vs_spectral():
     state0 = spectral.SpectralState(10, np.eye(21)[10].astype(complex))
+    times = (1.0, 5.0, 20.0)
     traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0), KERNEL,
-                              0.2, 20.0, 0.01)
+                              0.2, 20.0, 0.01, snapshot_times=times)
     m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
-    worst = max(abs(traj.at_time(t).mode(0) - exact.beta0(t, m))
-                for t in (1.0, 5.0, 20.0))
+    worst = max(abs(traj.snapshots[t][10] - exact.beta0(t, m)) for t in times)
     ok = worst < 1e-8
     report(1, ok, f"max |beta0 spectral - exact| = {worst:.3e} (tol 1e-8)")
     assert ok
@@ -125,17 +125,19 @@ def test_criterion_04_order_in_T():
     s = np.linspace(-math.pi, math.pi, 257)
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
     errs = {}
+    times = (1.0, 2.0, 5.0)
     for T in (10.0, 20.0, 40.0):
         state0 = spectral.project_initial(
             lambda x: 1.0 / SQRT_TWO_PI + tilde_phi(x) / T, 10)
         traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  KERNEL, 0.2, 5.0, 0.005)
+                                  KERNEL, 0.2, 5.0, 0.005, snapshot_times=times)
         expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, 10, KERNEL,
                                                1.0, 0.2, 0.0)
         errs[T] = max(
-            np.max(np.abs(spectral.reconstruct(traj.at_time(t), s)
-                          - asymptotics.composite_density(t, s, expn)))
-            for t in (1.0, 2.0, 5.0))
+            np.max(np.abs(spectral.reconstruct(
+                spectral.SpectralState(10, traj.snapshots[t]), s)
+                - asymptotics.composite_density(t, s, expn)))
+            for t in times)
     orders = (analysis.richardson_order(errs[10.0], errs[20.0], 2.0),
               analysis.richardson_order(errs[20.0], errs[40.0], 2.0))
     ok = all(1.7 <= p <= 2.3 for p in orders)
@@ -225,8 +227,8 @@ def test_criterion_08_kernel_spectral_identities():
     for N in (64, 256):
         for _ in range(25):
             state = gridsim.GridState(N, rng.random(N))
-            fast = gridsim.nonlocal_term(state, KERNEL, "fast")
-            direct = gridsim.nonlocal_term(state, KERNEL, "direct")
+            fast = gridsim.nonlocal_term(state, KERNEL)
+            direct = circulant_term(state.rho, KERNEL)
             worst_backend = max(worst_backend,
                                 float(np.max(np.abs(fast - direct))
                                       / np.max(np.abs(direct))))

@@ -86,12 +86,14 @@ class TestCompositeDensity:
         rho_phi = lambda s: 1.0 / SQRT_TWO_PI + tilde_phi(s) / T
         state0 = spectral.project_initial(rho_phi, J)
         traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 5.0, 0.005)
+                                  unit_kernel, 0.2, 5.0, 0.005,
+                                  snapshot_times=(5.0,))
         beta1 = asymptotics.beta1_initial(tilde_phi, J)
         expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, J, unit_kernel,
                                                1.0, 0.2, 0.0)
         s = np.linspace(-math.pi, math.pi, 129)
-        rho_spec = spectral.reconstruct(traj.at_time(5.0), s)
+        rho_spec = spectral.reconstruct(
+            spectral.SpectralState(J, traj.snapshots[5.0]), s)
         rho_asym = asymptotics.composite_density(5.0, s, expn)
         assert np.max(np.abs(rho_spec - rho_asym)) < 5.0 / T**2
 

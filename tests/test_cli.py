@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from nlfkpp import cli, csvio, spectral
-from nlfkpp.config import (ConfigError, ScenarioConfig, load_config,
+from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
 
@@ -26,8 +27,9 @@ class TestConfig:
         assert cfg.kappa == 0.3
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("model.zeta = 1\n")
+        for text in ("model.zeta = 1\n", "numerics.backend = fast\n"):
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -47,6 +49,10 @@ class TestConfig:
             ScenarioConfig(solver="magic").validate()
 
     def test_resolved_items_cover_all_keys(self):
+        # one dotted key per field, so no key outlives the field it sets
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert len(names) == 24
+        assert sorted(KEY_MAP.values()) == sorted(names)
         items = resolved_items(ScenarioConfig())
         assert items["model.a"] == 1.0
         assert items["numerics.scheme"] == "rk4"
@@ -144,18 +150,23 @@ class TestCliEntry:
         assert rc == 2
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["spectral"],
+        ["asymptotic", "--set", "initial.kind=gaussian_bump"],
+    ], ids=["simulate", "spectral", "asymptotic"])
     @pytest.mark.parametrize("extra, rc, message", [
         (["numerics.snapshot_times=-0.1"], 2,
          "numerics.snapshot_times: must be >= 0"),
         (["numerics.dt=0.1", "numerics.snapshot_times=0.37"], 2,
          "numerics.snapshot_times: 0.37 is not a whole number of steps"),
-        (["numerics.snapshot_times=5"], 0, "lie past numerics.t_end = 1"),
+        (["numerics.snapshot_times=0.5 5"], 0, "lie past numerics.t_end = 1"),
     ], ids=["negative", "off_step", "past_t_end"])
-    def test_snapshot_times_checked(self, tmp_path, capsys, extra, rc, message):
-        # a time past t_end is written nowhere, and said so: the benchmark and
-        # sweeps shorten presets whose snapshot_times reach their own t_end
+    def test_snapshot_times_checked(self, tmp_path, capsys, command, extra, rc,
+                                    message):
+        # every snapshot solver writes the requested times up to t_end plus
+        # t_end itself; a time past t_end is written nowhere, and said so
         outdir = tmp_path / "run"
-        args = ["simulate", "--set", "numerics.N=64", "--set", "numerics.t_end=1"]
+        args = command + ["--set", "numerics.N=64", "--set", "numerics.t_end=1"]
         for item in extra:
             args += ["--set", item]
         assert cli.main(args + ["--outdir", str(outdir)]) == rc
@@ -164,7 +175,7 @@ class TestCliEntry:
             assert not outdir.exists()
         else:
             assert sorted(p.name for p in outdir.glob("snapshot_*")) == [
-                "snapshot_t1.csv"]
+                "snapshot_t0.5.csv", "snapshot_t1.csv"]
 
     def test_spectral_snapshot_between_stored_frames(self, tmp_path):
         rc = cli.main(["spectral", "--set", "initial.kind=gaussian_bump",
@@ -244,6 +255,16 @@ class TestCliEntry:
             assert rc == 2
             assert name in capsys.readouterr().err
             assert not out.exists()  # rejected before any entry ran
+
+    def test_sweep_rejects_solvers_without_final_diagnostics(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--axis", "model.a", "--values", "1,2",
+                       "--set", "solver=exact", "--set", "numerics.t_end=1",
+                       "--outdir", str(out)])
+        assert rc == 2
+        assert "'exact'" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any entry ran
 
     def test_sweep_command(self, tmp_path):
         rc = cli.main(["sweep", "--axis", "model.D", "--values", "0,0.1",

@@ -6,6 +6,8 @@ import pytest
 from nlfkpp import exact, gridsim, kernel, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
 
+from conftest import circulant_term
+
 LAMBDA0 = 2.926453923110091
 
 
@@ -14,8 +16,8 @@ class TestNonlocalTerm:
         # int b(s,s') c ds' = c lambda_0 by the constant-eigenfunction property
         c = 1.7
         state = gridsim.GridState(128, np.full(128, c))
-        for backend in ("direct", "fast", "checked"):
-            I = gridsim.nonlocal_term(state, unit_kernel, backend)
+        for I in (circulant_term(state.rho, unit_kernel),
+                  gridsim.nonlocal_term(state, unit_kernel)):
             np.testing.assert_allclose(I, c * LAMBDA0, rtol=1e-12)
 
     def test_eigenfunction_property(self, unit_kernel):
@@ -26,7 +28,7 @@ class TestNonlocalTerm:
             rho = 2.0 * np.cos(j * s) / SQRT_TWO_PI
             state = gridsim.GridState.__new__(gridsim.GridState)
             state.N, state.rho, state.t, state.clamped = N, rho, 0.0, 0
-            I = gridsim.nonlocal_term(state, unit_kernel, "fast")
+            I = gridsim.nonlocal_term(state, unit_kernel)
             np.testing.assert_allclose(I, eigenvalue(j, unit_kernel) * rho,
                                        atol=1e-12)
 
@@ -35,15 +37,10 @@ class TestNonlocalTerm:
         for N in (64, 256):
             for _ in range(25):
                 state = gridsim.GridState(N, rng.random(N))
-                fast = gridsim.nonlocal_term(state, unit_kernel, "fast")
-                direct = gridsim.nonlocal_term(state, unit_kernel, "direct")
+                fast = gridsim.nonlocal_term(state, unit_kernel)
+                direct = circulant_term(state.rho, unit_kernel)
                 scale = np.max(np.abs(direct))
                 assert np.max(np.abs(fast - direct)) < 1e-12 * scale
-
-    def test_unknown_backend_rejected(self, unit_kernel):
-        state = gridsim.GridState(64, np.ones(64))
-        with pytest.raises(ValueError):
-            gridsim.nonlocal_term(state, unit_kernel, "gpu")
 
 
 class TestStep:

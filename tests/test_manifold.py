@@ -6,6 +6,8 @@ import pytest
 from nlfkpp import analysis, gridsim, manifold, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
 
+from conftest import circulant_term
+
 
 def bump(s):
     return 1.0 / SQRT_TWO_PI + 0.1 * np.exp(-np.asarray(s) ** 2 / 0.6)
@@ -33,7 +35,7 @@ class TestEeRhs:
         kern = CircleKernelParams(1.0, 1.0, 1.0)
         rho_dot, _ = manifold.ee_rhs(circle, static_spec)
         grid = gridsim.GridState(64, bump(gridsim.grid_nodes(64)))
-        I = gridsim.nonlocal_term(grid, kern, "direct")
+        I = circulant_term(grid.rho, kern)
         expected = 1.0 * grid.rho - 0.2 * grid.rho * I
         assert np.max(np.abs(rho_dot - expected)) < 1e-12
 
@@ -95,8 +97,7 @@ class TestIntegrate:
         kern = CircleKernelParams(1.0, 1.0, 1.0)
         _, rho_hist, _ = manifold.integrate(circle, static_spec, 20.0, 0.01)
         grid0 = gridsim.GridState(64, bump(gridsim.grid_nodes(64)))
-        out, _ = gridsim.run(grid0, kern, 1.0, 0.2, 0.0, 0.01, 20.0, "rk4",
-                             backend="direct")
+        out, _ = gridsim.run(grid0, kern, 1.0, 0.2, 0.0, 0.01, 20.0, "rk4")
         assert np.max(np.abs(rho_hist[-1] - out.rho)) < 1e-8
 
     def test_pure_growth_with_zero_influence(self, circle):
@@ -119,8 +120,8 @@ class TestIntegrate:
                                              monkeypatch, bad):
         # an update of bad / dt on every node puts about bad into rho
         dt = 0.01
-        monkeypatch.setattr(manifold, "_rhs", lambda state, spec, B: (
-            np.full_like(state.rho, bad / dt), np.zeros_like(state.X)))
+        monkeypatch.setattr(manifold, "_rhs", lambda spec, w, X, rho, t, B: (
+            np.full_like(rho, bad / dt), np.zeros_like(X)))
         with pytest.raises(RuntimeError, match="blew up"):
             manifold.integrate(circle, static_spec, dt, dt)
 
@@ -200,10 +201,10 @@ class TestClamping:
         derivative that is zero except change / dt at node 3."""
         dt = 0.01
 
-        def rhs(state, spec, B):
-            rho_dot = np.zeros_like(state.rho)
+        def rhs(spec, w, X, rho, t, B):
+            rho_dot = np.zeros_like(rho)
             rho_dot[3] = change / dt
-            return rho_dot, np.zeros_like(state.X)
+            return rho_dot, np.zeros_like(X)
 
         monkeypatch.setattr(manifold, "_rhs", rhs)
         state = manifold.circle_state(

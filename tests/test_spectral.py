@@ -77,17 +77,20 @@ class TestIntegrate:
     def test_symmetric_data_follows_exact_beta0(self, unit_kernel):
         # beta_{0j} = delta_{j0}: the zero mode is closed and logistic
         state0 = spectral.SpectralState(5, np.eye(11)[5].astype(complex))
+        times = (1.0, 5.0, 20.0)
         traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 20.0, 0.01)
+                                  unit_kernel, 0.2, 20.0, 0.01,
+                                  snapshot_times=times)
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
-        for t in (1.0, 5.0, 20.0):
-            assert abs(traj.at_time(t).mode(0) - exact.beta0(t, m)) < 1e-8
+        for t in times:
+            assert abs(traj.snapshots[t][5] - exact.beta0(t, m)) < 1e-8
 
     def test_kappa_zero_modes_grow_independently(self, unit_kernel):
         state0 = spectral.project_initial(bump, 4)
         rates = spectral.DiffusiveRates(1.0, 0.3)
-        traj = spectral.integrate(state0, rates, unit_kernel, 0.0, 2.0, 0.005)
-        final = traj.at_time(2.0)
+        traj = spectral.integrate(state0, rates, unit_kernel, 0.0, 2.0, 0.005,
+                                  snapshot_times=(2.0,))
+        final = spectral.SpectralState(4, traj.snapshots[2.0])
         for j in range(-4, 5):
             expected = state0.mode(j) * np.exp(rates.rate(j) * 2.0)
             assert abs(final.mode(j) - expected) < 1e-9
@@ -212,8 +215,10 @@ class TestExponentialForm:
         # the exponential representation resums to the same density
         state0 = spectral.project_initial(bump, 12)
         traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 5.0, 0.001, store_every=1)
+                                  unit_kernel, 0.2, 5.0, 0.001, store_every=1,
+                                  snapshot_times=(5.0,))
         s = np.linspace(-math.pi, math.pi, 65)
         via_exp = spectral.exponential_form(traj, unit_kernel, bump, s, 1.0, 0.2)
-        direct = spectral.reconstruct(traj.at_time(5.0), s)
+        direct = spectral.reconstruct(
+            spectral.SpectralState(12, traj.snapshots[5.0]), s)
         np.testing.assert_allclose(via_exp, direct, rtol=2e-3)
