@@ -71,13 +71,17 @@ def l2(a, b=None, ds: float = 1.0) -> float:
     return float(math.sqrt(ds * np.sum(d * d)))
 
 
-def relative_linf(a, b) -> float:
-    """max|a - b| / max|b|."""
-    b = np.asarray(b, dtype=float)
-    scale = float(np.max(np.abs(b)))
+def relative(err, scale) -> float:
+    """err / scale; against a zero reference, 0 if the two agree, else inf."""
+    err, scale = float(err), float(scale)
     if scale == 0.0:
-        raise ValueError("reference profile is identically zero")
-    return linf(a, b) / scale
+        return 0.0 if err == 0.0 else math.inf
+    return err / scale
+
+
+def relative_linf(a, b) -> float:
+    """max|a - b| / max|b|, by the zero-reference rule of relative."""
+    return relative(linf(a, b), linf(b))
 
 
 def steady_state_time(times, profiles, tol: float) -> float:

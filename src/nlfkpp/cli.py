@@ -177,9 +177,8 @@ def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
         raise ConfigError(
             "initial.kind: the asymptotic solver needs gaussian_bump data "
             f"(homogeneous background plus 1/T bump), got {cfg.initial_kind!r}")
-    width = cfg.initial_width
-    beta1 = asymptotics.beta1_initial(lambda s: np.exp(-np.asarray(s) ** 2 / width),
-                                      cfg.J)
+    bump = gridsim.initial_profile("gaussian", width=cfg.initial_width)
+    beta1 = asymptotics.beta1_initial(bump, cfg.J)
     return asymptotics.AsymptoticExpansion(cfg.T, cfg.beta00, beta1, cfg.J,
                                            _kernel(cfg), cfg.a, cfg.kappa, cfg.D)
 
@@ -317,14 +316,6 @@ def _sweep_entry(job):
     return value, run_scenario(sub, subdir)["diagnostics"]
 
 
-def _relative(err, scale) -> float:
-    """err / scale; against a zero reference, 0 if the two agree, else inf."""
-    err, scale = float(err), float(scale)
-    if scale == 0.0:
-        return 0.0 if err == 0.0 else math.inf
-    return err / scale
-
-
 def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
                     tol_linf: float = None) -> dict:
     """Relative L-inf/L2 errors between matching snapshot CSVs."""
@@ -346,8 +337,10 @@ def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
             rho_b = np.interp(np.mod(s_a - sb[0], TWO_PI) + sb[0], sb, rb)
         diff = rho_a - rho_b
         report[name] = {
-            "rel_linf": _relative(np.max(np.abs(diff)), np.max(np.abs(rho_b))),
-            "rel_l2": _relative(np.linalg.norm(diff), np.linalg.norm(rho_b)),
+            "rel_linf": analysis.relative(np.max(np.abs(diff)),
+                                          np.max(np.abs(rho_b))),
+            "rel_l2": analysis.relative(np.linalg.norm(diff),
+                                        np.linalg.norm(rho_b)),
         }
     if outdir:
         names = sorted(report)
@@ -381,6 +374,12 @@ def list_presets():
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
+SOLVER_COMMANDS = {
+    "exact": "exact", "spectral": "spectral", "simulate": "grid",
+    "manifold": "manifold", "planar2d": "planar2d", "asymptotic": "asymptotic",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlfkpp",
@@ -396,8 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plot-script", action="store_true",
                        help="emit a gnuplot script next to the CSVs")
 
-    for name in ("exact", "spectral", "simulate", "manifold", "planar2d",
-                 "asymptotic"):
+    for name in SOLVER_COMMANDS:
         common(sub.add_parser(name, help=f"run the {name} solver"))
 
     p_cmp = sub.add_parser("compare", help="compare two artifact bundles")
@@ -421,12 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--list", action="store_true",
                           help="list available presets and exit")
     return parser
-
-
-SOLVER_COMMANDS = {
-    "exact": "exact", "spectral": "spectral", "simulate": "grid",
-    "manifold": "manifold", "planar2d": "planar2d", "asymptotic": "asymptotic",
-}
 
 
 def _load_cfg(args) -> ScenarioConfig:

@@ -2,6 +2,7 @@
 section prefixes (model.a, numerics.dt, initial.kind, output.dir) plus
 command-line overrides of the same dotted names."""
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -12,6 +13,26 @@ class ConfigError(ValueError):
 SOLVERS = ("spectral", "grid", "manifold", "planar2d", "exact", "asymptotic")
 SCHEMES = ("euler", "rk4", "imex")
 INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff")
+
+
+def whole_steps(t_end: float, dt: float, name: str, t0: float = 0.0) -> int:
+    """The number of steps of dt from t0 to t_end; ConfigError, naming the
+    field name, unless dt and t_end - t0 are finite, dt > 0 and t_end - t0
+    is a nonnegative whole number of steps (to 1e-9 relative, plus the
+    rounding of t0 and t_end)."""
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"numerics.dt: must be positive and finite, got {dt}")
+    span = t_end - t0
+    if not span >= 0:
+        raise ConfigError(f"{name}: must be >= 0, got {span}")
+    if span == math.inf:
+        raise ConfigError(f"{name}: must be finite, got {span}")
+    n_steps = round(span / dt)
+    slack = 1e-9 * max(1, n_steps) + math.ulp(max(abs(t0), abs(t_end))) / dt
+    if abs(span / dt - n_steps) > slack:
+        raise ConfigError(f"{name}: {span} is not a whole number of steps of "
+                          f"numerics.dt = {dt}")
+    return n_steps
 
 
 @dataclass
@@ -68,29 +89,16 @@ class ScenarioConfig:
             raise ConfigError(f"numerics.scheme: unknown scheme {self.scheme!r}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigError(f"initial.kind: unknown kind {self.initial_kind!r}")
-        positive("numerics.dt", self.dt)
-        # the solvers take round(t_end / dt) steps and snapshot the nearest
-        # step; anything off that grid would stop short, run past or be
-        # written under a time it does not hold
-        for name, times in (("numerics.t_end", (self.t_end,)),
-                            ("numerics.snapshot_times", self.snapshot_times)):
-            for t in times:
-                if t < 0:
-                    raise ConfigError(f"{name}: must be >= 0, got {t}")
-                n_steps = round(t / self.dt)
-                if abs(t / self.dt - n_steps) > 1e-9 * max(1, n_steps):
-                    raise ConfigError(
-                        f"{name}: {t} is not a whole number of steps of "
-                        f"numerics.dt = {self.dt}")
+        # a snapshot is the state at the nearest step: off the step grid it
+        # would be written under a time it does not hold
+        whole_steps(self.t_end, self.dt, "numerics.t_end")
+        for t in self.snapshot_times:
+            whole_steps(t, self.dt, "numerics.snapshot_times")
         if self.N < 8:
             raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
         if self.J < 0:
             raise ConfigError(f"numerics.J: must be >= 0, got {self.J}")
         return self
-
-    @property
-    def mu(self) -> float:
-        return self.R**2 / self.gamma**2
 
 
 # dotted config name -> dataclass attribute

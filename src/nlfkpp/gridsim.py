@@ -130,8 +130,7 @@ def integrate(state: GridState, kern: CircleKernelParams, a: float,
     def solve(rho):
         return _cyclic_tridiag_solve(1.0 + 2.0 * r, -r, rho)
 
-    n_steps = int(round((t_end - state.t) / dt))
-    return stepping.march(state.rho, state.t, dt, n_steps, rhs, scheme,
+    return stepping.march(state.rho, state.t, t_end, dt, rhs, scheme,
                           solve=solve if implicit else None, limit=limit,
                           density=lambda rho: rho, store_every=store_every,
                           at=snapshot_times)

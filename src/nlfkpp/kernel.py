@@ -142,7 +142,6 @@ def _bessel_miller_scaled(order: int, mu: float) -> float:
             target *= 1e-250
             norm *= 1e-250
     norm += p_curr  # k = 0 term enters once
-    # note: loop above double-counted nothing; p_curr now holds I_0 proxy
     return target / norm
 
 

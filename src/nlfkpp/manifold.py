@@ -4,9 +4,9 @@ its density rho(t,s):
     drho/dt = rho(s) [ a(X(s),t) - kappa int_G b(X(s),X(s')) rho(s') ds' ],
     dX/dt   = V_x(X(s),t) + kappa int_G W_x(X(s),X(s'),t) rho(s') ds'.
 
-The parameter domain G is a closed interval, sampled uniformly; the circle
-case identifies the endpoints.  Integrals use the rectangle rule on the
-periodic grid and the trapezoid rule otherwise.
+The parameter domain G is a closed curve, sampled uniformly, and the
+integrals over it use the rectangle rule.  Each model function is called
+once per right-hand side, broadcast over all nodes (see ConvectionSpec).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class ManifoldState:
     X: np.ndarray       # shape (n_samples, n_dim)
     rho: np.ndarray     # shape (n_samples,)
     t: float = 0.0
-    periodic: bool = True
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -40,9 +39,8 @@ class ManifoldState:
             raise ValueError(f"rho must have {n} samples, got {self.rho.shape}")
         if stepping.hard_negative(self.rho):
             raise ValueError(f"density is negative: min rho = {np.min(self.rho)}")
-        gaps = np.linalg.norm(np.diff(self.X, axis=0), axis=1)
-        if self.periodic:
-            gaps = np.append(gaps, np.linalg.norm(self.X[0] - self.X[-1]))
+        # the closing gap X[-1] -> X[0] included
+        gaps = np.linalg.norm(self.X - np.roll(self.X, 1, axis=0), axis=1)
         med = float(np.median(gaps))
         if med > 0 and float(np.max(gaps)) > 4.0 * med:
             raise ValueError(
@@ -50,27 +48,25 @@ class ManifoldState:
                 f"{np.max(gaps):.3e} exceeds 4x the median spacing {med:.3e}"
             )
 
-    @property
-    def n_dim(self) -> int:
-        return self.X.shape[1]
-
     def weights(self) -> np.ndarray:
-        """Quadrature weights over G for the current sampling."""
-        ds = self.s[1] - self.s[0]
-        w = np.full(len(self.s), ds)
-        if not self.periodic:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return w
+        """Rectangle-rule quadrature weights over G."""
+        return np.full(len(self.s), self.s[1] - self.s[0])
 
 
 @dataclass(frozen=True)
 class ConvectionSpec:
     """Function-valued model data for the coupled system.
 
-    a(x, t) -> rate; b(x, y) -> influence (vectorized over rows of y);
-    V_x(x, t) -> velocity in R^n; W_x(x, y, t) -> nonlocal velocity
-    contribution, summed against rho(y).  W_x defaults to zero.
+    Each function is called once per right-hand side on all N nodes X, an
+    (N, n) array; a result of another shape raises ValueError:
+
+    a(X, t) -> growth rate, a scalar or shape (N,);
+    b(X[:, None], X[None, :]) -> influence b(X_k, X_l), shape (N, N);
+    V_x(X, t) -> velocity, shape (N, n);
+    W_x(X[:, None], X[None, :], t) -> nonlocal velocity W_x(X_k, X_l, t),
+    shape (N, N, n), summed against rho(X_l).
+
+    V_x and W_x default to zero.
     """
 
     a: Callable
@@ -118,35 +114,26 @@ def circle_state(R: float, N: int, rho_phi, t0: float = 0.0) -> ManifoldState:
     """Circle of radius R sampled at s_k = -pi + 2 pi k / N."""
     s = grid_nodes(N)
     X = np.column_stack([R * np.cos(s), R * np.sin(s)])
-    return ManifoldState(s, X, np.asarray(rho_phi(s), dtype=float), t0, True)
+    return ManifoldState(s, X, np.asarray(rho_phi(s), dtype=float), t0)
+
+
+def _evaluate(name: str, shapes, f: Callable, *args) -> np.ndarray:
+    """f(*args) as a float array whose shape must be one of shapes."""
+    out = np.asarray(f(*args), dtype=float)
+    if out.shape not in shapes:
+        raise ValueError(f"model function {name} returned shape {out.shape}, "
+                         f"expected {' or '.join(map(str, shapes))}")
+    return out
 
 
 def _influence_matrix(spec: ConvectionSpec, X: np.ndarray) -> np.ndarray:
-    """B[k, l] = b(X_k, X_l); broadcast when b supports it, loop otherwise."""
-    try:
-        B = np.asarray(spec.b(X[:, None, :], X[None, :, :]), dtype=float)
-        if B.shape == (len(X), len(X)):
-            return B
-    except Exception:
-        pass
-    return np.array([spec.b(x, X) for x in X], dtype=float)
-
-
-def _rates_vector(spec: ConvectionSpec, X: np.ndarray, t: float) -> np.ndarray:
-    """a(X_k, t) for all samples; broadcast when a supports it."""
-    try:
-        r = np.asarray(spec.a(X, t), dtype=float)
-        if r.ndim == 0:
-            return np.full(len(X), float(r))
-        if r.shape == (len(X),):
-            return r
-    except Exception:
-        pass
-    return np.array([spec.a(x, t) for x in X], dtype=float)
+    """B[k, l] = b(X_k, X_l)."""
+    return _evaluate("b", [(len(X), len(X))], spec.b, X[:, None, :],
+                     X[None, :, :])
 
 
 def ee_rhs(state: ManifoldState, spec: ConvectionSpec):
-    """Returns (drho/dt, dX/dt) by rectangle/trapezoid quadrature over G."""
+    """Returns (drho/dt, dX/dt) by the rectangle rule over G."""
     return _rhs(spec, state.weights(), state.X, state.rho, state.t,
                 _influence_matrix(spec, state.X))
 
@@ -155,22 +142,17 @@ def _rhs(spec: ConvectionSpec, w: np.ndarray, X: np.ndarray, rho: np.ndarray,
          t: float, B: np.ndarray):
     """ee_rhs on arrays: quadrature weights w, positions X, density rho and
     the influence matrix B = b(X_k, X_l) of X."""
-    competition = B @ (w * rho)
-    rates = _rates_vector(spec, X, t)
-    rho_dot = rho * (rates - spec.kappa * competition)
+    n = len(X)
+    mass = w * rho
+    rates = _evaluate("a", [(), (n,)], spec.a, X, t)
+    rho_dot = rho * (rates - spec.kappa * (B @ mass))
     X_dot = np.zeros_like(X)
     if spec.V_x is not None:
-        try:
-            vel = np.asarray(spec.V_x(X, t), dtype=float)
-            if vel.shape != X.shape:
-                raise ValueError
-        except Exception:
-            vel = np.array([spec.V_x(x, t) for x in X], dtype=float)
-        X_dot += vel
+        X_dot += _evaluate("V_x", [X.shape], spec.V_x, X, t)
     if spec.W_x is not None:
-        for k in range(len(X)):
-            contrib = np.asarray(spec.W_x(X[k], X, t), dtype=float)
-            X_dot[k] += spec.kappa * (w * rho) @ contrib
+        W = _evaluate("W_x", [(n,) + X.shape], spec.W_x, X[:, None, :],
+                      X[None, :, :], t)
+        X_dot += spec.kappa * np.einsum("l,kld->kd", mass, W)
     if not (np.all(np.isfinite(rho_dot)) and np.all(np.isfinite(X_dot))):
         raise RuntimeError("model functions returned non-finite values")
     return rho_dot, X_dot
@@ -185,8 +167,6 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
     Returns (times, rho history, X history) with shapes (n_stored,),
     (n_stored, N) and (n_stored, N, n_dim).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     n, shape = len(state0.s), state0.X.shape
     w = state0.weights()  # the parameter sampling is fixed for the run
     # B depends on the positions alone: rebuild it only when they move
@@ -202,8 +182,7 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
         return np.concatenate([rho_dot, X_dot.ravel()])
 
     rec = stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
-                         float(state0.t), dt,
-                         int(round((t_end - state0.t) / dt)), rhs, "rk4",
+                         float(state0.t), t_end, dt, rhs, "rk4",
                          density=lambda y: y[:n], store_every=store_every)
     frames = np.array(rec.frames)
     return (np.array(rec.times), frames[:, :n],

@@ -118,8 +118,7 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
             out = out + field.D * _laplacian_reflect(u, field.dx)
         return out
 
-    rec = stepping.march(field.u, field.t, dt,
-                         int(round((t_end - field.t) / dt)), rhs, "euler",
+    rec = stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
                          limit=limit, density=lambda u: u)
     return Field2D(field.L, field.n, rec.y, rec.t, field.D)
 

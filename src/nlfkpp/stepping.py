@@ -2,10 +2,11 @@
 
 A solver holds its state in one array and hands ``march`` the right-hand
 side ``rhs(y, t)`` of its per-run operator.  The driver owns what all the
-solvers do alike: the stage arithmetic of the euler, rk4 and imex schemes,
-the time t0 + k dt (never an accumulated sum), the stability check, the
-blow-up guard, the round-off clamp of the density with its count, and the
-storage of frames and snapshots.
+solvers do alike: the run length (a whole number of steps from t0 to
+t_end, or ConfigError), the stage arithmetic of the euler, rk4 and imex
+schemes, the time t0 + k dt (never an accumulated sum), the stability
+check, the blow-up guard, the round-off clamp of the density with its
+count, and the storage of frames and snapshots.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMES, ConfigError
+from .config import SCHEMES, ConfigError, whole_steps
 
 BLOWUP_LIMIT = 1e12
 NEGATIVE_TOL = 1e-10
@@ -54,9 +55,12 @@ def _clamp(d, t) -> int:
     return int(np.count_nonzero(band))
 
 
-def march(y, t0, dt, n_steps, rhs, scheme, *, solve=None, limit=None,
+def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
           density=None, project=None, store_every=0, at=()) -> Record:
-    """Advance y by n_steps steps of dt from time t0.
+    """Advance y by steps of dt from time t0 to t_end.
+
+    dt <= 0, t_end < t0 and a span t_end - t0 that is not a whole number of
+    steps raise ConfigError.
 
     euler is y + dt rhs(y, t); rk4 the classical four stages at t, t + dt/2,
     t + dt/2 and t + dt; imex is solve(y + dt rhs(y, t)), where rhs is the
@@ -72,6 +76,7 @@ def march(y, t0, dt, n_steps, rhs, scheme, *, solve=None, limit=None,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    n_steps = whole_steps(t_end, dt, "t_end - t0", t0)
     times, frames = ([t0], [y]) if store_every else ([], [])
     remaining = sorted(float(ts) for ts in at)
     snapshots = {}

@@ -140,6 +140,19 @@ class TestHomogeneity:
             assert h == pytest.approx(2.0 * eps, abs=1e-12)
 
 
+class TestRelative:
+    def test_ratio(self):
+        assert analysis.relative(1.0, 4.0) == 0.25
+        assert analysis.relative_linf([1.0, -3.0], [2.0, -4.0]) == 0.25
+
+    def test_zero_reference(self):
+        # equal to a zero reference is no error; any departure is infinite
+        assert analysis.relative(0.0, 0.0) == 0.0
+        assert analysis.relative(1e-300, 0.0) == math.inf
+        assert analysis.relative_linf(np.zeros(8), np.zeros(8)) == 0.0
+        assert analysis.relative_linf(np.full(8, 1e-3), np.zeros(8)) == math.inf
+
+
 class TestSteadyStateTime:
     def test_exact_homogeneous_detection(self):
         m = exact.HomogeneousModel(1.0, 0.2, 2.926453923110091, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,10 @@ from conftest import circulant_term
 
 def bump(s):
     return 1.0 / SQRT_TWO_PI + 0.1 * np.exp(-np.asarray(s) ** 2 / 0.6)
+
+
+def zero_influence(x, y):
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])
 
 
 @pytest.fixture
@@ -41,7 +46,7 @@ class TestEeRhs:
 
     def test_linear_drag_velocity(self, circle):
         spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
-                                       b=lambda x, y: np.zeros(np.shape(y)[:-1]),
+                                       b=zero_influence,
                                        kappa=0.0,
                                        V_x=manifold.linear_drag(0.03))
         _, X_dot = manifold.ee_rhs(circle, spec)
@@ -65,6 +70,48 @@ class TestEeRhs:
                                        b=manifold.gaussian_influence(1.0, 1.0),
                                        kappa=0.2)
         with pytest.raises(RuntimeError):
+            manifold.ee_rhs(circle, spec)
+
+
+def nonlocal_velocity_by_node(spec, state):
+    """Oracle for the W_x term of ee_rhs: kappa sum_l w_l rho_l
+    W_x(X_k, X_l, t), one node k at a time."""
+    mass = state.weights() * state.rho
+    return np.array([spec.kappa * mass @ spec.W_x(x, state.X, state.t)
+                     for x in state.X])
+
+
+class TestModelFunctionContract:
+    def test_nonlocal_velocity_equals_per_node_sum(self):
+        rng = np.random.default_rng(7)
+        s = manifold.grid_nodes(48)
+        X = np.column_stack([np.cos(s), np.sin(s), np.zeros(48)])
+        X += 0.02 * rng.standard_normal(X.shape)
+        state = manifold.ManifoldState(s, X, rng.random(48), 0.3)
+
+        def W_x(x, y, t):
+            d = y - x
+            return (1.0 + t) * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
+
+        spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
+                                       b=zero_influence, kappa=0.2, W_x=W_x)
+        _, X_dot = manifold.ee_rhs(state, spec)
+        expected = nonlocal_velocity_by_node(spec, state)
+        assert np.max(np.abs(X_dot - expected)) <= \
+            1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name, model", [
+        ("a", dict(a=lambda x, t: np.ones((len(x), 1)))),
+        # b written for one node against all: a row, not the (N, N) matrix
+        ("b", dict(b=lambda x, y: np.exp(-np.sum((y - x) ** 2, axis=1)))),
+        ("V_x", dict(V_x=lambda x, t: -x[:, :1])),
+        # W_x summed over the source nodes already
+        ("W_x", dict(W_x=lambda x, y, t: np.sum(y - x, axis=1))),
+    ])
+    def test_wrong_shape_rejected(self, circle, static_spec, name, model):
+        spec = dataclasses.replace(static_spec, **model)
+        with pytest.raises(ValueError,
+                           match=rf"model function {name} returned shape"):
             manifold.ee_rhs(circle, spec)
 
 
@@ -103,7 +150,7 @@ class TestIntegrate:
     def test_pure_growth_with_zero_influence(self, circle):
         spec = manifold.ConvectionSpec(
             a=manifold.constant_rate(0.7),
-            b=lambda x, y: np.zeros(np.shape(y)[:-1]), kappa=0.2)
+            b=zero_influence, kappa=0.2)
         _, rho_hist, X_hist = manifold.integrate(circle, spec, 3.0, 0.01)
         np.testing.assert_allclose(rho_hist[-1],
                                    circle.rho * math.exp(0.7 * 3.0), rtol=1e-9)

@@ -95,6 +95,17 @@ class TestIntegrate:
             expected = state0.mode(j) * np.exp(rates.rate(j) * 2.0)
             assert abs(final.mode(j) - expected) < 1e-9
 
+    def test_t_end_is_absolute(self, unit_kernel):
+        # the mode system is autonomous: a run from t = 5 to t_end = 6 takes
+        # the same 100 steps as one from 0 to 1
+        rates = spectral.DiffusiveRates(1.0)
+        state0 = spectral.project_initial(bump, 3)
+        late = spectral.SpectralState(3, state0.beta, 5.0)
+        traj = spectral.integrate(late, rates, unit_kernel, 0.2, 6.0, 0.01)
+        ref = spectral.integrate(state0, rates, unit_kernel, 0.2, 1.0, 0.01)
+        assert len(traj.t) == 101 and traj.t[0] == 5.0 and traj.t[-1] == 6.0
+        assert np.array_equal(traj.beta, ref.beta)
+
     def test_reality_preserved(self, unit_kernel):
         state0 = spectral.project_initial(bump, 6)
         traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1),
