@@ -84,11 +84,11 @@ def _write_manifest(path, cfg, wall, extra=None):
         fh.write("\n")
 
 
-def _snapshot_times(cfg: ScenarioConfig) -> list:
+def _snapshot_times(cfg: ScenarioConfig, note: bool = True) -> list:
     """The requested snapshot times up to t_end, plus t_end, in order; the
-    times past t_end are named on stderr and dropped."""
+    times past t_end are dropped, and named on stderr when note is set."""
     late = [t for t in cfg.snapshot_times if t > cfg.t_end]
-    if late:
+    if late and note:
         print(f"note: numerics.snapshot_times {late} lie past numerics.t_end = "
               f"{cfg.t_end:g}; no snapshot is written for them", file=sys.stderr)
     return sorted({t for t in cfg.snapshot_times if t <= cfg.t_end} | {cfg.t_end})
@@ -154,15 +154,30 @@ def run_spectral(cfg: ScenarioConfig, path) -> dict:
             "diagnostics": {"reality_drift": traj.reality_drift}}
 
 
-def run_grid(cfg: ScenarioConfig, path) -> dict:
+def _step_grid(cfgs, snapshot_times) -> list:
+    """Step grid scenarios that share N, dt, t_end, scheme and whether D > 0
+    as one batch; returns one record per scenario, whose frames are the
+    diagnostics of the stored states (the last one of the final state)."""
+    cfg = cfgs[0]
     s = grid_nodes(cfg.N)
-    state0 = gridsim.GridState(cfg.N, scenario_initial(cfg)(s))
-    rec = gridsim.integrate(state0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
-                            cfg.dt, cfg.t_end, cfg.scheme, _snapshot_times(cfg),
-                            _series_stride(cfg))
+    ds = TWO_PI / cfg.N
+    rec = gridsim.integrate_batch(
+        [scenario_initial(c)(s) for c in cfgs], [_kernel(c) for c in cfgs],
+        [c.a for c in cfgs], [c.kappa for c in cfgs], [c.D for c in cfgs],
+        cfg.dt, cfg.t_end, cfg.scheme, snapshot_times, _series_stride(cfg),
+        reduce=lambda y: [analysis.diagnose(row, ds) for row in y])
+    return [rec.row(i) for i in range(len(cfgs))]
+
+
+def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
+    """rec: this scenario's record from a sweep batch (see run_sweep); None
+    steps it as a batch of one."""
+    times = _snapshot_times(cfg)  # names the dropped times on stderr
+    if rec is None:
+        rec = _step_grid([cfg], times)[0]
+    s = grid_nodes(cfg.N)
     names = _write_snapshots(path, s, rec.snapshots)
-    # the last stored frame is the final state
-    series = [analysis.diagnose(f, TWO_PI / cfg.N) for f in rec.frames]
+    series = rec.frames
     write_csv(path("series.csv"), ["t", "mass", "homogeneity", "n_peaks"],
               [rec.times, [d.mass for d in series],
                [d.homogeneity for d in series], [d.n_peaks for d in series]])
@@ -236,16 +251,23 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
-                 plot_script: bool = False, extra: str = None) -> dict:
+                 plot_script: bool = False, extra: str = None,
+                 stepped=None) -> dict:
+    """Run cfg and write its bundle.  stepped: (record, seconds) of a grid
+    scenario already stepped in a sweep batch, the seconds being its share
+    of the batch's wall time, which wall_time_s includes."""
     cfg.validate()
     path = _artifact_path(outdir or cfg.outdir)
     start = time.perf_counter()
-    result = RUNNERS[cfg.solver](cfg, path)
+    if stepped is None:
+        result, wall = RUNNERS[cfg.solver](cfg, path), 0.0
+    else:
+        result, wall = run_grid(cfg, path, stepped[0]), stepped[1]
     if extra == "compare_asymptotic" and cfg.solver == "grid":
         _compare_with_asymptotic(cfg, path, result)
     if extra == "ring_csv" and cfg.solver == "grid":
         _emit_ring_csv(cfg, path, result)
-    wall = time.perf_counter() - start
+    wall += time.perf_counter() - start
     _write_manifest(path, cfg, wall, {"diagnostics": result["diagnostics"],
                                       "artifacts": result["csv"]})
     if plot_script:
@@ -299,6 +321,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
         workers = max(1, min(len(jobs), os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, jobs))
+    elif cfg.solver == "grid":
+        results = _run_grid_batches(jobs)
     else:
         results = [_sweep_entry(job) for job in jobs]
     rows = list(zip(*[(v, d["n_peaks_final"], d["homogeneity_final"],
@@ -311,9 +335,43 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
     return results
 
 
-def _sweep_entry(job):
+def _sweep_entry(job, stepped=None):
     value, sub, subdir = job
-    return value, run_scenario(sub, subdir)["diagnostics"]
+    return value, run_scenario(sub, subdir, stepped=stepped)["diagnostics"]
+
+
+def _run_grid_batches(jobs) -> list:
+    """_sweep_entry of each grid job, in order.  Jobs that share N, dt,
+    t_end, scheme, snapshot times and whether D > 0 step as one batch when
+    the first of them comes up; their series stride follows from t_end and
+    dt."""
+    groups = {}
+    for i, (_, sub, _) in enumerate(jobs):
+        key = (sub.N, sub.dt, sub.t_end, sub.scheme, sub.snapshot_times,
+               sub.D > 0)
+        groups.setdefault(key, []).append(i)
+    firsts = {group[0]: group for group in groups.values() if len(group) > 1}
+    results, stepped = [], {}
+    for i, job in enumerate(jobs):
+        if i in firsts:
+            stepped.update(_step_batch(jobs, firsts[i]))
+        results.append(_sweep_entry(job, stepped.pop(i, None)))
+    return results
+
+
+def _step_batch(jobs, group) -> dict:
+    """{index: (record, share of the batch's wall time)} for the grid jobs
+    of the group, stepped as one batch.  If the batch raises, {}: each job
+    then runs alone, and writes, fails and exits as it does without it."""
+    cfgs = [jobs[i][1] for i in group]
+    start = time.perf_counter()
+    try:
+        recs = _step_grid(cfgs, _snapshot_times(cfgs[0], note=False))
+    except Exception:
+        # whatever a job raises, it raises again when it runs alone
+        return {}
+    share = (time.perf_counter() - start) / len(group)
+    return {i: (rec, share) for i, rec in zip(group, recs)}
 
 
 def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,

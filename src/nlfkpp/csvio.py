@@ -12,8 +12,12 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _column_text(col: np.ndarray) -> list:
-    """fmt applied to every cell of a column, one pass per column."""
+def column_text(col) -> list:
+    """fmt applied to every cell of a column, one pass per column; a text
+    column, a list of str, is kept as it is."""
+    if isinstance(col, list) and all(isinstance(v, str) for v in col):
+        return col
+    col = np.asarray(col)
     if col.dtype.kind in "iu":
         return [str(v) for v in col.tolist()]
     if col.dtype.kind in "fb":
@@ -22,11 +26,12 @@ def _column_text(col: np.ndarray) -> list:
 
 
 def write_csv(path, header, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
+    """Columns of numbers, written by fmt, or of text (lists of str),
+    written as given."""
+    texts = [column_text(c) for c in columns]
+    n = len(texts[0])
+    if any(len(c) != n for c in texts):
         raise ValueError("all columns must have equal length")
-    texts = [_column_text(c) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*texts))

@@ -63,18 +63,21 @@ def nonlocal_term(state: GridState, kern: CircleKernelParams) -> np.ndarray:
 
 
 def _interaction(rho, spectrum, ds):
-    """The circular convolution ds * (kernel row * rho) through the FFT."""
-    return ds * np.fft.irfft(spectrum * np.fft.rfft(rho), n=len(rho))
+    """The circular convolution ds * (kernel row * rho) through the FFT,
+    along the last axis (one kernel spectrum per row of a batch)."""
+    return ds * np.fft.irfft(spectrum * np.fft.rfft(rho), n=rho.shape[-1])
 
 
 def _laplacian(rho: np.ndarray, ds: float) -> np.ndarray:
-    return (np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)) / ds**2
+    return (np.roll(rho, -1, axis=-1) - 2.0 * rho
+            + np.roll(rho, 1, axis=-1)) / ds**2
 
 
 def _rhs(rho, spectrum, a, kappa, D, ds):
-    """a rho - kappa rho I + D rho_ss for the kernel spectrum of the run."""
+    """a rho - kappa rho I + D rho_ss for the kernel spectrum of the run;
+    D None drops the diffusion term."""
     out = a * rho - kappa * rho * _interaction(rho, spectrum, ds)
-    if D > 0:
+    if D is not None:
         out += D * _laplacian(rho, ds)
     return out
 
@@ -88,12 +91,11 @@ def _circulant_symbol(diag: float, off: float, n: int) -> np.ndarray:
     return eig
 
 
-def _cyclic_tridiag_solve(diag: float, off: float, rhs_vec: np.ndarray) -> np.ndarray:
-    """Solve the circulant system (diag on the diagonal, off on the two
-    wrap-around off-diagonals).  Being circulant, the FFT diagonalizes it
-    exactly, which is both O(N log N) and deterministic."""
-    n = len(rhs_vec)
-    return np.fft.irfft(np.fft.rfft(rhs_vec) / _circulant_symbol(diag, off, n), n=n)
+def _cyclic_tridiag_solve(symbol: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
+    """Solve the circulant tridiagonal system of the given symbol (see
+    _circulant_symbol) along the last axis.  Being circulant, the FFT
+    diagonalizes it exactly, which is both O(N log N) and deterministic."""
+    return np.fft.irfft(np.fft.rfft(rhs_vec) / symbol, n=rhs_vec.shape[-1])
 
 
 def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
@@ -106,34 +108,83 @@ def integrate(state: GridState, kern: CircleKernelParams, a: float,
               kappa: float, D: float, dt: float, t_end: float,
               scheme: str = "rk4", snapshot_times=(),
               store_every: int = 0) -> stepping.Record:
-    """Step from state.t to t_end with the shared driver.
+    """Step from state.t to t_end with the shared driver: a batch of one
+    (see integrate_batch)."""
+    return integrate_batch(state.rho[None], [kern], [a], [kappa], [D], dt,
+                           t_end, scheme, snapshot_times, store_every,
+                           t0=state.t).row(0)
 
-    The stability bound is 0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho));
-    imex, explicit reaction and implicit (backward Euler) diffusion, drops
-    the ds^2 restriction.
+
+def _per_run(c: np.ndarray):
+    """A coefficient with one value per run, as a column for a (runs, N)
+    batch, or as one float when all runs share its bits (the same
+    products)."""
+    return c[0].item() if c.tobytes() == c[:1].tobytes() * len(c) \
+        else c[:, None]
+
+
+def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
+                    scheme: str = "rk4", snapshot_times=(),
+                    store_every: int = 0, t0: float = 0.0,
+                    reduce=None) -> stepping.Record:
+    """Step independent runs together from t0 to t_end with the shared
+    driver, one run per row of rho0 (runs, N).
+
+    Run i has the kernel kerns[i] and the coefficients a[i], kappa[i] and
+    D[i]; the runs must agree on whether D > 0.  Every row gets the bytes
+    that stepping it alone gives.  Its stability bound is
+    0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex, explicit
+    reaction and implicit (backward Euler) diffusion, drops the ds^2
+    restriction.  A step whose dt exceeds any run's bound raises
+    ConfigError.  reduce(y) is what each stored frame keeps (see
+    stepping.march); Record.row(i) is the record of run i.
     """
-    ds = TWO_PI / state.N
-    spectrum = _kernel_spectrum(kern, state.N)
-    lam0 = eigenvalue(0, kern)
-    implicit = scheme == "imex" and D > 0
-    diffusive = math.inf if scheme == "imex" or D == 0.0 else ds**2 / (2.0 * D)
-    D_explicit = 0.0 if scheme == "imex" else D
-    r = dt * D / ds**2
+    rho0 = np.asarray(rho0, dtype=float)
+    if rho0.ndim != 2:
+        raise ValueError(f"expected a (runs, N) batch, got {rho0.shape}")
+    if stepping.hard_negative(rho0, batched=True):
+        raise ValueError(f"density has a hard negative value {np.min(rho0)}; "
+                         "the scheme is unstable")
+    runs, n = rho0.shape
+    a, kappa, D = (np.asarray(c, dtype=float) for c in (a, kappa, D))
+    if not len(kerns) == len(a) == len(kappa) == len(D) == runs:
+        raise ValueError(f"expected one kernel, a, kappa and D per run ({runs})")
+    diffuses = D > 0
+    if np.any(diffuses) and not np.all(diffuses):
+        raise ValueError("the runs of a batch must agree on whether D > 0, "
+                         f"got D = {D.tolist()}")
+    ds = TWO_PI / n
+    spectrum = np.stack([_kernel_spectrum(k, n) for k in kerns])
+    implicit = scheme == "imex" and diffuses[0]
+    explicit = scheme != "imex" and diffuses[0]
+    # per run: a, kappa lam0 and the diffusive bound, as Python floats
+    bounds = [(a_i, kappa_i * eigenvalue(0, k),
+               ds**2 / (2.0 * D_i) if explicit else math.inf)
+              for a_i, kappa_i, D_i, k in zip(a.tolist(), kappa.tolist(),
+                                              D.tolist(), kerns)]
+    a_run, kappa_run = _per_run(a), _per_run(kappa)
+    D_explicit = _per_run(D) if explicit else None
 
     def rhs(rho, t):
-        return _rhs(rho, spectrum, a, kappa, D_explicit, ds)
+        return _rhs(rho, spectrum, a_run, kappa_run, D_explicit, ds)
 
     def limit(rho):
-        reaction = 1.0 / (a + kappa * lam0 * max(float(np.max(rho)), 0.0))
-        return 0.8 * min(diffusive, reaction)
+        return min([0.8 * min(diffusive, 1.0 / (a_i + c_i * max(top, 0.0)))
+                    for (a_i, c_i, diffusive), top
+                    in zip(bounds, rho.max(axis=1).tolist())])
 
-    def solve(rho):
-        return _cyclic_tridiag_solve(1.0 + 2.0 * r, -r, rho)
+    solve = None
+    if implicit:
+        symbol = np.stack([_circulant_symbol(1.0 + 2.0 * r, -r, n)
+                           for r in (dt * D / ds**2).tolist()])
 
-    return stepping.march(state.rho, state.t, t_end, dt, rhs, scheme,
-                          solve=solve if implicit else None, limit=limit,
-                          density=lambda rho: rho, store_every=store_every,
-                          at=snapshot_times)
+        def solve(rho):
+            return _cyclic_tridiag_solve(symbol, rho)
+
+    return stepping.march(rho0, t0, t_end, dt, rhs, scheme, solve=solve,
+                          limit=limit, density=lambda rho: rho,
+                          store_every=store_every, at=snapshot_times,
+                          reduce=reduce, batched=True)
 
 
 def run(state: GridState, kern: CircleKernelParams, a: float, kappa: float,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stepping
-from .csvio import write_csv
+from .csvio import column_text, write_csv
 from .kernel import grid_nodes
 
 
@@ -39,6 +39,13 @@ class ManifoldState:
             raise ValueError(f"rho must have {n} samples, got {self.rho.shape}")
         if stepping.hard_negative(self.rho):
             raise ValueError(f"density is negative: min rho = {np.min(self.rho)}")
+        # weights() gives every node the first spacing
+        steps = np.diff(self.s)
+        if not (n >= 2 and steps[0] > 0
+                and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
+            raise ValueError("parameter sampling s must be increasing and "
+                             "uniform: the rectangle rule gives every node "
+                             "the first spacing")
         # the closing gap X[-1] -> X[0] included
         gaps = np.linalg.norm(self.X - np.roll(self.X, 1, axis=0), axis=1)
         med = float(np.median(gaps))
@@ -200,14 +207,21 @@ def initial_correspondence(state: ManifoldState):
 
 
 def trajectory_to_csv(path, times, s, rho_hist, X_hist) -> None:
-    """Rows (t, s, x1, ..., xn, rho) for every stored time and sample."""
+    """Rows (t, s, x1, ..., xn, rho) for every stored time and sample.
+
+    Each time and each sample is formatted once and its text repeated, and
+    so are the positions when no stored frame moved them (bit for bit).
+    """
+    X_hist = np.asarray(X_hist, dtype=float)
     n_t, n_s = rho_hist.shape
     n_dim = X_hist.shape[2]
-    t_col = np.repeat(times, n_s)
-    s_col = np.tile(s, n_t)
-    cols = [t_col, s_col]
+    cols = [[t for t in column_text(times) for _ in range(n_s)],
+            column_text(s) * n_t]
     header = ["t", "s"] + [f"x{d + 1}" for d in range(n_dim)] + ["rho"]
-    for d in range(n_dim):
-        cols.append(X_hist[:, :, d].reshape(-1))
+    bits = X_hist.view(np.uint64)
+    if np.array_equal(bits, np.broadcast_to(bits[:1], bits.shape)):
+        cols += [column_text(X_hist[0, :, d]) * n_t for d in range(n_dim)]
+    else:
+        cols += [X_hist[:, :, d].reshape(-1) for d in range(n_dim)]
     cols.append(rho_hist.reshape(-1))
     write_csv(path, header, cols)

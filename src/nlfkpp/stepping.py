@@ -7,6 +7,10 @@ t_end, or ConfigError), the stage arithmetic of the euler, rk4 and imex
 schemes, the time t0 + k dt (never an accumulated sum), the stability
 check, the blow-up guard, the round-off clamp of the density with its
 count, and the storage of frames and snapshots.
+
+A batched march steps independent runs together, one per row of a
+(runs, N) state: the clamp judges each run against its own max and counts
+its clamps per run.
 """
 
 from __future__ import annotations
@@ -21,18 +25,26 @@ BLOWUP_LIMIT = 1e12
 NEGATIVE_TOL = 1e-10
 
 
-def hard_negative(y) -> bool:
-    """True when y holds a value below -NEGATIVE_TOL * max(y), a negative
-    that round-off cannot explain."""
-    lowest = np.min(y)
-    return bool(lowest < 0
-                and lowest < -NEGATIVE_TOL * max(float(np.max(y)), 1e-300))
+def _floor(y, batched):
+    """-NEGATIVE_TOL * max(y), or per run (a column) when batched: a value
+    below it is a negative that round-off cannot explain."""
+    if batched:
+        return -NEGATIVE_TOL * np.maximum(np.max(y, axis=1, keepdims=True),
+                                          1e-300)
+    return -NEGATIVE_TOL * max(float(np.max(y)), 1e-300)
+
+
+def hard_negative(y, batched: bool = False) -> bool:
+    """True when y holds a value below -NEGATIVE_TOL * max(y); batched, when
+    a row y[i] holds one below -NEGATIVE_TOL * max(y[i])."""
+    return bool(np.min(y) < 0 and np.any(y < _floor(y, batched)))
 
 
 @dataclass
 class Record:
     """The final state y at time t, the number of density values clamped to
-    zero, the stored times and frames, and {requested time: state}."""
+    zero (an array of one count per run, when batched), the stored times and
+    frames, and {requested time: state}."""
 
     y: np.ndarray
     t: float
@@ -41,22 +53,31 @@ class Record:
     frames: list
     snapshots: dict
 
+    def row(self, i: int) -> Record:
+        """Run i of a batched record, as the record of that run alone."""
+        return Record(self.y[i], self.t, int(self.clamped[i]), self.times,
+                      [frame[i] for frame in self.frames],
+                      {t: y[i] for t, y in self.snapshots.items()})
 
-def _clamp(d, t) -> int:
+
+def _clamp(d, t, batched):
     """Zero the round-off negatives of the density view d in place; returns
-    how many there were."""
+    how many there were (per run, when batched)."""
     if not d.min() < 0:
         return 0
-    if hard_negative(d):
+    floor = _floor(d, batched)
+    if np.any(d < floor):
         raise RuntimeError(f"density has a hard negative value {d.min()} at "
                            f"t={t}; the scheme is unstable")
-    band = (d < 0) & (d >= -NEGATIVE_TOL * max(float(np.max(d)), 1e-300))
+    band = (d < 0) & (d >= floor)
     d[band] = 0.0
-    return int(np.count_nonzero(band))
+    return np.count_nonzero(band, axis=1) if batched else \
+        int(np.count_nonzero(band))
 
 
 def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
-          density=None, project=None, store_every=0, at=()) -> Record:
+          density=None, project=None, store_every=0, at=(), reduce=None,
+          batched=False) -> Record:
     """Advance y by steps of dt from time t0 to t_end.
 
     dt <= 0, t_end < t0 and a span t_end - t0 that is not a whole number of
@@ -70,14 +91,20 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
     project(y); max|y| must stay within BLOWUP_LIMIT (a NaN fails too); and
     values of the view density(y) in [-NEGATIVE_TOL max, 0) are set to zero
     and counted, while a lower one raises RuntimeError.  The initial y, every
-    store_every-th step and the last one are stored (store_every = 0 stores
-    none), and so is the first state, the initial one included, with
-    t >= ts - dt/2 for each ts in at.
+    store_every-th step and the last one are stored as frames, reduced to
+    reduce(y) when reduce is given (store_every = 0 stores none), and the
+    first state, the initial one included, with t >= ts - dt/2 for each ts
+    in at is stored as its snapshot.
+
+    batched: y is (runs, N), one independent run per row.  limit(y) then
+    returns the least of the runs' bounds, and the clamp takes each run's
+    own max and counts per run.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     n_steps = whole_steps(t_end, dt, "t_end - t0", t0)
-    times, frames = ([t0], [y]) if store_every else ([], [])
+    keep = (lambda y: y) if reduce is None else reduce
+    times, frames = ([t0], [keep(y)]) if store_every else ([], [])
     remaining = sorted(float(ts) for ts in at)
     snapshots = {}
 
@@ -86,7 +113,7 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
             snapshots[remaining.pop(0)] = y
 
     snap(t0, y)
-    clamped = 0
+    clamped = np.zeros(len(y), dtype=int) if batched else 0
     t = t0
     for k in range(n_steps):
         if limit is not None:
@@ -112,9 +139,9 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
         if not peak <= BLOWUP_LIMIT:
             raise RuntimeError(f"solution blew up at t={t}: max|y| = {peak:.3e}")
         if density is not None:
-            clamped += _clamp(density(y), t)
+            clamped += _clamp(density(y), t, batched)
         if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
             times.append(t)
-            frames.append(y)
+            frames.append(keep(y))
         snap(t, y)
     return Record(y, t, clamped, times, frames, snapshots)

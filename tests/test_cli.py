@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from nlfkpp import cli, csvio, spectral
+from nlfkpp import cli, csvio, gridsim, manifold, spectral
 from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
+from nlfkpp.kernel import CircleKernelParams
 
 
 class TestConfig:
@@ -300,36 +301,61 @@ class TestCliEntry:
         assert text.startswith("set datafile separator")
 
 
+def bundle_files(out) -> dict:
+    """{path relative to out: absolute path} of every file under out."""
+    return {os.path.relpath(os.path.join(root, name), out):
+            os.path.join(root, name)
+            for root, _, names in os.walk(out) for name in names}
+
+
+def assert_modes_agree(tmp_path, monkeypatch, argv, n_csv, n_manifests):
+    """argv run in reference and in parallel mode writes the same CSV bytes
+    and the same manifests but for mode and wall time."""
+    bundles = {}
+    for mode in ("reference", "parallel"):
+        monkeypatch.setenv("NLFKPP_MODE", mode)
+        out = tmp_path / mode
+        assert cli.main(argv + ["--outdir", str(out)]) == 0
+        bundles[mode] = bundle_files(out)
+    ref, par = bundles["reference"], bundles["parallel"]
+    assert sorted(ref) == sorted(par)
+    csvs = [name for name in ref if name.endswith(".csv")]
+    assert len(csvs) == n_csv
+    for name in csvs:
+        with open(ref[name], "rb") as a, open(par[name], "rb") as b:
+            assert a.read() == b.read(), name
+    manifests = [name for name in ref if name.endswith("manifest.json")]
+    assert len(manifests) == n_manifests
+    for name in manifests:
+        with open(ref[name]) as a, open(par[name]) as b:
+            m_ref, m_par = json.load(a), json.load(b)
+        assert (m_ref.pop("mode"), m_par.pop("mode")) == ("reference",
+                                                          "parallel")
+        m_ref.pop("wall_time_s")
+        m_par.pop("wall_time_s")
+        assert m_ref == m_par
+
+
+FIG5A = os.path.join(os.path.dirname(cli.__file__), "presets", "fig5a.cfg")
+
+
 class TestParallelMode:
     def test_parallel_sweep_byte_identical_to_reference(self, tmp_path,
                                                         monkeypatch):
-        bundles = {}
-        for mode in ("reference", "parallel"):
-            monkeypatch.setenv("NLFKPP_MODE", mode)
-            out = tmp_path / mode
-            assert cli.main(["preset", "fig8", "--set", "numerics.t_end=1",
-                             "--outdir", str(out)]) == 0
-            bundles[mode] = {
-                os.path.relpath(os.path.join(root, name), out):
-                    os.path.join(root, name)
-                for root, _, names in os.walk(out) for name in names}
-        ref, par = bundles["reference"], bundles["parallel"]
-        assert sorted(ref) == sorted(par)
-        csvs = [name for name in ref if name.endswith(".csv")]
-        assert len(csvs) == 10  # summary; series, t = 0 and t = 1 per D
-        for name in csvs:
-            with open(ref[name], "rb") as a, open(par[name], "rb") as b:
-                assert a.read() == b.read(), name
-        manifests = [name for name in ref if name.endswith("manifest.json")]
-        assert len(manifests) == 3
-        for name in manifests:
-            with open(ref[name]) as a, open(par[name]) as b:
-                m_ref, m_par = json.load(a), json.load(b)
-            assert (m_ref.pop("mode"), m_par.pop("mode")) == ("reference",
-                                                              "parallel")
-            m_ref.pop("wall_time_s")
-            m_par.pop("wall_time_s")
-            assert m_ref == m_par
+        # summary; series, t = 0 and t = 1 per D
+        assert_modes_agree(tmp_path, monkeypatch,
+                           ["preset", "fig8", "--set", "numerics.t_end=1"],
+                           n_csv=10, n_manifests=3)
+
+    def test_parallel_gamma_sweep_byte_identical_to_reference(self, tmp_path,
+                                                              monkeypatch):
+        # reference mode steps the four gammas as one batch, parallel mode
+        # each in its own process; summary; series, t = 0 and 0.5 per gamma
+        assert_modes_agree(tmp_path, monkeypatch,
+                           ["sweep", "--config", FIG5A, "--axis", "model.gamma",
+                            "--values", "0.05,1,1.5,50",
+                            "--set", "numerics.t_end=0.5"],
+                           n_csv=13, n_manifests=4)
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
     def test_pool_capped_at_entries_and_cpus(self, tmp_path, monkeypatch,
@@ -365,6 +391,105 @@ class TestParallelMode:
         assert len(read_csv(tmp_path / "summary.csv")[1][0]) == 3
 
 
+def count_batches(monkeypatch) -> list:
+    """The number of runs in each gridsim.integrate_batch call from now on."""
+    sizes = []
+    batch = gridsim.integrate_batch
+
+    def counted(rho0, *args, **kwargs):
+        sizes.append(len(rho0))
+        return batch(rho0, *args, **kwargs)
+
+    monkeypatch.setattr(gridsim, "integrate_batch", counted)
+    return sizes
+
+
+SMALL_GRID = ["--set", "numerics.N=64", "--set", "numerics.t_end=0.5"]
+
+
+class TestSweepBatches:
+    @pytest.mark.parametrize("scheme", ["euler", "rk4", "imex"])
+    @pytest.mark.parametrize("D", [(0.0, 0.0, 0.0), (0.1, 0.05, 0.1)],
+                             ids=["no_diffusion", "diffusion"])
+    def test_batch_rows_equal_runs_alone(self, scheme, D):
+        kerns = [CircleKernelParams(1.0, g, 1.0) for g in (0.3, 1.0, 5.0)]
+        a, kappa = (1.0, 2.0, 1.0), (0.2, 0.2, 0.5)
+        states = [gridsim.make_initial("gaussian_bump", 64, T=T)
+                  for T in (10.0, 4.0, 10.0)]
+        times = (0.0, 0.3, 1.0)
+        batch = gridsim.integrate_batch(
+            [st.rho for st in states], kerns, a, kappa, D, 0.01, 1.0, scheme,
+            times, store_every=7)
+        for i, state in enumerate(states):
+            alone = gridsim.integrate(state, kerns[i], a[i], kappa[i], D[i],
+                                      0.01, 1.0, scheme, times, store_every=7)
+            row = batch.row(i)
+            assert (row.t, row.clamped, row.times) == \
+                (alone.t, alone.clamped, alone.times)
+            assert np.array_equal(row.y, alone.y)
+            assert len(row.frames) == len(alone.frames) == 16
+            for got, want in zip(row.frames, alone.frames):
+                assert np.array_equal(got, want)
+            assert list(row.snapshots) == list(alone.snapshots) == list(times)
+            for t in times:
+                assert np.array_equal(row.snapshots[t], alone.snapshots[t])
+
+    @pytest.mark.parametrize("kernels, D, message", [
+        (2, (0.0, 0.1), "D > 0"),
+        (1, (0.1, 0.1), "one kernel, a, kappa and D per run"),
+    ], ids=["mixed_diffusion", "one_kernel_for_two_runs"])
+    def test_batch_inputs_checked(self, unit_kernel, kernels, D, message):
+        with pytest.raises(ValueError, match=message):
+            gridsim.integrate_batch(np.ones((2, 64)), [unit_kernel] * kernels,
+                                    (1.0, 1.0), (0.2, 0.2), D, 0.01, 0.1,
+                                    "imex")
+
+    def test_mixed_diffusion_sweep_equals_entries_run_alone(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        sizes = count_batches(monkeypatch)
+        common = SMALL_GRID + ["--set", "numerics.scheme=imex"]
+        assert cli.main(["sweep", "--axis", "model.D", "--values",
+                         "0,0.05,0.1", "--outdir", str(tmp_path / "sweep")]
+                        + common) == 0
+        # D = 0 runs alone; the two D > 0 entries step as one batch
+        assert sizes == [1, 2]
+        for value in ("0", "0.05", "0.1"):
+            alone = tmp_path / f"alone_{value}"
+            assert cli.main(["simulate", "--set", f"model.D={value}",
+                             "--outdir", str(alone)] + common) == 0
+            swept = bundle_files(tmp_path / "sweep" / f"D_{value}")
+            files = bundle_files(alone)
+            assert sorted(swept) == sorted(files)
+            for name in files:
+                if name.endswith(".csv"):
+                    with open(swept[name], "rb") as a, \
+                            open(files[name], "rb") as b:
+                        assert a.read() == b.read(), name
+
+    def test_unstable_middle_entry_fails_as_if_run_alone(
+            self, tmp_path, monkeypatch, capsys):
+        # D = 50 breaks the explicit bound ds^2 / (2 D) on the first step
+        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        common = SMALL_GRID + ["--set", "numerics.scheme=rk4"]
+        assert cli.main(["simulate", "--set", "model.D=50", "--outdir",
+                         str(tmp_path / "alone")] + common) == 2
+        alone_err = capsys.readouterr().err
+        assert alone_err.startswith(
+            "configuration error: numerics.dt: dt=0.01 violates the "
+            "stability bound")
+        sizes = count_batches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--axis", "model.D", "--values",
+                         "0.1,50,0.2", "--outdir", str(out)] + common) == 2
+        assert capsys.readouterr().err == alone_err
+        # the batch raised; the entries then ran alone, the first to the end
+        assert sizes == [3, 1, 1]
+        assert sorted(os.listdir(out)) == ["D_0.1"]
+        assert sorted(os.listdir(out / "D_0.1")) == [
+            "manifest.json", "series.csv", "snapshot_t0.5.csv"]
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy_signal(self):
         import nlfkpp
@@ -395,6 +520,33 @@ class TestCsvWriting:
         arrays = [np.asarray(c) for c in columns]
         expected = "a,b,c,d,e,f\n" + "".join(
             ",".join(csvio.fmt(c[i]) for c in arrays) + "\n" for i in range(12))
+        assert path.read_text() == expected
+
+    def test_text_columns_written_as_given(self, tmp_path):
+        numbers = np.array([0.1, -0.0, 1e-300])
+        text = csvio.column_text(numbers)
+        assert text == [csvio.fmt(v) for v in numbers]
+        path = tmp_path / "text.csv"
+        write_csv(path, ["a", "b", "c"], [text, numbers, ["x", "1e5", ""]])
+        assert path.read_text() == ("a,b,c\n"
+                                    "0.10000000000000001,0.10000000000000001,x\n"
+                                    "-0,-0,1e5\n"
+                                    "1e-300,1e-300,\n")
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    def test_trajectory_csv_matches_per_cell_fmt(self, tmp_path, moving):
+        rng = np.random.default_rng(5)
+        times, s = np.array([0.0, 0.1, 0.30000000000000004]), np.arange(4) * 0.5
+        X = np.repeat(rng.standard_normal((1, 4, 2)), 3, axis=0)
+        X[:, 0, 1] = 0.0
+        if moving:
+            X[2, 0, 1] = -0.0  # equal to 0.0, but written as -0
+        rho = rng.random((3, 4))
+        path = tmp_path / "trajectory.csv"
+        manifold.trajectory_to_csv(path, times, s, rho, X)
+        expected = "t,s,x1,x2,rho\n" + "".join(
+            ",".join(csvio.fmt(v) for v in (t, s[k], *X[i, k], rho[i, k]))
+            + "\n" for i, t in enumerate(times) for k in range(4))
         assert path.read_text() == expected
 
 

@@ -242,8 +242,9 @@ class TestClamping:
         dt = 0.01
 
         def rhs(rho, *args):
+            # rho is a (runs, N) batch
             out = np.zeros_like(rho)
-            out[3] = -0.5 / dt
+            out[..., 3] = -0.5 / dt
             return out
 
         monkeypatch.setattr(gridsim, "_rhs", rhs)

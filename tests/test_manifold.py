@@ -307,6 +307,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             manifold.ManifoldState(s, X, np.ones(64))
 
+    def test_nonuniform_sampling_rejected(self):
+        # 48 nodes on [-pi, 0) and 16 on [0, pi): the largest gap is 3x the
+        # median, so the discontinuity check passes, but rectangle weights
+        # of the first spacing would sum to 4.19, not 2 pi
+        s = np.concatenate([np.linspace(-math.pi, 0.0, 48, endpoint=False),
+                            np.linspace(0.0, math.pi, 16, endpoint=False)])
+        X = np.column_stack([np.cos(s), np.sin(s)])
+        with pytest.raises(ValueError, match="uniform"):
+            manifold.ManifoldState(s, X, np.ones(64))
+
     def test_compression_reduces_or_keeps_peaks(self):
         # k0 > 0 shrinks the circle, lowering the effective interaction
         # ratio mu; peak counts cannot increase under compression here
