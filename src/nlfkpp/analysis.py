@@ -14,61 +14,92 @@ NEVER_STEADY = -1.0
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def count_peaks(profile, prominence: float = 0.05) -> int:
-    """Strict local maxima on the periodic grid with relative prominence.
+def _rows(profile):
+    """(rows, stacked): a profile as a C-ordered (runs, N) stack, a 1-D
+    profile being a stack of one, so a row reduces as that profile alone."""
+    rho = np.ascontiguousarray(profile, dtype=float)
+    if rho.ndim not in (1, 2):
+        raise ValueError(f"expected a profile or a (runs, N) stack, got "
+                         f"shape {rho.shape}")
+    return (rho, True) if rho.ndim == 2 else (rho[None], False)
+
+
+def _peak_counts(rho, mean, prominence):
+    """count_peaks of each row of the stack rho, whose row means are mean.
+
+    The downhill walks of all candidates of all rows are searches in flat
+    indices r N + k, each wrapped within its own row r: walking left from k
+    ends at the nearest j before k (cyclically) with rho[j-1] > rho[j],
+    walking right at the nearest j after k with rho[j+1] > rho[j], and the
+    flanking minima are rho[j] at those stops.
+    """
+    runs, n = rho.shape
+    if n < 8:
+        raise ValueError(f"profile too short for peak counting: {n} < 8")
+    # each row between its own last and first value: rho[k-1] and rho[k+1]
+    # with periodic wrap
+    wrapped = np.concatenate((rho[:, -1:], rho, rho[:, :1]), axis=1)
+    left, right = wrapped[:, :-2], wrapped[:, 2:]
+    # collapse plateaus: a candidate is the left edge of a flat top; a row
+    # whose mean is not > 0 (NaN included: no prominence reaches a NaN
+    # threshold) counts nothing
+    cand = np.flatnonzero((rho > left) & (rho >= right) & (mean > 0)[:, None])
+    if cand.size == 0:
+        return np.zeros(runs, dtype=int)
+    # a row with a candidate rises somewhere, so it falls somewhere: both
+    # stop lists hold at least one index of that row
+    stop_l = np.flatnonzero(left > rho)
+    stop_r = np.flatnonzero(right > rho)
+    row = cand // n
+    edges = np.arange(runs + 1) * n
+    first_l, end_l = np.searchsorted(stop_l, edges)[[row, row + 1]]
+    first_r, end_r = np.searchsorted(stop_r, edges)[[row, row + 1]]
+    i = np.searchsorted(stop_l, cand) - 1
+    i = np.where(i < first_l, end_l - 1, i)
+    j = np.searchsorted(stop_r, cand, side="right")
+    j = np.where(j < end_r, j, first_r)
+    flat = rho.reshape(-1)
+    top = flat[cand]
+    lo_l = flat[stop_l[i]]
+    lo_r = flat[stop_r[j]]
+    # a flat top whose right walk stops at its own height ends rising: no peak
+    peak = (lo_r != top) & (top - np.maximum(lo_l, lo_r)
+                            >= (prominence * mean)[row])
+    return np.bincount(row[peak], minlength=runs)
+
+
+def count_peaks(profile, prominence: float = 0.05):
+    """Strict local maxima on the periodic grid with relative prominence:
+    an int for a profile, an int array with one count per row for a
+    (runs, N) stack.
 
     A maximum counts only if it exceeds both flanking minima (found by
     walking downhill with periodic wrap) by at least prominence * mean.
     Plateau maxima of equal neighbours are collapsed to a single peak.
-
-    The downhill walk is done for all candidates at once: walking left from
-    k ends at the nearest j before k (cyclically) with rho[j-1] > rho[j],
-    walking right at the nearest j after k with rho[j+1] > rho[j], and the
-    flanking minima are rho[j] at those stops.
     """
-    rho = np.asarray(profile, dtype=float)
-    n = len(rho)
-    if n < 8:
-        raise ValueError(f"profile too short for peak counting: {n} < 8")
-    mean = float(np.mean(rho))
-    # a NaN mean counts nothing either: no prominence reaches a NaN threshold
-    if not mean > 0:
-        return 0
-    threshold = prominence * mean
-    left = np.roll(rho, 1)
-    right = np.roll(rho, -1)
-    # collapse plateaus: a candidate is the left edge of a flat top
-    cand = np.flatnonzero((rho > left) & (rho >= right))
-    if cand.size == 0:
-        return 0
-    stop_l = np.flatnonzero(left > rho)
-    stop_r = np.flatnonzero(right > rho)
-    top = rho[cand]
-    lo_l = rho[stop_l[np.searchsorted(stop_l, cand) - 1]]
-    lo_r = rho[stop_r[np.searchsorted(stop_r, cand, side="right") % stop_r.size]]
-    # a flat top whose right walk stops at its own height ends rising: no peak
-    return int(np.count_nonzero(
-        (lo_r != top) & (top - np.maximum(lo_l, lo_r) >= threshold)))
+    rho, stacked = _rows(profile)
+    counts = _peak_counts(rho, rho.sum(axis=1) / rho.shape[1], prominence)
+    return counts if stacked else int(counts[0])
 
 
-def homogeneity(profile) -> float:
-    """(max - min) / mean; zero for a flat profile."""
-    rho = np.asarray(profile, dtype=float)
-    mean = float(np.mean(rho))
-    if mean == 0.0:
+def _spread(rho, mean):
+    """(max - min) / mean of each row of the stack rho."""
+    if np.any(mean == 0.0):
         raise ValueError("homogeneity undefined for zero-mean profile")
-    return float((np.max(rho) - np.min(rho)) / mean)
+    return (rho.max(axis=1) - rho.min(axis=1)) / mean
+
+
+def homogeneity(profile):
+    """(max - min) / mean; zero for a flat profile.  A float for a profile,
+    an array with one value per row for a (runs, N) stack."""
+    rho, stacked = _rows(profile)
+    spread = _spread(rho, rho.sum(axis=1) / rho.shape[1])
+    return spread if stacked else float(spread[0])
 
 
 def linf(a, b=None) -> float:
     a = np.asarray(a, dtype=float)
     return float(np.max(np.abs(a if b is None else a - np.asarray(b))))
-
-
-def l2(a, b=None, ds: float = 1.0) -> float:
-    a = np.asarray(a, dtype=float)
-    d = a if b is None else a - np.asarray(b)
-    return float(math.sqrt(ds * np.sum(d * d)))
 
 
 def relative(err, scale) -> float:
@@ -125,12 +156,17 @@ class ProfileDiagnostics:
     l2: float
 
 
-def diagnose(profile, ds: float, prominence: float = 0.05) -> ProfileDiagnostics:
-    rho = np.asarray(profile, dtype=float)
-    return ProfileDiagnostics(
-        n_peaks=count_peaks(rho, prominence),
-        homogeneity=homogeneity(rho),
-        mass=float(ds * np.sum(rho)),
-        linf=linf(rho),
-        l2=l2(rho, ds=ds),
-    )
+def diagnose(profile, ds: float, prominence: float = 0.05):
+    """The ProfileDiagnostics of a profile, or a list of one per row of a
+    (runs, N) stack.  One row sum gives the mass and the mean (np.mean is
+    that sum over N, so each row reads as it does alone)."""
+    rho, stacked = _rows(profile)
+    sums = rho.sum(axis=1)
+    mean = sums / rho.shape[1]
+    out = [ProfileDiagnostics(*d) for d in zip(
+        _peak_counts(rho, mean, prominence).tolist(),
+        _spread(rho, mean).tolist(),
+        (ds * sums).tolist(),
+        np.abs(rho).max(axis=1).tolist(),
+        np.sqrt(ds * (rho * rho).sum(axis=1)).tolist())]
+    return out if stacked else out[0]

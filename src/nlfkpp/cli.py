@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, analysis, asymptotics, exact, gridsim, manifold, planar
 from . import spectral
 from .config import (ConfigError, ScenarioConfig, apply_assignment,
-                     apply_overrides, load_config, parse_config_text,
-                     resolved_items)
+                     apply_overrides, axis_value, load_config,
+                     parse_config_text, resolved_items)
 from .csvio import write_csv, read_csv
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                      grid_nodes)
@@ -165,7 +165,7 @@ def _step_grid(cfgs, snapshot_times) -> list:
         [scenario_initial(c)(s) for c in cfgs], [_kernel(c) for c in cfgs],
         [c.a for c in cfgs], [c.kappa for c in cfgs], [c.D for c in cfgs],
         cfg.dt, cfg.t_end, cfg.scheme, snapshot_times, _series_stride(cfg),
-        reduce=lambda y: [analysis.diagnose(row, ds) for row in y])
+        reduce=lambda y: analysis.diagnose(y, ds))
     return [rec.row(i) for i in range(len(cfgs))]
 
 
@@ -299,12 +299,16 @@ def _emit_ring_csv(cfg, path, result):
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
               plot_script: bool = False) -> list:
+    """Run cfg once per value of the dotted key axis, each value a number or
+    its text, typed by the key (see config.axis_value), in
+    outdir/<key>_<value:g>, and tabulate the final diagnostics in
+    outdir/summary.csv; returns [(value, diagnostics)]."""
     if cfg.solver not in ("grid", "manifold"):
         raise ConfigError(
             f"solver: a sweep tabulates final peaks, homogeneity and mass, "
             f"which only the grid and manifold solvers report; got {cfg.solver!r}")
     jobs, seen = [], {}
-    for value in values:
+    for value in (axis_value(axis, v) for v in values):
         name = f"{axis.split('.')[-1]}_{value:g}"
         if name in seen:
             raise ConfigError(
@@ -361,14 +365,17 @@ def _run_grid_batches(jobs) -> list:
 
 def _step_batch(jobs, group) -> dict:
     """{index: (record, share of the batch's wall time)} for the grid jobs
-    of the group, stepped as one batch.  If the batch raises, {}: each job
-    then runs alone, and writes, fails and exits as it does without it."""
+    of the group, stepped as one batch.  If the batch raises what a job can
+    raise alone (a ConfigError or other ValueError, a RuntimeError or an
+    OverflowError), {}: each job then runs alone, and writes, fails and
+    exits as it does without it.  Anything else is a fault of the batch
+    path and propagates."""
     cfgs = [jobs[i][1] for i in group]
     start = time.perf_counter()
     try:
         recs = _step_grid(cfgs, _snapshot_times(cfgs[0], note=False))
-    except Exception:
-        # whatever a job raises, it raises again when it runs alone
+    except (ValueError, RuntimeError, OverflowError):
+        # a job raises it again when it runs alone
         return {}
     share = (time.perf_counter() - start) / len(group)
     return {i: (rec, share) for i, rec in zip(group, recs)}
@@ -499,9 +506,8 @@ def main(argv=None) -> int:
             return 0 if report["_passed"] else 1
         if args.command == "sweep":
             cfg = _load_cfg(args)
-            values = [float(v) for v in args.values.split(",")]
-            run_sweep(cfg, args.axis, values, args.outdir or cfg.outdir,
-                      args.plot_script)
+            run_sweep(cfg, args.axis, args.values.split(","),
+                      args.outdir or cfg.outdir, args.plot_script)
             return 0
         if args.command == "preset":
             if args.list:

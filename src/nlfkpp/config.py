@@ -133,6 +133,27 @@ def _coerce(attr: str, raw: str):
     return raw
 
 
+def axis_value(key: str, value):
+    """value, a number or its text, as the type of the numeric key key: an
+    int for an integer key, which takes whole values only, else a float.
+    ConfigError names the key otherwise."""
+    attr = KEY_MAP.get(key.strip())
+    if attr is None:
+        raise ConfigError(f"{key}: unknown configuration key")
+    kind = _TYPES[attr]
+    if kind not in (int, "int", float, "float"):
+        raise ConfigError(f"{key}: a sweep axis must be a numeric key")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+    if kind in (float, "float"):
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key}: expected a whole number, got {value!r}")
+    return int(number)
+
+
 def apply_assignment(cfg: ScenarioConfig, key: str, value: str) -> None:
     key = key.strip()
     if key not in KEY_MAP:

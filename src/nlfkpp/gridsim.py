@@ -136,7 +136,8 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex, explicit
     reaction and implicit (backward Euler) diffusion, drops the ds^2
     restriction.  A step whose dt exceeds any run's bound raises
-    ConfigError.  reduce(y) is what each stored frame keeps (see
+    ConfigError; limit reads each run's max from the driver, which takes it
+    once per step.  reduce(y) is what each stored frame keeps (see
     stepping.march); Record.row(i) is the record of run i.
     """
     rho0 = np.asarray(rho0, dtype=float)
@@ -168,10 +169,9 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     def rhs(rho, t):
         return _rhs(rho, spectrum, a_run, kappa_run, D_explicit, ds)
 
-    def limit(rho):
+    def limit(tops):
         return min([0.8 * min(diffusive, 1.0 / (a_i + c_i * max(top, 0.0)))
-                    for (a_i, c_i, diffusive), top
-                    in zip(bounds, rho.max(axis=1).tolist())])
+                    for (a_i, c_i, diffusive), top in zip(bounds, tops)])
 
     solve = None
     if implicit:
@@ -182,9 +182,8 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
             return _cyclic_tridiag_solve(symbol, rho)
 
     return stepping.march(rho0, t0, t_end, dt, rhs, scheme, solve=solve,
-                          limit=limit, density=lambda rho: rho,
-                          store_every=store_every, at=snapshot_times,
-                          reduce=reduce, batched=True)
+                          limit=limit, store_every=store_every,
+                          at=snapshot_times, reduce=reduce, batched=True)
 
 
 def run(state: GridState, kern: CircleKernelParams, a: float, kappa: float,

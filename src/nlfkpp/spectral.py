@@ -21,7 +21,7 @@ import numpy as np
 
 from . import backends, stepping
 from .analysis import trapezoid
-from .csvio import write_csv
+from .csvio import column_text, write_csv
 from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalues,
                      fourier_coefficients, fourier_modes, real_part)
 
@@ -77,14 +77,14 @@ class SpectralTrajectory:
         return SpectralState(self.J, self.beta[i].copy(), float(self.t[i]))
 
     def to_csv(self, path):
-        """Rows (t, j, re_beta, im_beta) for every stored time and mode."""
+        """Rows (t, j, re_beta, im_beta) for every stored time and mode.
+        Each time and each mode is formatted once and its text repeated."""
         n_t, n_j = self.beta.shape
-        js = np.arange(-self.J, self.J + 1)
-        t_col = np.repeat(self.t, n_j)
-        j_col = np.tile(js, n_t)
         flat = self.beta.reshape(-1)
         write_csv(path, ["t", "j", "re_beta", "im_beta"],
-                  [t_col, j_col, flat.real, flat.imag])
+                  [[t for t in column_text(self.t) for _ in range(n_j)],
+                   column_text(np.arange(-self.J, self.J + 1)) * n_t,
+                   flat.real, flat.imag])
 
 
 def basis_matrix(J: int, s_grid) -> np.ndarray:

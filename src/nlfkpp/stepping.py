@@ -9,8 +9,9 @@ check, the blow-up guard, the round-off clamp of the density with its
 count, and the storage of frames and snapshots.
 
 A batched march steps independent runs together, one per row of a
-(runs, N) state: the clamp judges each run against its own max and counts
-its clamps per run.
+(runs, N) stack of densities: the clamp judges each run against its own max
+and counts its clamps per run, and one row max and one min of the state per
+step serve the blow-up guard, the clamp and the stability check.
 """
 
 from __future__ import annotations
@@ -25,19 +26,18 @@ BLOWUP_LIMIT = 1e12
 NEGATIVE_TOL = 1e-10
 
 
-def _floor(y, batched):
-    """-NEGATIVE_TOL * max(y), or per run (a column) when batched: a value
-    below it is a negative that round-off cannot explain."""
-    if batched:
-        return -NEGATIVE_TOL * np.maximum(np.max(y, axis=1, keepdims=True),
-                                          1e-300)
-    return -NEGATIVE_TOL * max(float(np.max(y)), 1e-300)
+def _floor(top):
+    """-NEGATIVE_TOL * top, for a max top (floored at 1e-300) of a density or
+    a column of per-run maxima: a value below it is a negative that
+    round-off cannot explain."""
+    return -NEGATIVE_TOL * np.maximum(top, 1e-300)
 
 
 def hard_negative(y, batched: bool = False) -> bool:
     """True when y holds a value below -NEGATIVE_TOL * max(y); batched, when
     a row y[i] holds one below -NEGATIVE_TOL * max(y[i])."""
-    return bool(np.min(y) < 0 and np.any(y < _floor(y, batched)))
+    top = np.max(y, axis=1, keepdims=True) if batched else np.max(y)
+    return bool(np.min(y) < 0 and np.any(y < _floor(top)))
 
 
 @dataclass
@@ -60,19 +60,18 @@ class Record:
                       {t: y[i] for t, y in self.snapshots.items()})
 
 
-def _clamp(d, t, batched):
-    """Zero the round-off negatives of the density view d in place; returns
-    how many there were (per run, when batched)."""
-    if not d.min() < 0:
-        return 0
-    floor = _floor(d, batched)
+def _clamp(d, top, low, t):
+    """Zero the values of the density d in [-NEGATIVE_TOL top, 0) in place
+    and return how many there were; a lower value raises RuntimeError.  top
+    is the max of d, or for a batch the column of its row maxima, and then
+    the counts are per run; low is the min of d."""
+    floor = _floor(top)
     if np.any(d < floor):
-        raise RuntimeError(f"density has a hard negative value {d.min()} at "
+        raise RuntimeError(f"density has a hard negative value {low} at "
                            f"t={t}; the scheme is unstable")
     band = (d < 0) & (d >= floor)
     d[band] = 0.0
-    return np.count_nonzero(band, axis=1) if batched else \
-        int(np.count_nonzero(band))
+    return np.count_nonzero(band, axis=None if np.ndim(top) == 0 else 1)
 
 
 def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
@@ -96,12 +95,18 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
     first state, the initial one included, with t >= ts - dt/2 for each ts
     in at is stored as its snapshot.
 
-    batched: y is (runs, N), one independent run per row.  limit(y) then
-    returns the least of the runs' bounds, and the clamp takes each run's
-    own max and counts per run.
+    batched: y is a real (runs, N) stack of densities, one independent run
+    per row, which the clamp judges each against its own max and counts per
+    run (so density must be None).  One row max and one min of y, taken
+    after each step, serve the blow-up guard, the clamp and the next
+    stability check: limit then takes the row maxima (a list of floats) and
+    returns the least of the runs' bounds.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if batched and density is not None:
+        raise ValueError("a batched state is its own density; density must "
+                         "be None")
     n_steps = whole_steps(t_end, dt, "t_end - t0", t0)
     keep = (lambda y: y) if reduce is None else reduce
     times, frames = ([t0], [keep(y)]) if store_every else ([], [])
@@ -114,10 +119,11 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
 
     snap(t0, y)
     clamped = np.zeros(len(y), dtype=int) if batched else 0
+    top = y.max(axis=1) if batched else None
     t = t0
     for k in range(n_steps):
         if limit is not None:
-            bound = limit(y)
+            bound = limit(top.tolist() if batched else y)
             if dt > bound:
                 raise ConfigError(
                     f"numerics.dt: dt={dt} violates the stability bound "
@@ -135,11 +141,25 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
         if project is not None:
             y = project(y)
         t = t0 + (k + 1) * dt
-        peak = np.max(np.abs(y))
-        if not peak <= BLOWUP_LIMIT:
-            raise RuntimeError(f"solution blew up at t={t}: max|y| = {peak:.3e}")
-        if density is not None:
-            clamped += _clamp(density(y), t, batched)
+        if batched:
+            # max|y| = max(max y, -min y), and a NaN fails both compares; the
+            # clamp leaves a row max >= 0 as it is, and limit reads
+            # max(top, 0), so top serves the next stability check too
+            top, low = y.max(axis=1), y.min()
+            bounded = top.max() <= BLOWUP_LIMIT and -low <= BLOWUP_LIMIT
+        else:
+            bounded = np.max(np.abs(y)) <= BLOWUP_LIMIT
+        if not bounded:
+            raise RuntimeError(f"solution blew up at t={t}: "
+                               f"max|y| = {np.max(np.abs(y)):.3e}")
+        if batched:
+            if low < 0:
+                clamped += _clamp(y, top[:, None], low, t)
+        elif density is not None:
+            d = density(y)
+            low = d.min()
+            if low < 0:
+                clamped += _clamp(d, d.max(), low, t)
         if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
             times.append(t)
             frames.append(keep(y))

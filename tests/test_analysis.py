@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -128,6 +130,105 @@ class TestCountPeaks:
             for prominence in (0.0, 0.05):
                 assert analysis.count_peaks(state.rho, prominence) == \
                     count_peaks_walk(state.rho, prominence)
+
+
+def special_row(kind: str, n: int) -> np.ndarray:
+    """A row of n values with a NaN, an inf spike, no variation or a flat
+    top across the seam."""
+    row = np.ones(n)
+    if kind == "nan":
+        row[n // 3] = np.nan
+    elif kind == "inf_spike":
+        row[n // 2] = np.inf
+    elif kind == "constant":
+        row[:] = 2.5
+    else:  # seam_plateau
+        row[[0, 1, -1]] = 3.0
+        row[n // 2] = 2.0
+    return row
+
+
+@st.composite
+def stacks(draw):
+    """(runs, n) stacks of small-integer rows (ties, plateaus, peaks in
+    numbers that differ from row to row) and of float rows (whose sums
+    round, so their order shows) mixed with the special rows."""
+    n = draw(st.integers(min_value=8, max_value=160))
+    kinds = st.sampled_from(["nan", "inf_spike", "constant", "seam_plateau"])
+    ints = st.lists(st.integers(min_value=0, max_value=4), min_size=n,
+                    max_size=n)
+    floats = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n,
+                      max_size=n)
+    rows = draw(st.lists(st.one_of(kinds, ints, floats), min_size=1,
+                         max_size=6))
+    shift = draw(st.integers(min_value=0, max_value=n - 1))
+    return np.roll(np.array([special_row(r, n) if isinstance(r, str) else r
+                             for r in rows], dtype=float), shift, axis=1)
+
+
+def same_value(a, b) -> bool:
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+# NaN and inf rows warn in numpy's arithmetic, as they do one at a time
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBatchedDiagnostics:
+    @given(stacks(), st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_counts_as_the_downhill_walk(self, stack, prominence):
+        counts = analysis.count_peaks(stack, prominence)
+        assert counts.shape == (len(stack),)
+        for row, count in zip(stack, counts):
+            assert count == count_peaks_walk(row, prominence) == \
+                analysis.count_peaks(row, prominence)
+
+    @given(stacks(), st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_diagnosed_as_alone(self, stack, prominence):
+        stack = stack + 1.0  # no zero-mean row
+        ds = 2.0 * math.pi / stack.shape[1]
+        batch = analysis.diagnose(stack, ds, prominence)
+        assert len(batch) == len(stack)
+        for row, got in zip(stack, batch):
+            want = analysis.diagnose(row, ds, prominence)
+            assert type(got.n_peaks) is int
+            for name in ("n_peaks", "homogeneity", "mass", "linf", "l2"):
+                assert same_value(getattr(got, name), getattr(want, name)), name
+            assert same_value(analysis.homogeneity(row), want.homogeneity)
+
+    def test_rows_with_different_peak_counts(self):
+        stack = np.array([1.0 + 0.5 * np.cos(k * S512 + 0.1)
+                          for k in range(1, 8)])
+        assert analysis.count_peaks(stack).tolist() == list(range(1, 8))
+        batch = analysis.diagnose(stack, 0.1)
+        assert [d.n_peaks for d in batch] == list(range(1, 8))
+        assert batch == [analysis.diagnose(row, 0.1) for row in stack]
+        assert np.allclose(analysis.homogeneity(stack), 1.0, atol=1e-4)
+
+    def test_zero_mean_row_raises(self):
+        stack = np.ones((3, 16))
+        stack[1] = 0.0
+        with pytest.raises(ValueError, match="zero-mean"):
+            analysis.diagnose(stack, 0.1)
+        with pytest.raises(ValueError, match="zero-mean"):
+            analysis.homogeneity(stack)
+        # a zero-mean row has no peaks
+        assert analysis.count_peaks(stack).tolist() == [0, 0, 0]
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="stack"):
+            analysis.count_peaks(np.ones((2, 2, 16)))
+        with pytest.raises(ValueError, match="too short"):
+            analysis.diagnose(np.ones((2, 4)), 0.1)
+
+    def test_diagnostics_serialise_as_python_numbers(self):
+        # manifest.json holds them: json rejects numpy integers
+        d = analysis.diagnose(np.vstack([1.0 + 0.5 * np.cos(3 * S512)] * 2),
+                              0.1)[1]
+        assert json.loads(json.dumps(dataclasses.asdict(d))) == \
+            dataclasses.asdict(d)
+        assert [type(v) for v in dataclasses.asdict(d).values()] == \
+            [int, float, float, float, float]
 
 
 class TestHomogeneity:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlfkpp import cli, csvio, gridsim, manifold, spectral
+from nlfkpp import cli, config, csvio, gridsim, manifold, spectral
 from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
@@ -490,6 +490,86 @@ class TestSweepBatches:
             "manifest.json", "series.csv", "snapshot_t0.5.csv"]
 
 
+    def test_blow_up_in_middle_entry_fails_as_if_run_alone(
+            self, tmp_path, monkeypatch, capsys):
+        # a = 30 without competition passes 1e12 before t = 1 (exit 3)
+        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        common = ["--set", "numerics.N=64", "--set", "numerics.t_end=1",
+                  "--set", "numerics.dt=0.02", "--set", "model.kappa=0"]
+        assert cli.main(["simulate", "--set", "model.a=30", "--outdir",
+                         str(tmp_path / "alone")] + common) == 3
+        alone_err = capsys.readouterr().err
+        assert alone_err.startswith("solver abort: solution blew up at t=")
+        sizes = count_batches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--axis", "model.a", "--values", "1,30,2",
+                         "--outdir", str(out)] + common) == 3
+        assert capsys.readouterr().err == alone_err
+        assert sizes == [3, 1, 1]
+        assert sorted(os.listdir(out)) == ["a_1"]
+
+    def test_fault_in_the_batch_path_propagates(self, tmp_path, monkeypatch):
+        # an error no run raises alone is a fault of the batch path: it is
+        # not hidden by running the entries again one at a time
+        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        sizes = count_batches(monkeypatch)
+        batch = gridsim.integrate_batch
+
+        def broken(rho0, *args, **kwargs):
+            if len(rho0) > 1:
+                raise TypeError("broken batch")
+            return batch(rho0, *args, **kwargs)
+
+        monkeypatch.setattr(gridsim, "integrate_batch", broken)
+        out = tmp_path / "sweep"
+        with pytest.raises(TypeError, match="broken batch"):
+            cli.main(["sweep", "--axis", "model.gamma", "--values", "0.5,1",
+                      "--outdir", str(out)] + SMALL_GRID)
+        assert not out.exists()
+
+
+class TestIntegerSweepAxes:
+    @pytest.mark.parametrize("axis, values, written", [
+        ("numerics.N", "64,128", ["64", "128"]),
+        ("numerics.J", "4,8.0", ["4", "8"]),
+    ])
+    def test_integer_axis(self, tmp_path, axis, values, written):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--axis", axis, "--values", values,
+                         "--set", "numerics.N=64", "--set",
+                         "numerics.t_end=0.1", "--outdir", str(out)]) == 0
+        key = axis.split(".")[-1]
+        names = [f"{key}_{v}" for v in written]
+        assert sorted(os.listdir(out)) == sorted(names + ["summary.csv"])
+        for name, text in zip(names, written):
+            with open(out / name / "manifest.json") as fh:
+                value = json.load(fh)["config"][axis]
+            assert type(value) is int and value == int(text)
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == written
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("numerics.N", "64.5", "numerics.N: expected a whole number, got '64.5'"),
+        ("numerics.J", "4,inf", "numerics.J: expected a whole number"),
+        ("numerics.N", "64,x", "numerics.N: cannot parse 'x'"),
+        ("numerics.scheme", "1,2", "numerics.scheme: a sweep axis must be a "
+                                   "numeric key"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, capsys, axis, values,
+                                 message):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--axis", axis, "--values", values,
+                         "--set", "numerics.t_end=0.1",
+                         "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any entry ran
+
+    def test_float_axis_names_unchanged(self):
+        assert [config.axis_value("model.gamma", v)
+                for v in ("0.05", 1, "1e2")] == [0.05, 1.0, 100.0]
+        assert config.axis_value("numerics.N", 64.0) == 64
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy_signal(self):
         import nlfkpp
@@ -547,6 +627,20 @@ class TestCsvWriting:
         expected = "t,s,x1,x2,rho\n" + "".join(
             ",".join(csvio.fmt(v) for v in (t, s[k], *X[i, k], rho[i, k]))
             + "\n" for i, t in enumerate(times) for k in range(4))
+        assert path.read_text() == expected
+
+
+    def test_spectral_trajectory_csv_matches_per_cell_fmt(self, tmp_path):
+        rng = np.random.default_rng(8)
+        times = np.array([0.0, 0.1, 0.30000000000000004, 1e-300])
+        beta = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        beta[1, 2] = complex(-0.0, 0.0)
+        path = tmp_path / "trajectory.csv"
+        spectral.SpectralTrajectory(2, times, beta).to_csv(path)
+        expected = "t,j,re_beta,im_beta\n" + "".join(
+            ",".join(csvio.fmt(v) for v in (t, j, beta[i, j + 2].real,
+                                            beta[i, j + 2].imag)) + "\n"
+            for i, t in enumerate(times) for j in range(-2, 3))
         assert path.read_text() == expected
 
 
