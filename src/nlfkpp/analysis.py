@@ -152,8 +152,6 @@ class ProfileDiagnostics:
     n_peaks: int
     homogeneity: float
     mass: float
-    linf: float
-    l2: float
 
 
 def diagnose(profile, ds: float, prominence: float = 0.05):
@@ -166,7 +164,5 @@ def diagnose(profile, ds: float, prominence: float = 0.05):
     out = [ProfileDiagnostics(*d) for d in zip(
         _peak_counts(rho, mean, prominence).tolist(),
         _spread(rho, mean).tolist(),
-        (ds * sums).tolist(),
-        np.abs(rho).max(axis=1).tolist(),
-        np.sqrt(ds * (rho * rho).sum(axis=1)).tolist())]
+        (ds * sums).tolist())]
     return out if stacked else out[0]

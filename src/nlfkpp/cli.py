@@ -143,15 +143,15 @@ def run_spectral(cfg: ScenarioConfig, path) -> dict:
     kern = _kernel(cfg)
     state0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
     rates = spectral.DiffusiveRates(cfg.a, cfg.D)
-    traj = spectral.integrate(state0, rates, kern, cfg.kappa, cfg.t_end,
-                              cfg.dt, store_every=_series_stride(cfg),
-                              snapshot_times=_snapshot_times(cfg))
-    traj.to_csv(path("trajectory.csv"))
+    rec = spectral.integrate(state0, rates, kern, cfg.kappa, cfg.t_end,
+                             cfg.dt, store_every=_series_stride(cfg),
+                             snapshot_times=_snapshot_times(cfg))
+    spectral.trajectory_to_csv(path("trajectory.csv"), rec)
     s = grid_nodes(cfg.N)
     snapshots = {t: spectral.reconstruct(spectral.SpectralState(cfg.J, beta, t), s)
-                 for t, beta in traj.snapshots.items()}
+                 for t, beta in rec.snapshots.items()}
     return {"csv": ["trajectory.csv"] + _write_snapshots(path, s, snapshots),
-            "diagnostics": {"reality_drift": traj.reality_drift}}
+            "diagnostics": {"reality_drift": rec.drift}}
 
 
 def _step_grid(cfgs, snapshot_times) -> list:
@@ -183,8 +183,7 @@ def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
                [d.homogeneity for d in series], [d.n_peaks for d in series]])
     diag = _final_diagnostics(series[-1])
     diag["clamped_nodes"] = rec.clamped
-    return {"csv": names + ["series.csv"], "diagnostics": diag,
-            "final_state": gridsim.GridState(cfg.N, rec.y, rec.t, rec.clamped)}
+    return {"csv": names + ["series.csv"], "diagnostics": diag, "record": rec}
 
 
 def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
@@ -215,13 +214,12 @@ def run_manifold(cfg: ScenarioConfig, path) -> dict:
         V_x=manifold.linear_drag(cfg.k0) if cfg.k0 > 0 else None,
     )
     state0 = manifold.circle_state(cfg.R, cfg.N, scenario_initial(cfg))
-    times, rho_hist, X_hist = manifold.integrate(
-        state0, spec, cfg.t_end, cfg.dt, store_every=_series_stride(cfg))
-    manifold.trajectory_to_csv(path("trajectory.csv"), times, state0.s,
-                               rho_hist, X_hist)
-    diag = _final_diagnostics(
-        analysis.diagnose(rho_hist[-1], state0.s[1] - state0.s[0]))
-    diag["radius_final"] = float(np.mean(np.linalg.norm(X_hist[-1], axis=1)))
+    rec = manifold.integrate(state0, spec, cfg.t_end, cfg.dt,
+                             store_every=_series_stride(cfg))
+    manifold.trajectory_to_csv(path("trajectory.csv"), rec, state0.s)
+    rho, X = manifold.unpack(rec.y, cfg.N)
+    diag = _final_diagnostics(analysis.diagnose(rho, state0.s[1] - state0.s[0]))
+    diag["radius_final"] = float(np.mean(np.linalg.norm(X, axis=1)))
     return {"csv": ["trajectory.csv"], "diagnostics": diag}
 
 
@@ -230,7 +228,8 @@ def run_planar2d(cfg: ScenarioConfig, path) -> dict:
     amplitude = 1.0 / (cfg.sigma * math.sqrt(TWO_PI) * cfg.R * SQRT_TWO_PI)
     field = planar.gaussian_ring(cfg.L, cfg.n2d, cfg.R, cfg.sigma,
                                  amplitude * cfg.beta00, cfg.D)
-    field = planar.run2d(field, kern2d, cfg.a, cfg.kappa, cfg.dt, cfg.t_end)
+    rec = planar.run2d(field, kern2d, cfg.a, cfg.kappa, cfg.dt, cfg.t_end)
+    field = planar.Field2D(cfg.L, cfg.n2d, rec.y, rec.t, cfg.D)
     planar.field_to_csv(path("field.csv"), field)
     s, rho = planar.extract_sld(field, cfg.N)
     write_csv(path("extraction.csv"), ["s", "rho"], [s, rho])
@@ -279,21 +278,19 @@ def run_scenario(cfg: ScenarioConfig, outdir: str = None,
 
 def _compare_with_asymptotic(cfg, path, result):
     expn = _expansion(cfg)
-    state = result["final_state"]
-    rho_asym = asymptotics.composite_density(state.t, state.s, expn)
+    rec, s = result["record"], grid_nodes(cfg.N)
+    rho_asym = asymptotics.composite_density(rec.t, s, expn)
     write_csv(path("asymptotic_comparison.csv"),
-              ["s", "rho_grid", "rho_asymptotic"],
-              [state.s, state.rho, rho_asym])
+              ["s", "rho_grid", "rho_asymptotic"], [s, rec.y, rho_asym])
     result["csv"].append("asymptotic_comparison.csv")
     result["diagnostics"]["rel_linf_vs_asymptotic"] = \
-        analysis.relative_linf(state.rho, rho_asym)
+        analysis.relative_linf(rec.y, rho_asym)
 
 
 def _emit_ring_csv(cfg, path, result):
-    state = result["final_state"]
+    rec, s = result["record"], grid_nodes(cfg.N)
     write_csv(path("ring.csv"), ["s", "x", "y", "rho"],
-              [state.s, cfg.R * np.cos(state.s), cfg.R * np.sin(state.s),
-               state.rho])
+              [s, cfg.R * np.cos(s), cfg.R * np.sin(s), rec.y])
     result["csv"].append("ring.csv")
 
 

@@ -98,6 +98,11 @@ class ScenarioConfig:
             raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
         if self.J < 0:
             raise ConfigError(f"numerics.J: must be >= 0, got {self.J}")
+        # the planar field: dx = 2L / (n2d - 1) and a ring of width sigma
+        positive("numerics.L", self.L)
+        positive("numerics.sigma", self.sigma)
+        if self.n2d < 2:
+            raise ConfigError(f"numerics.n2d: must be >= 2, got {self.n2d}")
         return self
 
 

@@ -26,7 +26,6 @@ class GridState:
     N: int
     rho: np.ndarray
     t: float = 0.0
-    clamped: int = 0  # nodes snapped to zero from the roundoff band so far
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -101,7 +100,8 @@ def _cyclic_tridiag_solve(symbol: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray
 def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
          D: float, dt: float, scheme: str = "rk4") -> GridState:
     """Advance the density by one time step."""
-    return run(state, kern, a, kappa, D, dt, state.t + dt, scheme)[0]
+    rec = integrate(state, kern, a, kappa, D, dt, state.t + dt, scheme)
+    return GridState(state.N, rec.y, rec.t)
 
 
 def integrate(state: GridState, kern: CircleKernelParams, a: float,
@@ -184,15 +184,6 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     return stepping.march(rho0, t0, t_end, dt, rhs, scheme, solve=solve,
                           limit=limit, store_every=store_every,
                           at=snapshot_times, reduce=reduce, batched=True)
-
-
-def run(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
-        D: float, dt: float, t_end: float, scheme: str = "rk4",
-        snapshot_times=()):
-    """Step to t_end; returns (final state, {time: density snapshot})."""
-    rec = integrate(state, kern, a, kappa, D, dt, t_end, scheme, snapshot_times)
-    return GridState(state.N, rec.y, rec.t, state.clamped + rec.clamped), \
-        rec.snapshots
 
 
 def initial_profile(kind: str, beta00: float = 1.0, T: float = 10.0,

@@ -165,16 +165,19 @@ def _rhs(spec: ConvectionSpec, w: np.ndarray, X: np.ndarray, rho: np.ndarray,
     return rho_dot, X_dot
 
 
-def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
-              dt: float, store_every: int = 1):
-    """Fixed-step RK4 on the coupled (rho, X) system, packed as one array
-    [rho, X.ravel()] for the shared driver; RK4 is elementwise, so packing
-    changes no bit.
+def unpack(y: np.ndarray, n: int):
+    """(rho, X) views of the packed state [rho, X.ravel()] of n nodes, or of
+    each row of a stack of them: rho (..., n) and X (..., n, n_dim)."""
+    return y[..., :n], y[..., n:].reshape(y.shape[:-1] + (n, -1))
 
-    Returns (times, rho history, X history) with shapes (n_stored,),
-    (n_stored, N) and (n_stored, N, n_dim).
-    """
-    n, shape = len(state0.s), state0.X.shape
+
+def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
+              dt: float, store_every: int = 1) -> stepping.Record:
+    """Fixed-step RK4 on the coupled (rho, X) system, packed as one array
+    [rho, X.ravel()] for the shared driver (see unpack); RK4 is
+    elementwise, so packing changes no bit.  The record's state and frames
+    are packed; its clamp count is of rho."""
+    n = len(state0.s)
     w = state0.weights()  # the parameter sampling is fixed for the run
     # B depends on the positions alone: rebuild it only when they move
     # (never, when V_x and W_x are None and X_dot is exactly zero)
@@ -182,18 +185,16 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
 
     def rhs(y, t):
         nonlocal last_x, B
-        x = y[n:].reshape(shape)
+        rho, x = unpack(y, n)
         if last_x is None or not np.array_equal(x, last_x):
             last_x, B = x, _influence_matrix(spec, x)
-        rho_dot, X_dot = _rhs(spec, w, x, y[:n], t, B)
+        rho_dot, X_dot = _rhs(spec, w, x, rho, t, B)
         return np.concatenate([rho_dot, X_dot.ravel()])
 
-    rec = stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
-                         float(state0.t), t_end, dt, rhs, "rk4",
-                         density=lambda y: y[:n], store_every=store_every)
-    frames = np.array(rec.frames)
-    return (np.array(rec.times), frames[:, :n],
-            frames[:, n:].reshape((len(frames),) + shape))
+    return stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
+                          float(state0.t), t_end, dt, rhs, "rk4",
+                          density=lambda y: unpack(y, n)[0],
+                          store_every=store_every)
 
 
 def initial_correspondence(state: ManifoldState):
@@ -206,22 +207,25 @@ def initial_correspondence(state: ManifoldState):
     return m, xbar
 
 
-def trajectory_to_csv(path, times, s, rho_hist, X_hist) -> None:
-    """Rows (t, s, x1, ..., xn, rho) for every stored time and sample.
+def trajectory_to_csv(path, rec: stepping.Record, s) -> None:
+    """Rows (t, s, x1, ..., xn, rho) for every stored frame of a manifold
+    record and every sample s.
 
     Each time and each sample is formatted once and its text repeated, and
     so are the positions when no stored frame moved them (bit for bit).
+    The columns are gathered from views of the frames, not from a stacked
+    copy of them all.
     """
-    X_hist = np.asarray(X_hist, dtype=float)
-    n_t, n_s = rho_hist.shape
-    n_dim = X_hist.shape[2]
-    cols = [[t for t in column_text(times) for _ in range(n_s)],
+    views = [unpack(y, len(s)) for y in rec.frames]
+    n_t, (n_s, n_dim) = len(views), views[0][1].shape
+    cols = [[t for t in column_text(rec.times) for _ in range(n_s)],
             column_text(s) * n_t]
     header = ["t", "s"] + [f"x{d + 1}" for d in range(n_dim)] + ["rho"]
-    bits = X_hist.view(np.uint64)
-    if np.array_equal(bits, np.broadcast_to(bits[:1], bits.shape)):
-        cols += [column_text(X_hist[0, :, d]) * n_t for d in range(n_dim)]
+    first = views[0][1].view(np.uint64)
+    if all(np.array_equal(X.view(np.uint64), first) for _, X in views):
+        cols += [column_text(views[0][1][:, d]) * n_t for d in range(n_dim)]
     else:
-        cols += [X_hist[:, :, d].reshape(-1) for d in range(n_dim)]
-    cols.append(rho_hist.reshape(-1))
+        cols += [np.concatenate([X[:, d] for _, X in views])
+                 for d in range(n_dim)]
+    cols.append(np.concatenate([rho for rho, _ in views]))
     write_csv(path, header, cols)

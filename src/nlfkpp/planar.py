@@ -87,12 +87,14 @@ def _laplacian_reflect(u: np.ndarray, dx: float) -> np.ndarray:
 def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
            dt: float) -> Field2D:
     """One explicit Euler step of the planar equation."""
-    return run2d(field, kern, a, kappa, dt, field.t + dt)
+    rec = run2d(field, kern, a, kappa, dt, field.t + dt)
+    return Field2D(field.L, field.n, rec.y, rec.t, field.D)
 
 
 def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
-          dt: float, t_end: float) -> Field2D:
-    """Explicit Euler steps to t_end with the shared driver.  The stability
+          dt: float, t_end: float) -> stepping.Record:
+    """Explicit Euler steps to t_end with the shared driver; the record's
+    state is the (n, n) field u, one run for the clamp.  The stability
     bound 0.8 min(1/(a + kappa max I), dx^2/(4D)) uses the step's own
     interaction I, which the right-hand side then reuses."""
     # nonlocal_term_2d's factors, fixed for the run
@@ -118,9 +120,8 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
             out = out + field.D * _laplacian_reflect(u, field.dx)
         return out
 
-    rec = stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
-                         limit=limit, density=lambda u: u)
-    return Field2D(field.L, field.n, rec.y, rec.t, field.D)
+    return stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
+                          limit=limit, density=lambda u: u)
 
 
 def gaussian_ring(L: float, n: int, R: float, sigma: float,

@@ -10,12 +10,12 @@ with products falling outside the band dropped (projection truncation).
 Time stepping is fixed-step classical RK4 on the shared driver of
 ``stepping``; the conjugate symmetry
 beta_{-j} = conj(beta_j) of real densities is re-enforced after every step
-and the enforcement drift is recorded.
+and the enforcement drift is recorded (Record.drift).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +65,6 @@ class DiffusiveRates:
         return self.rate(np.arange(-J, J + 1))
 
 
-@dataclass
-class SpectralTrajectory:
-    J: int
-    t: np.ndarray
-    beta: np.ndarray  # shape (n_times, 2J+1)
-    reality_drift: float = 0.0
-    snapshots: dict = field(default_factory=dict)  # requested time -> beta
-
-    def state(self, i: int) -> SpectralState:
-        return SpectralState(self.J, self.beta[i].copy(), float(self.t[i]))
-
-    def to_csv(self, path):
-        """Rows (t, j, re_beta, im_beta) for every stored time and mode.
-        Each time and each mode is formatted once and its text repeated."""
-        n_t, n_j = self.beta.shape
-        flat = self.beta.reshape(-1)
-        write_csv(path, ["t", "j", "re_beta", "im_beta"],
-                  [[t for t in column_text(self.t) for _ in range(n_j)],
-                   column_text(np.arange(-self.J, self.J + 1)) * n_t,
-                   flat.real, flat.imag])
-
-
 def basis_matrix(J: int, s_grid) -> np.ndarray:
     """v_j(s_k) for j = -J..J, shape (len(s), 2J+1)."""
     return fourier_modes(J, s_grid) / SQRT_TWO_PI
@@ -95,8 +73,13 @@ def basis_matrix(J: int, s_grid) -> np.ndarray:
 def project_initial(rho_phi, J: int, n_quad: int = 2048) -> SpectralState:
     """Fourier coefficients beta_{0j} = int v_j*(s) rho_phi(s) ds
     (kernel.fourier_coefficients), paired exactly conjugate for real data."""
-    coeffs = fourier_coefficients(rho_phi, J, n_quad)
-    return SpectralState(J, 0.5 * (coeffs + coeffs[::-1].conj()), 0.0)
+    return SpectralState(J, _paired(fourier_coefficients(rho_phi, J, n_quad)),
+                         0.0)
+
+
+def _paired(beta):
+    """The conjugate-symmetric part 0.5 (beta_j + conj(beta_{-j}))."""
+    return 0.5 * (beta + beta[::-1].conj())
 
 
 def rhs(state: SpectralState, rates: DiffusiveRates, kern: CircleKernelParams,
@@ -115,28 +98,34 @@ def _mode_rhs(beta, band, lam, kappa):
 
 def integrate(state0: SpectralState, rates: DiffusiveRates,
               kern: CircleKernelParams, kappa: float, t_end: float, dt: float,
-              store_every: int = 1, snapshot_times=()) -> SpectralTrajectory:
-    """Fixed-step RK4 trajectory from state0.t to t_end, with the
-    coefficients at each of snapshot_times (see stepping.march)."""
+              store_every: int = 1, snapshot_times=()) -> stepping.Record:
+    """Fixed-step RK4 from state0.t to t_end, each step re-paired by
+    _paired; the record's frames and snapshots are coefficient arrays and
+    its drift the largest re-pairing change (see stepping.march)."""
     # the rate band and the kernel spectrum are fixed for the whole run
     band = rates.band(state0.J)
     lam = eigenvalues(state0.J, kern)
-    drift = 0.0
 
     def rhs(beta, t):
         return _mode_rhs(beta, band, lam, kappa)
 
-    def pair(beta):
-        nonlocal drift
-        paired = 0.5 * (beta + beta[::-1].conj())
-        drift = max(drift, float(np.max(np.abs(paired - beta))))
-        return paired
+    return stepping.march(state0.beta, float(state0.t), t_end, dt, rhs, "rk4",
+                          project=_paired, store_every=store_every,
+                          at=snapshot_times)
 
-    rec = stepping.march(state0.beta, float(state0.t), t_end, dt, rhs, "rk4",
-                         project=pair, store_every=store_every,
-                         at=snapshot_times)
-    return SpectralTrajectory(state0.J, np.array(rec.times),
-                              np.array(rec.frames), drift, rec.snapshots)
+
+def trajectory_to_csv(path, rec: stepping.Record) -> None:
+    """Rows (t, j, re_beta, im_beta) for every stored time and mode of a
+    spectral record.  Each time and each mode is formatted once and its
+    text repeated."""
+    beta = np.array(rec.frames)
+    n_t, n_j = beta.shape
+    flat = beta.reshape(-1)
+    J = (n_j - 1) // 2
+    write_csv(path, ["t", "j", "re_beta", "im_beta"],
+              [[t for t in column_text(rec.times) for _ in range(n_j)],
+               column_text(np.arange(-J, J + 1)) * n_t,
+               flat.real, flat.imag])
 
 
 def reconstruct(state: SpectralState, s_grid) -> np.ndarray:
@@ -145,21 +134,25 @@ def reconstruct(state: SpectralState, s_grid) -> np.ndarray:
                      "reconstruction")
 
 
-def exponential_form(traj: SpectralTrajectory, kern: CircleKernelParams,
+def exponential_form(rec: stepping.Record, kern: CircleKernelParams,
                      rho_phi, s_grid, a: float, kappa: float) -> np.ndarray:
-    """Density at the trajectory's final time from the exponential representation
+    """Density at a spectral record's final time from the exponential
+    representation
 
         rho(t, s) = rho_phi(s) * exp[ a t - kappa sum_j lambda_j v_j(s)
                                        int_0^t beta_j dtau ],
 
     with the time integrals taken by the trapezoid rule over the stored
-    trajectory (constant growth rate a, so only the zero mode of a survives).
+    frames (constant growth rate a, so only the zero mode of a survives).
     """
     s = np.asarray(s_grid, dtype=float)
-    lam = eigenvalues(traj.J, kern)
-    integrals = trapezoid(traj.beta, traj.t, axis=0)
-    exponent = a * (traj.t[-1] - traj.t[0]) - kappa * (
-        basis_matrix(traj.J, s) @ (lam * integrals)
+    t = np.array(rec.times)
+    beta = np.array(rec.frames)
+    J = (beta.shape[1] - 1) // 2
+    lam = eigenvalues(J, kern)
+    integrals = trapezoid(beta, t, axis=0)
+    exponent = a * (t[-1] - t[0]) - kappa * (
+        basis_matrix(J, s) @ (lam * integrals)
     )
     resid = float(np.max(np.abs(exponent.imag)))
     if resid > 1e-8 * max(1.0, float(np.max(np.abs(exponent)))):

@@ -58,8 +58,9 @@ def grid_snapshots(gamma, D, t_end, initial, N=512, dt=0.01, scheme="imex",
     """(final state, {time: density}) of one circle-grid run."""
     kern = CircleKernelParams(1.0, gamma, 1.0)
     state = gridsim.make_initial(initial, N, **params)
-    return gridsim.run(state, kern, 1.0, 0.2, D, dt, t_end, scheme,
-                       snapshot_times=snapshot_times)
+    rec = gridsim.integrate(state, kern, 1.0, 0.2, D, dt, t_end, scheme,
+                            snapshot_times=snapshot_times)
+    return gridsim.GridState(N, rec.y, rec.t), rec.snapshots
 
 
 def grid_run(gamma, D, t_end, initial, **kwargs):
@@ -195,7 +196,8 @@ def manifold_run(k0, t_end=100.0, N=128, dt=0.05):
         b=manifold.gaussian_influence(1.0, 1.0), kappa=0.2,
         V_x=manifold.linear_drag(k0) if k0 else None)
     state = manifold.circle_state(1.0, N, lambda s: np.exp(-s**2 / 0.6))
-    return manifold.integrate(state, spec, t_end, dt)
+    rec = manifold.integrate(state, spec, t_end, dt)
+    return (np.array(rec.times),) + manifold.unpack(np.array(rec.frames), N)
 
 
 def test_criterion_07_convection_compression():
@@ -247,13 +249,15 @@ def test_criterion_09_concentration_verification():
     spec = manifold.ConvectionSpec(
         a=manifold.constant_rate(1.0),
         b=manifold.gaussian_influence(1.0, 1.0), kappa=0.2)
-    _, rho_hist, _ = manifold.integrate(circle, spec, 2.0, 0.01)
-    truth = manifold.ManifoldState(circle.s, circle.X, rho_hist[-1], 2.0)
+    rho_final, _ = manifold.unpack(manifold.integrate(circle, spec, 2.0,
+                                                      0.01).y, 128)
+    truth = manifold.ManifoldState(circle.s, circle.X, rho_final, 2.0)
     kern2d = planar.GaussianKernel2D(1.0, 1.0)
     devs, dists = [], []
     for D in (0.1, 0.05, 0.01):
         field = planar.gaussian_ring(3.0, 128, R, sigma, 1.0, D=D)
-        out = planar.run2d(field, kern2d, 1.0, 0.2, 0.002, 2.0)
+        rec = planar.run2d(field, kern2d, 1.0, 0.2, 0.002, 2.0)
+        out = planar.Field2D(3.0, 128, rec.y, rec.t, D)
         devs.append(planar.concentration_check(
             out, truth, observable=lambda x, y: np.hypot(x, y)))
         _, rho_ex = planar.extract_sld(out, 128)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlfkpp import cli, config, csvio, gridsim, manifold, spectral
+from nlfkpp import cli, config, csvio, gridsim, manifold, spectral, stepping
 from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
@@ -119,6 +119,23 @@ class TestCliEntry:
         assert rc == 2
         assert "model.a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, message", [
+        ("numerics.n2d=1", "numerics.n2d: must be >= 2, got 1"),
+        ("numerics.sigma=0", "numerics.sigma: must be positive, got 0.0"),
+        ("numerics.L=0", "numerics.L: must be positive, got 0.0"),
+        ("numerics.L=-3", "numerics.L: must be positive, got -3.0"),
+    ], ids=["one_node", "zero_sigma", "zero_L", "negative_L"])
+    def test_exit_two_on_bad_planar_numerics(self, tmp_path, capsys, item,
+                                             message):
+        # dx = 2L/(n2d - 1) and the ring width sigma: these used to divide by
+        # zero, index an empty axis or write a mirrored field
+        outdir = tmp_path / "run"
+        rc = cli.main(["planar2d", "--set", "numerics.n2d=16", "--set", item,
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_exit_three_on_solver_abort(self, tmp_path, capsys):
         # spectral blow-up from a huge growth rate and tiny competition
         outdir = tmp_path / "run"
@@ -186,11 +203,13 @@ class TestCliEntry:
         assert rc == 0
         cfg = ScenarioConfig(initial_kind="gaussian_bump")
         state0 = spectral.project_initial(cli.scenario_initial(cfg), cfg.J)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(cfg.a, cfg.D),
-                                  cli._kernel(cfg), cfg.kappa, 0.37, cfg.dt)
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(cfg.a, cfg.D),
+                                 cli._kernel(cfg), cfg.kappa, 0.37, cfg.dt)
         s, rho = read_csv(tmp_path / "snapshot_t0.37.csv")[1]
         np.testing.assert_array_equal(
-            rho, spectral.reconstruct(traj.state(37), s))
+            rho, spectral.reconstruct(
+                spectral.SpectralState(cfg.J, rec.frames[37], rec.times[37]),
+                s))
 
     def test_from_samples_rejected_before_output(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -623,7 +642,8 @@ class TestCsvWriting:
             X[2, 0, 1] = -0.0  # equal to 0.0, but written as -0
         rho = rng.random((3, 4))
         path = tmp_path / "trajectory.csv"
-        manifold.trajectory_to_csv(path, times, s, rho, X)
+        frames = [np.concatenate([rho[i], X[i].ravel()]) for i in range(3)]
+        manifold.trajectory_to_csv(path, stored(times, frames), s)
         expected = "t,s,x1,x2,rho\n" + "".join(
             ",".join(csvio.fmt(v) for v in (t, s[k], *X[i, k], rho[i, k]))
             + "\n" for i, t in enumerate(times) for k in range(4))
@@ -636,12 +656,18 @@ class TestCsvWriting:
         beta = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
         beta[1, 2] = complex(-0.0, 0.0)
         path = tmp_path / "trajectory.csv"
-        spectral.SpectralTrajectory(2, times, beta).to_csv(path)
+        spectral.trajectory_to_csv(path, stored(times, list(beta)))
         expected = "t,j,re_beta,im_beta\n" + "".join(
             ",".join(csvio.fmt(v) for v in (t, j, beta[i, j + 2].real,
                                             beta[i, j + 2].imag)) + "\n"
             for i, t in enumerate(times) for j in range(-2, 3))
         assert path.read_text() == expected
+
+
+def stored(times, frames) -> stepping.Record:
+    """A record that holds only the stored times and frames."""
+    return stepping.Record(frames[-1], times[-1], 0, 0.0, list(times),
+                           frames, {})
 
 
 class TestDeterminism:

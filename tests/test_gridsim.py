@@ -27,7 +27,7 @@ class TestNonlocalTerm:
         for j in (1, 2, 5):
             rho = 2.0 * np.cos(j * s) / SQRT_TWO_PI
             state = gridsim.GridState.__new__(gridsim.GridState)
-            state.N, state.rho, state.t, state.clamped = N, rho, 0.0, 0
+            state.N, state.rho, state.t = N, rho, 0.0
             I = gridsim.nonlocal_term(state, unit_kernel)
             np.testing.assert_allclose(I, eigenvalue(j, unit_kernel) * rho,
                                        atol=1e-12)
@@ -47,8 +47,9 @@ class TestStep:
     def test_free_growth(self, unit_kernel):
         state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
         rho0 = state.rho.copy()
-        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.0, 0.0, 0.01, 2.0, "rk4")
-        np.testing.assert_allclose(out.rho, rho0 * math.exp(2.0), rtol=1e-9)
+        out = gridsim.integrate(state, unit_kernel, 1.0, 0.0, 0.0, 0.01, 2.0,
+                                "rk4")
+        np.testing.assert_allclose(out.y, rho0 * math.exp(2.0), rtol=1e-9)
 
     def test_homogeneous_follows_exact_solution(self, unit_kernel):
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
@@ -56,9 +57,9 @@ class TestStep:
         for scheme, D, dt, tol in (("rk4", 0.1, 0.01, 1e-6),
                                    ("euler", 0.0, 0.0005, 1e-3),
                                    ("imex", 0.1, 0.001, 1e-3)):
-            out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, D, dt, 20.0,
-                                 scheme)
-            assert np.max(np.abs(out.rho - exact.rho0(20.0, m))) < tol
+            out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, D, dt, 20.0,
+                                    scheme)
+            assert np.max(np.abs(out.y - exact.rho0(20.0, m))) < tol
 
     def test_stability_bound_enforced(self, unit_kernel):
         state = gridsim.make_initial("homogeneous", 64)
@@ -78,7 +79,8 @@ class TestStep:
         state = gridsim.make_initial("homogeneous", 64)
         with pytest.raises(RuntimeError):
             # negative coupling turns the quadratic term into a source
-            gridsim.run(state, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0, "euler")
+            gridsim.integrate(state, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0,
+                              "euler")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
     def test_blowup_guard_catches_bad_update(self, unit_kernel, monkeypatch,
@@ -94,8 +96,8 @@ class TestStep:
     def test_run_time_is_an_exact_multiple_of_dt(self, unit_kernel):
         # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
         state = gridsim.make_initial("homogeneous", 64)
-        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0,
-                             "euler")
+        out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0,
+                                "euler")
         assert out.t == 1.0
 
     def test_grid_convergence(self, unit_kernel):
@@ -103,9 +105,9 @@ class TestStep:
         profiles = {}
         for N in (256, 512):
             state = gridsim.make_initial("gaussian_bump", N, T=10.0)
-            out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.1, 0.002,
-                                 5.0, "imex")
-            profiles[N] = out.rho
+            out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.1, 0.002,
+                                    5.0, "imex")
+            profiles[N] = out.y
         coarse = profiles[256]
         fine = profiles[512][::2]
         rel = np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
@@ -126,7 +128,7 @@ class TestRunInvariantOperator:
 
         monkeypatch.setattr(kernel, "bessel_i_scaled", counted)
         state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
-        out, _ = gridsim.run(state, kern, 1.0, 0.2, 0.1, 0.01, 0.5, "imex")
+        out = gridsim.integrate(state, kern, 1.0, 0.2, 0.1, 0.01, 0.5, "imex")
         assert out.t == pytest.approx(0.5)
         assert calls == [0]
 
@@ -149,8 +151,8 @@ class TestRunInvariantOperator:
         # (D, dt, N) no other test uses, so the symbol cache starts cold
         state = gridsim.make_initial("gaussian_bump", 96, T=10.0)
         before = gridsim._circulant_symbol.cache_info().misses
-        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0371, 0.0137,
-                             50 * 0.0137, "imex")
+        out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0371, 0.0137,
+                                50 * 0.0137, "imex")
         assert out.t == pytest.approx(50 * 0.0137)
         assert gridsim._circulant_symbol.cache_info().misses - before == 1
 
@@ -213,7 +215,9 @@ class TestMass:
         # homogeneous: dm/dt = a m - kappa lambda0 m^2 / (2 pi)
         state = gridsim.make_initial("homogeneous", 64, beta00=1.0)
         dt = 1e-4
-        out, _ = gridsim.run(state, unit_kernel, 1.0, 0.2, 0.0, dt, 1.0, "rk4")
+        rec = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0, dt, 1.0,
+                                "rk4")
+        out = gridsim.GridState(64, rec.y, rec.t)
         mid = gridsim.step(out, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
         out2 = gridsim.step(mid, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
         # centered difference around the midpoint state

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from nlfkpp import analysis, gridsim, manifold, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
@@ -16,6 +17,11 @@ def bump(s):
 
 def zero_influence(x, y):
     return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])
+
+
+def history(rec, n=64):
+    """(times, rho history, X history) of the stored frames of a record."""
+    return (np.array(rec.times),) + manifold.unpack(np.array(rec.frames), n)
 
 
 @pytest.fixture
@@ -135,32 +141,35 @@ class TestIntegrate:
         spec = manifold.ConvectionSpec(a=static_spec.a, b=static_spec.b,
                                        kappa=0.2,
                                        V_x=manifold.linear_drag(0.03))
-        times, _, X_hist = manifold.integrate(circle, spec, 20.0, 0.05)
-        radii = np.linalg.norm(X_hist[-1], axis=1)
+        _, X = manifold.unpack(manifold.integrate(circle, spec, 20.0, 0.05).y,
+                               64)
+        radii = np.linalg.norm(X, axis=1)
         assert np.max(np.abs(radii - math.exp(-0.03 * 20.0))) < 1e-8
 
     def test_reduction_identity_with_grid_sim(self, circle, static_spec):
         # same stepper, same grid: trajectories must agree to roundoff scale
         kern = CircleKernelParams(1.0, 1.0, 1.0)
-        _, rho_hist, _ = manifold.integrate(circle, static_spec, 20.0, 0.01)
+        rho, _ = manifold.unpack(
+            manifold.integrate(circle, static_spec, 20.0, 0.01).y, 64)
         grid0 = gridsim.GridState(64, bump(gridsim.grid_nodes(64)))
-        out, _ = gridsim.run(grid0, kern, 1.0, 0.2, 0.0, 0.01, 20.0, "rk4")
-        assert np.max(np.abs(rho_hist[-1] - out.rho)) < 1e-8
+        out = gridsim.integrate(grid0, kern, 1.0, 0.2, 0.0, 0.01, 20.0, "rk4")
+        assert np.max(np.abs(rho - out.y)) < 1e-8
 
     def test_pure_growth_with_zero_influence(self, circle):
         spec = manifold.ConvectionSpec(
             a=manifold.constant_rate(0.7),
             b=zero_influence, kappa=0.2)
-        _, rho_hist, X_hist = manifold.integrate(circle, spec, 3.0, 0.01)
-        np.testing.assert_allclose(rho_hist[-1],
-                                   circle.rho * math.exp(0.7 * 3.0), rtol=1e-9)
-        np.testing.assert_allclose(X_hist[-1], circle.X, rtol=0)
+        rho, X = manifold.unpack(manifold.integrate(circle, spec, 3.0, 0.01).y,
+                                 64)
+        np.testing.assert_allclose(rho, circle.rho * math.exp(0.7 * 3.0),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(X, circle.X, rtol=0)
 
     def test_stored_times_are_exact_multiples_of_dt(self, circle, static_spec):
-        times, _, _ = manifold.integrate(circle, static_spec, 1.0, 0.01,
-                                         store_every=10)
-        assert times.tolist() == [k * 0.01 for k in range(0, 101, 10)]
-        assert times[-1] == 1.0
+        rec = manifold.integrate(circle, static_spec, 1.0, 0.01,
+                                 store_every=10)
+        assert rec.times == [k * 0.01 for k in range(0, 101, 10)]
+        assert rec.times[-1] == rec.t == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
     def test_blowup_guard_catches_bad_update(self, circle, static_spec,
@@ -175,8 +184,8 @@ class TestIntegrate:
     def test_mass_law_consistency(self, circle, static_spec):
         # d/dt int rho ds from the trajectory vs int rho_dot ds from the rhs
         dt = 1e-3
-        times, rho_hist, _ = manifold.integrate(circle, static_spec,
-                                                2 * dt, dt)
+        times, rho_hist, _ = history(manifold.integrate(circle, static_spec,
+                                                        2 * dt, dt))
         ds = circle.s[1] - circle.s[0]
         fd = ds * np.sum(rho_hist[2] - rho_hist[0]) / (2 * dt)
         mid = manifold.ManifoldState(circle.s, circle.X, rho_hist[1], dt)
@@ -221,7 +230,7 @@ class TestInfluenceReuse:
     @pytest.mark.parametrize("drag", [False, True])
     def test_trajectory_equals_rk4_on_ee_rhs(self, circle, drag):
         spec = self.spec(drag)
-        got = manifold.integrate(circle, spec, 0.5, 0.05)
+        got = history(manifold.integrate(circle, spec, 0.5, 0.05))
         expected = rk4_on_ee_rhs(circle, spec, 0.5, 0.05)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
@@ -256,12 +265,14 @@ class TestClamping:
         monkeypatch.setattr(manifold, "_rhs", rhs)
         state = manifold.circle_state(
             1.0, 64, lambda s: np.where(np.arange(len(s)) == 3, 0.0, 1.0))
-        return manifold.integrate(state, spec, dt, dt)[1][-1]
+        return manifold.integrate(state, spec, dt, dt)
 
     def test_roundoff_band_clamped(self, monkeypatch, static_spec):
-        rho = self.one_step(monkeypatch, static_spec, -1e-12)
+        rec = self.one_step(monkeypatch, static_spec, -1e-12)
+        rho, _ = manifold.unpack(rec.y, 64)
         assert rho[3] == 0.0
         assert np.all(np.delete(rho, 3) == 1.0)
+        assert rec.clamped == 1
 
     def test_hard_negative_aborts(self, monkeypatch, static_spec):
         with pytest.raises(RuntimeError, match="hard negative"):
@@ -328,6 +339,55 @@ class TestValidation:
                 V_x=manifold.linear_drag(k0) if k0 else None)
             state = manifold.circle_state(1.0, 64,
                                           lambda s: np.exp(-s**2 / 0.6))
-            _, rho_hist, _ = manifold.integrate(state, spec, 30.0, 0.05)
-            results[k0] = analysis.count_peaks(rho_hist[-1])
+            rho, _ = manifold.unpack(manifold.integrate(state, spec, 30.0,
+                                                        0.05).y, 64)
+            results[k0] = analysis.count_peaks(rho)
         assert results[0.03] <= results[0.0]
+
+
+class TestMovingManifoldReference:
+    """Uniform rho0 on a circle under linear drag: by symmetry rho stays
+    uniform and the circle shrinks to radius R e^{-k0 t}, where the Gaussian
+    kernel's constant mode has the eigenvalue
+    lambda0(t) = 2 pi b0 e^{-mu} I_0(mu), mu = (R e^{-k0 t} / gamma)^2.  Then
+    rho' = rho (a - kappa lambda0(t) rho) is a Bernoulli equation:
+
+        1/rho(t) = e^{-a t} (1/rho0 + kappa int_0^t e^{a u} lambda0(u) du).
+    """
+
+    a, b0, gamma, R, kappa, k0, rho0, T, N = (1.0, 1.0, 1.0, 1.0, 0.2, 0.03,
+                                               0.3, 20.0, 32)
+
+    def lambda0(self, u):
+        mu = (self.R * math.exp(-self.k0 * u) / self.gamma) ** 2
+        return 2.0 * math.pi * self.b0 * special.i0e(mu)
+
+    def reference(self, times):
+        """rho at each of the increasing times, from one quad per interval."""
+        pieces = [integrate.quad(lambda u: math.exp(self.a * u)
+                                 * self.lambda0(u), lo, hi, epsabs=0.0,
+                                 epsrel=1e-13)[0]
+                  for lo, hi in zip(times[:-1], times[1:])]
+        integral = np.concatenate([[0.0], np.cumsum(pieces)])
+        return np.exp(self.a * times) / (1.0 / self.rho0
+                                         + self.kappa * integral)
+
+    def max_rel_error(self, dt):
+        spec = manifold.ConvectionSpec(
+            a=manifold.constant_rate(self.a),
+            b=manifold.gaussian_influence(self.b0, self.gamma),
+            kappa=self.kappa, V_x=manifold.linear_drag(self.k0))
+        state = manifold.circle_state(self.R, self.N,
+                                      lambda s: np.full_like(s, self.rho0))
+        # a frame every time unit
+        rec = manifold.integrate(state, spec, self.T, dt,
+                                 store_every=round(1.0 / dt))
+        rho, _ = manifold.unpack(np.array(rec.frames), self.N)
+        want = self.reference(np.array(rec.times))
+        return float(np.max(np.abs(rho / want[:, None] - 1.0)))
+
+    def test_fourth_order_convergence(self):
+        errors = [self.max_rel_error(dt) for dt in (0.1, 0.05, 0.025)]
+        orders = [analysis.richardson_order(coarse, fine, 2.0)
+                  for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)

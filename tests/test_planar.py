@@ -61,7 +61,7 @@ class TestStep2D:
         field = planar.Field2D(3.0, 32, rng.random((32, 32)))
         u0 = field.u.copy()
         out = planar.run2d(field, kernel2d, 1.0, 0.0, 0.01, 1.0)
-        np.testing.assert_allclose(out.u, u0 * math.exp(1.0), rtol=1e-2)
+        np.testing.assert_allclose(out.y, u0 * math.exp(1.0), rtol=1e-2)
 
     def test_run_time_is_an_exact_multiple_of_dt(self, kernel2d):
         # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
@@ -72,7 +72,8 @@ class TestStep2D:
         field = planar.gaussian_ring(3.0, 64, 1.0, 0.15, 1.0, D=0.01)
         masses = [planar.moments(field)[0]]
         for _ in range(5):
-            field = planar.run2d(field, kernel2d, 1.0, 0.2, 0.01, field.t + 1.0)
+            rec = planar.run2d(field, kernel2d, 1.0, 0.2, 0.01, field.t + 1.0)
+            field = planar.Field2D(3.0, 64, rec.y, rec.t, 0.01)
             masses.append(planar.moments(field)[0])
         growth = np.diff(np.log(masses))
         assert np.all(np.diff(growth) < 0)  # growth rate decreases
@@ -93,6 +94,36 @@ class TestStep2D:
         field = planar.gaussian_ring(3.0, 32, 1.0, 0.2, 1.0, D=D)
         with pytest.raises(RuntimeError, match="blew up"):
             planar.step2d(field, kernel2d, 1.0, 0.2, dt)
+
+
+class TestClamping:
+    @staticmethod
+    def one_step(monkeypatch, kernel2d, change):
+        """One euler step from u = 1 with u[3, 3] = 0, where the reaction
+        term vanishes, under a diffusion update of change / dt at that node
+        alone."""
+        dt, D = 0.01, 0.01
+
+        def laplacian(u, dx):
+            out = np.zeros_like(u)
+            out[3, 3] = change / (dt * D)
+            return out
+
+        monkeypatch.setattr(planar, "_laplacian_reflect", laplacian)
+        u = np.ones((16, 16))
+        u[3, 3] = 0.0
+        return planar.run2d(planar.Field2D(3.0, 16, u, 0.0, D), kernel2d,
+                            1.0, 0.2, dt, dt)
+
+    def test_roundoff_band_clamped(self, monkeypatch, kernel2d):
+        rec = self.one_step(monkeypatch, kernel2d, -1e-12)
+        assert rec.y[3, 3] == 0.0
+        assert np.all(np.delete(rec.y.ravel(), 3 * 16 + 3) > 0.0)
+        assert rec.clamped == 1
+
+    def test_hard_negative_aborts(self, monkeypatch, kernel2d):
+        with pytest.raises(RuntimeError, match="hard negative"):
+            self.one_step(monkeypatch, kernel2d, -0.5)
 
 
 class TestMoments:
@@ -167,7 +198,8 @@ class TestConcentrationCheck:
         circle = manifold.circle_state(1.0, 128, lambda s: np.ones_like(s))
         for D in (0.1, 0.05, 0.01):
             field = planar.gaussian_ring(3.0, 128, 1.0, 0.1, 1.0, D=D)
-            out = planar.run2d(field, kernel2d, 1.0, 0.2, 0.002, 2.0)
+            rec = planar.run2d(field, kernel2d, 1.0, 0.2, 0.002, 2.0)
+            out = planar.Field2D(3.0, 128, rec.y, rec.t, D)
             devs.append(planar.concentration_check(
                 out, circle, observable=lambda x, y: np.hypot(x, y)))
         assert devs[0] > devs[1] > devs[2]

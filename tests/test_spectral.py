@@ -78,19 +78,19 @@ class TestIntegrate:
         # beta_{0j} = delta_{j0}: the zero mode is closed and logistic
         state0 = spectral.SpectralState(5, np.eye(11)[5].astype(complex))
         times = (1.0, 5.0, 20.0)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 20.0, 0.01,
-                                  snapshot_times=times)
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                                 unit_kernel, 0.2, 20.0, 0.01,
+                                 snapshot_times=times)
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
         for t in times:
-            assert abs(traj.snapshots[t][5] - exact.beta0(t, m)) < 1e-8
+            assert abs(rec.snapshots[t][5] - exact.beta0(t, m)) < 1e-8
 
     def test_kappa_zero_modes_grow_independently(self, unit_kernel):
         state0 = spectral.project_initial(bump, 4)
         rates = spectral.DiffusiveRates(1.0, 0.3)
-        traj = spectral.integrate(state0, rates, unit_kernel, 0.0, 2.0, 0.005,
-                                  snapshot_times=(2.0,))
-        final = spectral.SpectralState(4, traj.snapshots[2.0])
+        rec = spectral.integrate(state0, rates, unit_kernel, 0.0, 2.0, 0.005,
+                                 snapshot_times=(2.0,))
+        final = spectral.SpectralState(4, rec.snapshots[2.0])
         for j in range(-4, 5):
             expected = state0.mode(j) * np.exp(rates.rate(j) * 2.0)
             assert abs(final.mode(j) - expected) < 1e-9
@@ -101,17 +101,18 @@ class TestIntegrate:
         rates = spectral.DiffusiveRates(1.0)
         state0 = spectral.project_initial(bump, 3)
         late = spectral.SpectralState(3, state0.beta, 5.0)
-        traj = spectral.integrate(late, rates, unit_kernel, 0.2, 6.0, 0.01)
+        rec = spectral.integrate(late, rates, unit_kernel, 0.2, 6.0, 0.01)
         ref = spectral.integrate(state0, rates, unit_kernel, 0.2, 1.0, 0.01)
-        assert len(traj.t) == 101 and traj.t[0] == 5.0 and traj.t[-1] == 6.0
-        assert np.array_equal(traj.beta, ref.beta)
+        assert len(rec.times) == 101 and rec.times[0] == 5.0 \
+            and rec.times[-1] == 6.0
+        assert np.array_equal(rec.frames, ref.frames)
 
     def test_reality_preserved(self, unit_kernel):
         state0 = spectral.project_initial(bump, 6)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1),
-                                  unit_kernel, 0.2, 10.0, 0.01)
-        assert traj.reality_drift < 1e-12
-        beta_T = traj.beta[-1]
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1),
+                                 unit_kernel, 0.2, 10.0, 0.01)
+        assert rec.drift < 1e-12
+        beta_T = rec.frames[-1]
         np.testing.assert_allclose(beta_T, beta_T[::-1].conj(), rtol=0)
 
     def test_blowup_detected(self, unit_kernel):
@@ -135,26 +136,26 @@ class TestIntegrate:
 
     def test_snapshots_are_the_stepped_states(self, unit_kernel):
         state0 = spectral.project_initial(bump, 4)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 1.0, 0.01,
-                                  snapshot_times=(0.37, 0.0, 1.0))
-        assert list(traj.snapshots) == [0.0, 0.37, 1.0]
-        np.testing.assert_array_equal(traj.snapshots[0.0], state0.beta)
-        np.testing.assert_array_equal(traj.snapshots[0.37], traj.beta[37])
-        np.testing.assert_array_equal(traj.snapshots[1.0], traj.beta[-1])
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                                 unit_kernel, 0.2, 1.0, 0.01,
+                                 snapshot_times=(0.37, 0.0, 1.0))
+        assert list(rec.snapshots) == [0.0, 0.37, 1.0]
+        np.testing.assert_array_equal(rec.snapshots[0.0], state0.beta)
+        np.testing.assert_array_equal(rec.snapshots[0.37], rec.frames[37])
+        np.testing.assert_array_equal(rec.snapshots[1.0], rec.frames[-1])
 
     def test_trajectory_csv_roundtrip(self, unit_kernel, tmp_path):
         from nlfkpp.csvio import read_csv
         state0 = spectral.project_initial(bump, 3)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 1.0, 0.1)
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                                 unit_kernel, 0.2, 1.0, 0.1)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path)
+        spectral.trajectory_to_csv(path, rec)
         header, cols = read_csv(path)
         assert header == ["t", "j", "re_beta", "im_beta"]
-        n_modes = 2 * traj.J + 1
-        assert len(cols[0]) == len(traj.t) * n_modes
-        np.testing.assert_allclose(cols[2][:n_modes], traj.beta[0].real, rtol=0)
+        n_modes = 2 * 3 + 1
+        assert len(cols[0]) == len(rec.times) * n_modes
+        np.testing.assert_allclose(cols[2][:n_modes], rec.frames[0].real, rtol=0)
 
 
 class TestRunInvariantOperator:
@@ -201,9 +202,9 @@ class TestRunInvariantOperator:
             beta = beta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             beta = 0.5 * (beta + beta[::-1].conj())
             history.append(beta.copy())
-        traj = spectral.integrate(state0, rates, unit_kernel, 0.2,
-                                  n_steps * dt, dt)
-        assert np.array_equal(traj.beta, np.array(history))
+        rec = spectral.integrate(state0, rates, unit_kernel, 0.2,
+                                 n_steps * dt, dt)
+        assert np.array_equal(rec.frames, np.array(history))
 
 
 class TestOmegaCoefficients:
@@ -225,11 +226,11 @@ class TestExponentialForm:
     def test_matches_reconstruction(self, unit_kernel):
         # the exponential representation resums to the same density
         state0 = spectral.project_initial(bump, 12)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 5.0, 0.001, store_every=1,
-                                  snapshot_times=(5.0,))
+        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
+                                 unit_kernel, 0.2, 5.0, 0.001, store_every=1,
+                                 snapshot_times=(5.0,))
         s = np.linspace(-math.pi, math.pi, 65)
-        via_exp = spectral.exponential_form(traj, unit_kernel, bump, s, 1.0, 0.2)
+        via_exp = spectral.exponential_form(rec, unit_kernel, bump, s, 1.0, 0.2)
         direct = spectral.reconstruct(
-            spectral.SpectralState(12, traj.snapshots[5.0]), s)
+            spectral.SpectralState(12, rec.snapshots[5.0]), s)
         np.testing.assert_allclose(via_exp, direct, rtol=2e-3)

@@ -9,8 +9,8 @@ KERNEL = CircleKernelParams(1.0, 1.0, 1.0)
 
 
 def run_grid(t0, t_end, dt):
-    return gridsim.run(gridsim.GridState(16, np.ones(16), t0), KERNEL,
-                       1.0, 0.2, 0.0, dt, t_end)
+    return gridsim.integrate(gridsim.GridState(16, np.ones(16), t0), KERNEL,
+                             1.0, 0.2, 0.0, dt, t_end)
 
 
 def run_spectral(t0, t_end, dt):
@@ -32,9 +32,19 @@ def run_planar(t0, t_end, dt):
                         planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, dt, t_end)
 
 
-@pytest.mark.parametrize("run", [run_grid, run_spectral, run_manifold,
-                                 run_planar],
-                         ids=["grid", "spectral", "manifold", "planar"])
+RUNNERS = pytest.mark.parametrize(
+    "run", [run_grid, run_spectral, run_manifold, run_planar],
+    ids=["grid", "spectral", "manifold", "planar"])
+
+
+@RUNNERS
+def test_every_solver_returns_the_drivers_record(run):
+    rec = run(2.0, 3.0, 0.01)
+    assert isinstance(rec, stepping.Record)
+    assert rec.t == 3.0
+
+
+@RUNNERS
 @pytest.mark.parametrize("t0, t_end, dt, message", [
     (0.0, 1.0, -0.01, "must be positive"),
     (0.0, 1.0, 0.0, "must be positive"),
