@@ -94,18 +94,34 @@ def gaussian_influence(b0: float, gamma: float) -> Callable:
     np.sum(d * d, axis=-1) adds them, without an (..., n_dim) temporary.
     Every later operation works in place on that fresh sum; dividing by
     -(2 gamma^2) rounds exactly as negating and dividing by 2 gamma^2.
+
+    The returned array is the only one a call allocates, and the caller
+    owns it.  Each later coordinate's difference goes into a scratch array
+    that the closure owns and reallocates only when the shape of the
+    result changes; it is never returned.  So one closure serves calls of
+    any shape in turn, but not concurrent calls from several threads.  A
+    point pair gives a numpy scalar and uses no scratch.
     """
+    scratch = np.empty(0)
+
     def b(x, y):
+        nonlocal scratch
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         sq = y[..., 0] - x[..., 0]
         sq *= sq
+        pair = np.ndim(sq) == 0  # numpy scalars, not arrays
+        if not pair and y.shape[-1] > 1 and scratch.shape != sq.shape:
+            scratch = np.empty(sq.shape)
         for k in range(1, y.shape[-1]):
-            d = y[..., k] - x[..., k]
+            if pair:
+                d = y[..., k] - x[..., k]
+            else:
+                d = np.subtract(y[..., k], x[..., k], out=scratch)
             d *= d
             sq += d
         sq /= -(2.0 * gamma**2)
-        if np.ndim(sq) == 0:  # a point pair gives a numpy scalar, not an array
+        if pair:
             return b0 * np.exp(sq)
         np.exp(sq, out=sq)
         sq *= b0

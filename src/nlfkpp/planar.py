@@ -31,6 +31,11 @@ class Field2D:
     D: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"half-width L must be finite and positive, "
+                             f"got {self.L}")
+        if self.n < 2:
+            raise ValueError(f"need n >= 2 points per axis, got {self.n}")
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.n, self.n):
             raise ValueError(f"expected ({self.n}, {self.n}) field, got {self.u.shape}")
@@ -78,10 +83,26 @@ def nonlocal_term_2d(field: Field2D, kern: GaussianKernel2D) -> np.ndarray:
     return kern.b0 * field.dx**2 * (G @ field.u @ G)
 
 
-def _laplacian_reflect(u: np.ndarray, dx: float) -> np.ndarray:
-    p = np.pad(u, 1, mode="edge")  # mirror ghost = zero normal flux
-    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
-            - 4.0 * u) / dx**2
+def _laplacian_reflect(u: np.ndarray, dx: float, pad: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Five-point Laplacian of u with zero-flux borders, written into out
+    and returned: ((((p_up + p_down) + p_left) + p_right) - 4u) / dx^2 on
+    the ghost-padded field p, built in the (n + 2, n + 2) work array pad
+    with each ghost a copy of its edge value (np.pad's "edge" mode; the
+    corners are never read)."""
+    pad[1:-1, 1:-1] = u
+    pad[0, 1:-1] = u[0]
+    pad[-1, 1:-1] = u[-1]
+    pad[1:-1, 0] = u[:, 0]
+    pad[1:-1, -1] = u[:, -1]
+    np.add(pad[:-2, 1:-1], pad[2:, 1:-1], out=out)
+    out += pad[1:-1, :-2]
+    out += pad[1:-1, 2:]
+    # the shifted sums are done, so the interior of pad is free for 4u
+    four_u = np.multiply(u, 4.0, out=pad[1:-1, 1:-1])
+    out -= four_u
+    out /= dx**2
+    return out
 
 
 def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
@@ -96,17 +117,34 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
     """Explicit Euler steps to t_end with the shared driver; the record's
     state is the (n, n) field u, one run for the clamp.  The stability
     bound 0.8 min(1/(a + kappa max I), dx^2/(4D)) uses the step's own
-    interaction I, which the right-hand side then reuses."""
+    interaction I, which the right-hand side then reuses.
+
+    The right-hand side and the stability bound allocate no (n, n)
+    arrays.  This call owns one work array each for G @ u, the interaction
+    I, the ghost-padded field, the Laplacian and the right-hand side, and
+    every operation writes into them in the order of the allocating
+    expressions b0 dx^2 ((G @ u) @ G) and a u - (kappa u) I + D lap, so the
+    bits are theirs.  The right-hand side returns its work array, which
+    the next call overwrites; the euler step consumes it first.  The
+    record's arrays are fresh and the caller's, and separate runs (in
+    separate threads too) share no work array.
+    """
     # nonlocal_term_2d's factors, fixed for the run
     G = _gaussian_matrix(field.L, field.n, kern.gamma)
     scale = kern.b0 * field.dx**2
-    last_u, last_I = None, None
+    n = field.n
+    Gu, I, lap, out = (np.empty((n, n)) for _ in range(4))
+    pad = np.empty((n + 2, n + 2))
+    last_u = None
 
     def interaction(u):
-        nonlocal last_u, last_I
+        nonlocal last_u
         if u is not last_u:
-            last_u, last_I = u, scale * (G @ u @ G)
-        return last_I
+            np.matmul(G, u, out=Gu)
+            np.matmul(Gu, G, out=I)
+            np.multiply(I, scale, out=I)
+            last_u = u
+        return I
 
     def limit(u):
         bound = 0.8 / (a + kappa * max(float(np.max(interaction(u))), 0.0))
@@ -115,9 +153,15 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
         return bound
 
     def rhs(u, t):
-        out = a * u - kappa * u * interaction(u)
+        # (kappa u) I goes into lap, which is free until the diffusion term
+        np.multiply(u, kappa, out=lap)
+        np.multiply(lap, interaction(u), out=lap)
+        np.multiply(u, a, out=out)
+        np.subtract(out, lap, out=out)
         if field.D > 0:
-            out = out + field.D * _laplacian_reflect(u, field.dx)
+            diffusion = _laplacian_reflect(u, field.dx, pad, lap)
+            np.multiply(diffusion, field.D, out=diffusion)
+            np.add(out, diffusion, out=out)
         return out
 
     return stepping.march(field.u, field.t, t_end, dt, rhs, "euler",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import backends, gridsim
+from nlfkpp import backends, gridsim, planar, stepping
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                            eigenvalues, wrap_angle)
 
@@ -89,3 +89,72 @@ def omega_coefficients(j: int, j_prime: int, basis, indices,
     product = np.conj(samples[j]) * samples[j_prime]
     # product = sum_k c_k v_k*(s)  =>  c_k = int v_k(s) product(s) ds
     return {k: ds * np.sum(samples[k] * product) for k in indices}
+
+
+def bits(x) -> np.ndarray:
+    """The raw float64 bits of x, for comparisons in which -0.0 != 0.0 and a
+    NaN equals itself."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def laplacian_pad_oracle(u: np.ndarray, dx: float) -> np.ndarray:
+    """The planar five-point Laplacian with np.pad's edge ghosts, as
+    allocating expressions: the reference for the work-array Laplacian."""
+    p = np.pad(u, 1, mode="edge")  # mirror ghost = zero normal flux
+    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
+            - 4.0 * u) / dx**2
+
+
+def run2d_oracle(field, kern, a: float, kappa: float, dt: float,
+                 t_end: float) -> stepping.Record:
+    """planar.run2d with a fresh array for every operation: the same
+    stability bound, euler step, clamp and reuse of the step's interaction,
+    and the same floating-point operations in the same order, so its bits
+    are the reference for the run's work arrays (and its page faults the
+    reference for their allocations)."""
+    G = planar._gaussian_matrix(field.L, field.n, kern.gamma)
+    scale = kern.b0 * field.dx**2
+    last_u, last_I = None, None
+
+    def interaction(u):
+        nonlocal last_u, last_I
+        if u is not last_u:
+            last_u, last_I = u, scale * (G @ u @ G)
+        return last_I
+
+    def limit(u):
+        bound = 0.8 / (a + kappa * max(float(np.max(interaction(u))), 0.0))
+        if field.D > 0:
+            bound = min(bound, 0.8 * field.dx**2 / (4.0 * field.D))
+        return bound
+
+    def rhs(u, t):
+        out = a * u - kappa * u * interaction(u)
+        if field.D > 0:
+            out = out + field.D * laplacian_pad_oracle(u, field.dx)
+        return out
+
+    return stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
+                          limit=limit, density=lambda u: u)
+
+
+def gaussian_influence_oracle(b0: float, gamma: float):
+    """manifold.gaussian_influence with a fresh array for each coordinate's
+    difference: the same operations in the same order, so its bits are the
+    reference for the closure's scratch array."""
+    def b(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sq = y[..., 0] - x[..., 0]
+        sq *= sq
+        for k in range(1, y.shape[-1]):
+            d = y[..., k] - x[..., k]
+            d *= d
+            sq += d
+        sq /= -(2.0 * gamma**2)
+        if np.ndim(sq) == 0:
+            return b0 * np.exp(sq)
+        np.exp(sq, out=sq)
+        sq *= b0
+        return sq
+    return b

@@ -8,7 +8,7 @@ from scipy import integrate, special
 from nlfkpp import analysis, gridsim, manifold, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
 
-from conftest import circulant_term
+from conftest import bits, circulant_term, gaussian_influence_oracle
 
 
 def bump(s):
@@ -134,6 +134,45 @@ class TestGaussianInfluence:
         assert np.array_equal(b(X[5], X), expected[5])
         pair = b(X[5], X[7])  # a point pair gives a scalar
         assert np.ndim(pair) == 0 and pair == expected[5, 7]
+
+    def test_drag_run_matches_allocating_oracle(self, circle):
+        # linear drag moves X in every RK4 stage, so B is rebuilt each time
+        runs = [manifold.integrate(circle, manifold.ConvectionSpec(
+                    a=manifold.constant_rate(1.0), b=b, kappa=0.2,
+                    V_x=manifold.linear_drag(0.03)), 1.0, 0.05, store_every=5)
+                for b in (manifold.gaussian_influence(1.0, 1.0),
+                          gaussian_influence_oracle(1.0, 1.0))]
+        got, want = (np.array(rec.frames) for rec in runs)
+        assert got.shape == (5, 3 * 64)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_results_never_alias_the_scratch(self, n_dim):
+        rng = np.random.default_rng(41 + n_dim)
+        b = manifold.gaussian_influence(1.3, 0.7)
+        oracle = gaussian_influence_oracle(1.3, 0.7)
+        X, Y = rng.standard_normal((2, 64, n_dim))
+        first = b(X[:, None, :], X[None, :, :])
+        kept = first.copy()
+        second = b(Y[:, None, :], Y[None, :, :])
+        assert np.array_equal(bits(first), bits(kept))  # not overwritten
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(bits(second),
+                              bits(oracle(Y[:, None, :], Y[None, :, :])))
+        pair = b(X[5], X[7])
+        assert np.ndim(pair) == 0
+        assert bits(pair) == bits(oracle(X[5], X[7]))
+
+    def test_one_closure_serves_two_sizes(self):
+        rng = np.random.default_rng(43)
+        b = manifold.gaussian_influence(1.3, 0.7)
+        oracle = gaussian_influence_oracle(1.3, 0.7)
+        for n in (64, 32, 64, 5):
+            X = rng.standard_normal((n, 2))
+            got = b(X[:, None, :], X[None, :, :])
+            assert got.shape == (n, n)
+            assert np.array_equal(bits(got),
+                                  bits(oracle(X[:, None, :], X[None, :, :])))
 
 
 class TestIntegrate:
@@ -348,11 +387,17 @@ class TestValidation:
 class TestMovingManifoldReference:
     """Uniform rho0 on a circle under linear drag: by symmetry rho stays
     uniform and the circle shrinks to radius R e^{-k0 t}, where the Gaussian
-    kernel's constant mode has the eigenvalue
-    lambda0(t) = 2 pi b0 e^{-mu} I_0(mu), mu = (R e^{-k0 t} / gamma)^2.  Then
+    kernel's mode j has the eigenvalue
+    lambda_j(t) = 2 pi b0 e^{-mu} I_j(mu), mu = (R e^{-k0 t} / gamma)^2.  Then
     rho' = rho (a - kappa lambda0(t) rho) is a Bernoulli equation:
 
         1/rho(t) = e^{-a t} (1/rho0 + kappa int_0^t e^{a u} lambda0(u) du).
+
+    Linearized about it, the amplitude of a perturbation delta_j cos(j s)
+    obeys delta_j' = (a - kappa rho(t) (lambda0(t) + lambda_j(t))) delta_j;
+    since (log rho)' = a - kappa lambda0 rho, that integrates to
+
+        delta_j(t) = delta_j(0) (rho(t)/rho0) exp(-kappa int_0^t rho lambda_j du).
     """
 
     a, b0, gamma, R, kappa, k0, rho0, T, N = (1.0, 1.0, 1.0, 1.0, 0.2, 0.03,
@@ -361,6 +406,10 @@ class TestMovingManifoldReference:
     def lambda0(self, u):
         mu = (self.R * math.exp(-self.k0 * u) / self.gamma) ** 2
         return 2.0 * math.pi * self.b0 * special.i0e(mu)
+
+    def lambda_j(self, j, u):
+        mu = (self.R * math.exp(-self.k0 * u) / self.gamma) ** 2
+        return 2.0 * math.pi * self.b0 * special.ive(j, mu)
 
     def reference(self, times):
         """rho at each of the increasing times, from one quad per interval."""
@@ -372,22 +421,53 @@ class TestMovingManifoldReference:
         return np.exp(self.a * times) / (1.0 / self.rho0
                                          + self.kappa * integral)
 
-    def max_rel_error(self, dt):
+    def mode_reference(self, j, delta0, times):
+        """delta_j at each of the increasing times; rho(u) inside the
+        integral is reference([0, u])."""
+        pieces = [integrate.quad(lambda u: self.reference(np.array([0.0, u]))[1]
+                                 * self.lambda_j(j, u), lo, hi, epsabs=0.0,
+                                 epsrel=1e-12)[0]
+                  for lo, hi in zip(times[:-1], times[1:])]
+        integral = np.concatenate([[0.0], np.cumsum(pieces)])
+        return (delta0 * self.reference(times) / self.rho0
+                * np.exp(-self.kappa * integral))
+
+    def run(self, dt, rho_phi):
+        """(times, rho frames, s) of a drag run with a frame every time unit."""
         spec = manifold.ConvectionSpec(
             a=manifold.constant_rate(self.a),
             b=manifold.gaussian_influence(self.b0, self.gamma),
             kappa=self.kappa, V_x=manifold.linear_drag(self.k0))
-        state = manifold.circle_state(self.R, self.N,
-                                      lambda s: np.full_like(s, self.rho0))
-        # a frame every time unit
+        state = manifold.circle_state(self.R, self.N, rho_phi)
         rec = manifold.integrate(state, spec, self.T, dt,
                                  store_every=round(1.0 / dt))
         rho, _ = manifold.unpack(np.array(rec.frames), self.N)
-        want = self.reference(np.array(rec.times))
+        return np.array(rec.times), rho, state.s
+
+    def max_rel_error(self, dt):
+        times, rho, _ = self.run(dt, lambda s: np.full_like(s, self.rho0))
+        want = self.reference(times)
         return float(np.max(np.abs(rho / want[:, None] - 1.0)))
+
+    def mode_rel_error(self, j, dt, delta0=1e-6):
+        """Largest error of the cos(j s) amplitude of a run from
+        rho0 + delta0 cos(j s), relative to the largest reference amplitude."""
+        times, rho, s = self.run(dt, lambda s: self.rho0
+                                 + delta0 * np.cos(j * s))
+        delta = (2.0 / self.N) * rho @ np.cos(j * s)
+        want = self.mode_reference(j, delta0, times)
+        return float(np.max(np.abs(delta - want)) / np.max(np.abs(want)))
 
     def test_fourth_order_convergence(self):
         errors = [self.max_rel_error(dt) for dt in (0.1, 0.05, 0.025)]
+        orders = [analysis.richardson_order(coarse, fine, 2.0)
+                  for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)
+
+    def test_linearized_mode_fourth_order_convergence(self):
+        # the amplitude grows 4.7-fold by t = 5, then relaxes; at dt = 0.025
+        # the error would meet the round-off of a density of O(1)
+        errors = [self.mode_rel_error(3, dt) for dt in (0.2, 0.1, 0.05)]
         orders = [analysis.richardson_order(coarse, fine, 2.0)
                   for coarse, fine in zip(errors, errors[1:])]
         assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)

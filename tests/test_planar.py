@@ -6,6 +6,8 @@ import pytest
 from nlfkpp import manifold, planar, stepping
 from nlfkpp.kernel import SQRT_TWO_PI
 
+from conftest import bits, run2d_oracle
+
 
 @pytest.fixture
 def kernel2d():
@@ -22,6 +24,24 @@ def fft_convolution_oracle(field, kern):
     g1 = np.exp(-(offsets**2) / (2.0 * kern.gamma**2))
     return kern.b0 * field.dx**2 * fftconvolve(field.u, np.outer(g1, g1),
                                                mode="same")
+
+
+class TestField2DGeometry:
+    @pytest.mark.parametrize("L", [-3.0, 0.0, math.inf, math.nan])
+    def test_bad_half_width_rejected(self, L):
+        # a negative L used to mirror the axis
+        with pytest.raises(ValueError, match="half-width"):
+            planar.Field2D(L, 16, np.ones((16, 16)))
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_too_few_points_rejected(self, n):
+        # n = 1 used to raise ZeroDivisionError from dx
+        with pytest.raises(ValueError, match="n >= 2"):
+            planar.Field2D(3.0, n, np.ones((n, n)))
+
+    def test_mirrored_ring_rejected(self):
+        with pytest.raises(ValueError, match="half-width"):
+            planar.gaussian_ring(-3.0, 16, 1.0, 0.3)
 
 
 class TestNonlocalTerm2D:
@@ -90,10 +110,27 @@ class TestStep2D:
         # a diffusion update of bad / (dt D) on every node puts bad into u
         dt, D = 0.01, 0.01
         monkeypatch.setattr(planar, "_laplacian_reflect",
-                            lambda u, dx: np.full_like(u, bad / (dt * D)))
+                            lambda u, dx, *work: np.full_like(u, bad / (dt * D)))
         field = planar.gaussian_ring(3.0, 32, 1.0, 0.2, 1.0, D=D)
         with pytest.raises(RuntimeError, match="blew up"):
             planar.step2d(field, kernel2d, 1.0, 0.2, dt)
+
+
+class TestWorkArrays:
+    """run2d writes every step into its own work arrays; the bits are those
+    of the allocating expressions (conftest.run2d_oracle)."""
+
+    @pytest.mark.parametrize("n", [16, 33])
+    @pytest.mark.parametrize("D", [0.0, 0.05])
+    def test_run_matches_allocating_oracle(self, kernel2d, n, D):
+        field = planar.gaussian_ring(3.0, n, 1.0, 0.3, 1.0, D=D,
+                                     angular=lambda s: 1.0 + 0.3 * np.cos(3 * s))
+        u0 = field.u.copy()
+        got = planar.run2d(field, kernel2d, 1.0, 0.2, 0.01, 0.5)
+        want = run2d_oracle(field, kernel2d, 1.0, 0.2, 0.01, 0.5)
+        assert np.array_equal(bits(got.y), bits(want.y))
+        assert (got.t, got.clamped) == (want.t, want.clamped)
+        assert np.array_equal(bits(field.u), bits(u0))  # the input is kept
 
 
 class TestClamping:
@@ -104,7 +141,7 @@ class TestClamping:
         alone."""
         dt, D = 0.01, 0.01
 
-        def laplacian(u, dx):
+        def laplacian(u, dx, *work):
             out = np.zeros_like(u)
             out[3, 3] = change / (dt * D)
             return out
