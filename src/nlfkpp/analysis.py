@@ -120,6 +120,7 @@ def steady_state_time(times, profiles, tol: float) -> float:
 
     A constant input is steady from the start and returns times[0].
     Returns the NEVER_STEADY sentinel (-1.0) when the tolerance is never met.
+    Public API: the measured counterpart of exact.t_quasi_steady.
     """
     t = np.asarray(times, dtype=float)
     rho = np.asarray(profiles, dtype=float)

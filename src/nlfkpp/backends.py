@@ -19,8 +19,6 @@ def quadratic_coupling(beta, lam):
     """out[j] = sum_l lam[l] * beta[j-l] * beta[l], band-truncated."""
     beta = np.asarray(beta, dtype=complex)
     lam = np.asarray(lam, dtype=float)
-    m = beta.shape[0]
-    big_j = (m - 1) // 2
-    # full linear convolution of beta with lam*beta, then keep the band
-    full = np.convolve(beta, lam * beta)
-    return full[big_j : big_j + m]
+    # the band of the linear convolution of beta with lam*beta: each kept
+    # output is the dot product the full convolution forms, so the same bits
+    return np.convolve(beta, lam * beta, "same")

@@ -84,14 +84,22 @@ def _write_manifest(path, cfg, wall, extra=None):
         fh.write("\n")
 
 
-def _snapshot_times(cfg: ScenarioConfig, note: bool = True) -> list:
+def _snapshot_times(cfg: ScenarioConfig) -> list:
     """The requested snapshot times up to t_end, plus t_end, in order; the
-    times past t_end are dropped, and named on stderr when note is set."""
-    late = [t for t in cfg.snapshot_times if t > cfg.t_end]
-    if late and note:
-        print(f"note: numerics.snapshot_times {late} lie past numerics.t_end = "
-              f"{cfg.t_end:g}; no snapshot is written for them", file=sys.stderr)
+    times past t_end are dropped (see _note_late_snapshots)."""
     return sorted({t for t in cfg.snapshot_times if t <= cfg.t_end} | {cfg.t_end})
+
+
+def _note_late_snapshots(cfgs) -> None:
+    """Name on stderr the snapshot times past t_end that the snapshot
+    solvers among cfgs drop, each distinct note once."""
+    late = {(tuple(t for t in c.snapshot_times if t > c.t_end), c.t_end): 0
+            for c in cfgs if c.solver in ("spectral", "grid", "asymptotic")}
+    for times, t_end in late:
+        if times:
+            print(f"note: numerics.snapshot_times {list(times)} lie past "
+                  f"numerics.t_end = {t_end:g}; no snapshot is written for "
+                  f"them", file=sys.stderr)
 
 
 def _write_snapshots(path, s, snapshots: dict) -> list:
@@ -172,9 +180,8 @@ def _step_grid(cfgs, snapshot_times) -> list:
 def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
     """rec: this scenario's record from a sweep batch (see run_sweep); None
     steps it as a batch of one."""
-    times = _snapshot_times(cfg)  # names the dropped times on stderr
     if rec is None:
-        rec = _step_grid([cfg], times)[0]
+        rec = _step_grid([cfg], _snapshot_times(cfg))[0]
     s = grid_nodes(cfg.N)
     names = _write_snapshots(path, s, rec.snapshots)
     series = rec.frames
@@ -251,11 +258,13 @@ RUNNERS = {
 
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
                  plot_script: bool = False, extra: str = None,
-                 stepped=None) -> dict:
+                 stepped=None, note=True) -> dict:
     """Run cfg and write its bundle.  stepped: (record, seconds) of a grid
     scenario already stepped in a sweep batch, the seconds being its share
-    of the batch's wall time, which wall_time_s includes."""
+    of the batch's wall time, which wall_time_s includes.  note=False
+    leaves the snapshot-time note to the caller (run_sweep notes once)."""
     cfg.validate()
+    _note_late_snapshots([cfg] if note else [])
     path = _artifact_path(outdir or cfg.outdir)
     start = time.perf_counter()
     if stepped is None:
@@ -316,6 +325,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
         apply_assignment(sub, axis, str(value))
         sub.validate()
         jobs.append((value, sub, os.path.join(outdir, name)))
+    _note_late_snapshots(sub for _, sub, _ in jobs)
     if _mode() == "parallel":
         from concurrent.futures import ProcessPoolExecutor
         # one worker per entry, at most one per CPU
@@ -338,7 +348,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
 
 def _sweep_entry(job, stepped=None):
     value, sub, subdir = job
-    return value, run_scenario(sub, subdir, stepped=stepped)["diagnostics"]
+    return value, run_scenario(sub, subdir, stepped=stepped,
+                               note=False)["diagnostics"]
 
 
 def _run_grid_batches(jobs) -> list:
@@ -370,7 +381,7 @@ def _step_batch(jobs, group) -> dict:
     cfgs = [jobs[i][1] for i in group]
     start = time.perf_counter()
     try:
-        recs = _step_grid(cfgs, _snapshot_times(cfgs[0], note=False))
+        recs = _step_grid(cfgs, _snapshot_times(cfgs[0]))
     except (ValueError, RuntimeError, OverflowError):
         # a job raises it again when it runs alone
         return {}

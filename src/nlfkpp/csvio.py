@@ -12,29 +12,52 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def column_text(col) -> list:
-    """fmt applied to every cell of a column, one pass per column; a text
-    column, a list of str, is kept as it is."""
+def _words(col, end=""):
+    """(words, index): the fmt text of each distinct value of a column once,
+    followed by end, and the index array of each cell's word; a text column,
+    a list of str, is its own words.  A float's word is its magnitude's, with
+    "-" for a set sign bit (not on a NaN, as fmt)."""
     if isinstance(col, list) and all(isinstance(v, str) for v in col):
-        return col
+        return [w + end for w in col], np.arange(len(col))
     col = np.asarray(col)
-    if col.dtype.kind in "iu":
-        return [str(v) for v in col.tolist()]
-    if col.dtype.kind in "fb":
-        return [format(v, ".17g") for v in col.tolist()]
-    return [fmt(v) for v in col]
+    if col.dtype.kind != "f":
+        values, index = np.unique(col, return_inverse=True)
+        return [fmt(v) + end for v in values], index
+    values, index = np.unique(np.abs(col), return_inverse=True)
+    words = [format(v, ".17g") + end for v in values.tolist()]
+    negative = np.signbit(col) & ~np.isnan(col)
+    if negative.any():
+        index = index + len(words) * negative
+        words += ["-" + w for w in words]
+    return words, index
+
+
+def column_text(col) -> list:
+    """fmt applied to every cell of a column, each distinct value formatted
+    once (equal cells share one str); a text column, a list of str, is kept
+    as it is."""
+    words, index = _words(col)
+    return [words[i] for i in index.tolist()]
 
 
 def write_csv(path, header, columns) -> None:
     """Columns of numbers, written by fmt, or of text (lists of str),
-    written as given."""
-    texts = [column_text(c) for c in columns]
-    n = len(texts[0])
-    if any(len(c) != n for c in texts):
+    written as given, 1024 rows per write: no whole-file string."""
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    parts = [_words(c, end) for c, end in zip(columns, ends)]
+    n = len(parts[0][1])
+    if any(len(index) != n for _, index in parts):
         raise ValueError("all columns must have equal length")
+    # one table of all columns' words; cells[r, k] is row r's entry of col k
+    table, cells = [], np.empty((n, len(parts)), dtype=np.intp)
+    for k, (words, index) in enumerate(parts):
+        np.add(index, len(table), out=cells[:, k])
+        table += words
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+        for r in range(0, n, 1024):
+            rows = cells[r:r + 1024].ravel().tolist()
+            fh.write("".join([table[i] for i in rows]))
 
 
 def read_csv(path):

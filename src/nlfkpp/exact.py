@@ -61,7 +61,8 @@ def rho0(t, m: HomogeneousModel):
 
 
 def rho0_dt(t, m: HomogeneousModel):
-    """Time derivative of rho0; its sign is the sign of a - kappa lambda0 v0 beta00."""
+    """Time derivative of rho0, public as the growth rate whose maximum t_max
+    locates; its sign is the sign of a - kappa lambda0 v0 beta00."""
     t = _check_time(t)
     c = m.saturation
     e = np.exp(-m.a * t)

@@ -215,8 +215,3 @@ def initial_profile(kind: str, beta00: float = 1.0, T: float = 10.0,
 def make_initial(kind: str, N: int, **params) -> GridState:
     """The named initial profile sampled on the grid (see initial_profile)."""
     return GridState(N, initial_profile(kind, **params)(grid_nodes(N)))
-
-
-def total_mass(state: GridState) -> float:
-    """m = (2 pi / N) sum_k rho_k."""
-    return float(TWO_PI / state.N * np.sum(state.rho))

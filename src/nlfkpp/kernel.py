@@ -198,8 +198,3 @@ def eigenvalues(J: int, params: CircleKernelParams) -> np.ndarray:
     """lambda_j for j = -J..J as an array of length 2J + 1."""
     pos = np.array([eigenvalue(j, params) for j in range(J + 1)])
     return np.concatenate([pos[:0:-1], pos])
-
-
-def default_truncation(params: CircleKernelParams) -> int:
-    """Band limit past which the Bessel tail is negligible."""
-    return math.ceil(8.0 * params.mu) + 20

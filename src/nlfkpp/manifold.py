@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import stepping
-from .csvio import column_text, write_csv
+from .csvio import write_csv
 from .kernel import grid_nodes
 
 
@@ -225,23 +225,12 @@ def initial_correspondence(state: ManifoldState):
 
 def trajectory_to_csv(path, rec: stepping.Record, s) -> None:
     """Rows (t, s, x1, ..., xn, rho) for every stored frame of a manifold
-    record and every sample s.
-
-    Each time and each sample is formatted once and its text repeated, and
-    so are the positions when no stored frame moved them (bit for bit).
-    The columns are gathered from views of the frames, not from a stacked
-    copy of them all.
-    """
+    record and every sample s.  The columns are gathered from views of the
+    frames, not from a stacked copy of them all."""
     views = [unpack(y, len(s)) for y in rec.frames]
     n_t, (n_s, n_dim) = len(views), views[0][1].shape
-    cols = [[t for t in column_text(rec.times) for _ in range(n_s)],
-            column_text(s) * n_t]
     header = ["t", "s"] + [f"x{d + 1}" for d in range(n_dim)] + ["rho"]
-    first = views[0][1].view(np.uint64)
-    if all(np.array_equal(X.view(np.uint64), first) for _, X in views):
-        cols += [column_text(views[0][1][:, d]) * n_t for d in range(n_dim)]
-    else:
-        cols += [np.concatenate([X[:, d] for _, X in views])
-                 for d in range(n_dim)]
+    cols = [np.repeat(rec.times, n_s), np.tile(s, n_t)]
+    cols += [np.concatenate([X[:, d] for _, X in views]) for d in range(n_dim)]
     cols.append(np.concatenate([rho for rho, _ in views]))
     write_csv(path, header, cols)

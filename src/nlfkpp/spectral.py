@@ -21,7 +21,7 @@ import numpy as np
 
 from . import backends, stepping
 from .analysis import trapezoid
-from .csvio import column_text, write_csv
+from .csvio import write_csv
 from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalues,
                      fourier_coefficients, fourier_modes, real_part)
 
@@ -116,16 +116,13 @@ def integrate(state0: SpectralState, rates: DiffusiveRates,
 
 def trajectory_to_csv(path, rec: stepping.Record) -> None:
     """Rows (t, j, re_beta, im_beta) for every stored time and mode of a
-    spectral record.  Each time and each mode is formatted once and its
-    text repeated."""
+    spectral record."""
     beta = np.array(rec.frames)
     n_t, n_j = beta.shape
-    flat = beta.reshape(-1)
     J = (n_j - 1) // 2
     write_csv(path, ["t", "j", "re_beta", "im_beta"],
-              [[t for t in column_text(rec.times) for _ in range(n_j)],
-               column_text(np.arange(-J, J + 1)) * n_t,
-               flat.real, flat.imag])
+              [np.repeat(rec.times, n_j), np.tile(np.arange(-J, J + 1), n_t),
+               beta.real.ravel(), beta.imag.ravel()])
 
 
 def reconstruct(state: SpectralState, s_grid) -> np.ndarray:

@@ -21,6 +21,14 @@ def circulant_term(rho, kern: CircleKernelParams) -> np.ndarray:
     return backends.circulant_apply(gridsim.kernel_row(kern, n), rho, TWO_PI / n)
 
 
+def coupling_band(beta, lam) -> np.ndarray:
+    """The band of the full linear convolution of beta with lam*beta that
+    the spectral right-hand side keeps: len(beta) outputs from index
+    (len(beta) - 1) // 2; the reference for backends.quadratic_coupling."""
+    m = len(beta)
+    return np.convolve(beta, lam * beta)[(m - 1) // 2:(m - 1) // 2 + m]
+
+
 def bessel_quadrature(j: int, mu: float, n: int = 40001) -> float:
     """Scaled modified Bessel e^{-mu} I_j(mu) by Simpson quadrature of
     (1/pi) int_0^pi e^{mu (cos t - 1)} cos(j t) dt; independent oracle."""

@@ -3,6 +3,8 @@ import pytest
 
 from nlfkpp import backends
 
+from conftest import coupling_band
+
 
 def brute_circulant(row, rho, ds):
     n = len(row)
@@ -43,6 +45,17 @@ class TestPythonBackend:
             lam = rng.random(m)
             np.testing.assert_allclose(backends.quadratic_coupling(beta, lam),
                                        brute_coupling(beta, lam), rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 21, 80, 81, 161])
+    def test_coupling_is_the_band_of_the_full_convolution(self, rng, m):
+        # odd m = 2J + 1 (J = 0 at m = 1) and even m: the kept band of the
+        # full convolution, bit for bit
+        for _ in range(20):
+            beta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            lam = rng.random(m)
+            out = backends.quadratic_coupling(beta, lam)
+            np.testing.assert_array_equal(
+                out.view(np.uint64), coupling_band(beta, lam).view(np.uint64))
 
 
 def test_selected_backend_exports():

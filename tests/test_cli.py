@@ -296,6 +296,24 @@ class TestCliEntry:
         assert header == ["value", "n_peaks", "homogeneity", "mass"]
         assert len(cols[0]) == 2
 
+    def test_sweep_notes_late_snapshot_times_once(self, tmp_path, capsys):
+        # the note is the sweep's: one line for four entries, and one for
+        # each distinct t_end of a t_end axis
+        note = ("note: numerics.snapshot_times {} lie past numerics.t_end = "
+                "{}; no snapshot is written for them\n")
+        rc = cli.main(["sweep", "--axis", "model.gamma", "--values",
+                       "0.05,1,1.5,50", "--set", "numerics.snapshot_times=0 5",
+                       "--outdir", str(tmp_path / "gamma")] + SMALL_GRID)
+        assert rc == 0
+        assert capsys.readouterr().err == note.format([5.0], "0.5")
+        rc = cli.main(["sweep", "--axis", "numerics.t_end", "--values",
+                       "0.5,1,0.25", "--set", "numerics.snapshot_times=0.5 5",
+                       "--outdir", str(tmp_path / "t_end")] + SMALL_GRID[:2])
+        assert rc == 0
+        assert capsys.readouterr().err == (note.format([5.0], "0.5")
+                                           + note.format([5.0], "1")
+                                           + note.format([0.5, 5.0], "0.25"))
+
     def test_preset_listing(self, capsys):
         assert cli.main(["preset", "--list"]) == 0
         names = capsys.readouterr().out.split()

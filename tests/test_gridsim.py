@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import exact, gridsim, kernel, stepping
+from nlfkpp import analysis, exact, gridsim, kernel, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
 
 from conftest import circulant_term
@@ -201,15 +201,20 @@ class TestInitialProfiles:
             gridsim.make_initial("ring", 64)
 
 
+def total_mass(state: gridsim.GridState) -> float:
+    """m = (2 pi / N) sum_k rho_k, as analysis.diagnose reports it."""
+    return analysis.diagnose(state.rho, TWO_PI / state.N).mass
+
+
 class TestMass:
     def test_constant_profile(self):
         # rho = v0 beta00 over the full circle: m = 2 pi v0 = sqrt(2 pi)
         state = gridsim.make_initial("homogeneous", 128, beta00=1.0)
-        assert gridsim.total_mass(state) == pytest.approx(SQRT_TWO_PI, rel=1e-14)
+        assert total_mass(state) == pytest.approx(SQRT_TWO_PI, rel=1e-14)
 
     def test_cutoff_mass(self):
         state = gridsim.make_initial("cutoff", 512, edge=2.0)
-        assert gridsim.total_mass(state) == pytest.approx(4.0, abs=2e-2)
+        assert total_mass(state) == pytest.approx(4.0, abs=2e-2)
 
     def test_logistic_mass_law(self, unit_kernel):
         # homogeneous: dm/dt = a m - kappa lambda0 m^2 / (2 pi)
@@ -221,8 +226,8 @@ class TestMass:
         mid = gridsim.step(out, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
         out2 = gridsim.step(mid, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
         # centered difference around the midpoint state
-        fd = (gridsim.total_mass(out2) - gridsim.total_mass(out)) / (2 * dt)
-        m_mid = gridsim.total_mass(mid)
+        fd = (total_mass(out2) - total_mass(out)) / (2 * dt)
+        m_mid = total_mass(mid)
         expected = 1.0 * m_mid - 0.2 * LAMBDA0 * m_mid**2 / TWO_PI
         assert fd == pytest.approx(expected, rel=1e-6)
 
