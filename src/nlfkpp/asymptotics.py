@@ -17,13 +17,16 @@ so that t-sweeps with a*t of a few hundred stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exact import HomogeneousModel, beta0
 from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalue, eigenvalues,
                      fourier_coefficients, fourier_modes, real_part)
+
+# composite-Simpson points of appendix_a_check's time integrals
+N_SIMPSON = 20001
 
 
 @dataclass
@@ -51,12 +54,6 @@ class AsymptoticExpansion:
     def model(self) -> HomogeneousModel:
         return HomogeneousModel(self.a, self.kappa,
                                 eigenvalue(0, self.kernel), self.beta00)
-
-    def without_diffusion(self) -> "AsymptoticExpansion":
-        if self.D == 0.0:
-            return self
-        return AsymptoticExpansion(self.T, self.beta00, self.beta1.copy(),
-                                   self.J, self.kernel, self.a, self.kappa, 0.0)
 
 
 # beta_{1j} = (2 pi)^{-1/2} int rho_tilde_phi(s) e^{-ijs} ds, j = -J..J
@@ -123,7 +120,7 @@ def assemble_appendix_b(t, s, c0, exp: AsymptoticExpansion) -> np.ndarray:
     return rho.real
 
 
-def appendix_a_check(exp: AsymptoticExpansion, t_grid, n_quad: int = 20001) -> float:
+def appendix_a_check(exp: AsymptoticExpansion, t_grid) -> float:
     """Consistency of the exponential-form route with the closed-form modes.
 
     Expands the exponential representation of the density through first
@@ -132,21 +129,21 @@ def appendix_a_check(exp: AsymptoticExpansion, t_grid, n_quad: int = 20001) -> f
         (beta0(t)/beta00) * (beta_{1j} - beta00 v0 kappa lambda_j
                               * int_0^t beta1_j(t') dt'),
 
-    the time integral taken by composite Simpson on ``n_quad`` points.
+    the time integral taken by composite Simpson on N_SIMPSON points.
     Returns the largest absolute mismatch against beta1_evolution over all
     modes and requested times.  The identity is diffusion-free, so the
     comparison always runs at D = 0.
     """
     from scipy.integrate import simpson
 
-    flat = exp.without_diffusion()
+    flat = replace(exp, D=0.0)
     m = flat.model
     v0 = m.v0
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
         if t < 0:
             raise ValueError("times must be nonnegative")
-        tau = np.linspace(0.0, t, n_quad)
+        tau = np.linspace(0.0, t, N_SIMPSON)
         ratio = beta0(t, m) / flat.beta00
         for j in range(-flat.J, flat.J + 1):
             lam_j = eigenvalue(j, flat.kernel)

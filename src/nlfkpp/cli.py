@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__, analysis, asymptotics, exact, gridsim, manifold, planar
 from . import spectral
-from .config import (ConfigError, ScenarioConfig, apply_assignment,
-                     apply_overrides, axis_value, load_config,
-                     parse_config_text, resolved_items)
+from .config import (SNAPSHOT_SOLVERS, ConfigError, ScenarioConfig,
+                     apply_assignment, apply_overrides, axis_value,
+                     load_config, parse_config_text, resolved_items,
+                     snapshot_name)
 from .csvio import write_csv, read_csv
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                      grid_nodes)
@@ -84,17 +85,11 @@ def _write_manifest(path, cfg, wall, extra=None):
         fh.write("\n")
 
 
-def _snapshot_times(cfg: ScenarioConfig) -> list:
-    """The requested snapshot times up to t_end, plus t_end, in order; the
-    times past t_end are dropped (see _note_late_snapshots)."""
-    return sorted({t for t in cfg.snapshot_times if t <= cfg.t_end} | {cfg.t_end})
-
-
 def _note_late_snapshots(cfgs) -> None:
     """Name on stderr the snapshot times past t_end that the snapshot
     solvers among cfgs drop, each distinct note once."""
     late = {(tuple(t for t in c.snapshot_times if t > c.t_end), c.t_end): 0
-            for c in cfgs if c.solver in ("spectral", "grid", "asymptotic")}
+            for c in cfgs if c.solver in SNAPSHOT_SOLVERS}
     for times, t_end in late:
         if times:
             print(f"note: numerics.snapshot_times {list(times)} lie past "
@@ -107,7 +102,7 @@ def _write_snapshots(path, s, snapshots: dict) -> list:
     returns the file names."""
     names = []
     for t_snap, rho in snapshots.items():
-        name = f"snapshot_t{t_snap:g}.csv"
+        name = snapshot_name(t_snap)
         write_csv(path(name), ["s", "rho"], [s, rho])
         names.append(name)
     return names
@@ -148,15 +143,13 @@ def run_exact(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_spectral(cfg: ScenarioConfig, path) -> dict:
-    kern = _kernel(cfg)
-    state0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
-    rates = spectral.DiffusiveRates(cfg.a, cfg.D)
-    rec = spectral.integrate(state0, rates, kern, cfg.kappa, cfg.t_end,
-                             cfg.dt, store_every=_series_stride(cfg),
-                             snapshot_times=_snapshot_times(cfg))
+    beta0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
+    rec = spectral.integrate(beta0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
+                             cfg.dt, cfg.t_end,
+                             cfg.written_snapshot_times(), _series_stride(cfg))
     spectral.trajectory_to_csv(path("trajectory.csv"), rec)
     s = grid_nodes(cfg.N)
-    snapshots = {t: spectral.reconstruct(spectral.SpectralState(cfg.J, beta, t), s)
+    snapshots = {t: spectral.reconstruct(beta, s)
                  for t, beta in rec.snapshots.items()}
     return {"csv": ["trajectory.csv"] + _write_snapshots(path, s, snapshots),
             "diagnostics": {"reality_drift": rec.drift}}
@@ -181,7 +174,7 @@ def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
     """rec: this scenario's record from a sweep batch (see run_sweep); None
     steps it as a batch of one."""
     if rec is None:
-        rec = _step_grid([cfg], _snapshot_times(cfg))[0]
+        rec = _step_grid([cfg], cfg.written_snapshot_times())[0]
     s = grid_nodes(cfg.N)
     names = _write_snapshots(path, s, rec.snapshots)
     series = rec.frames
@@ -208,7 +201,7 @@ def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
     expn = _expansion(cfg)
     s = grid_nodes(cfg.N)
     snapshots = {t: asymptotics.composite_density(t, s, expn)
-                 for t in _snapshot_times(cfg)}
+                 for t in cfg.written_snapshot_times()}
     return {"csv": _write_snapshots(path, s, snapshots),
             "diagnostics": {"saturation": expn.model.saturation}}
 
@@ -381,7 +374,7 @@ def _step_batch(jobs, group) -> dict:
     cfgs = [jobs[i][1] for i in group]
     start = time.perf_counter()
     try:
-        recs = _step_grid(cfgs, _snapshot_times(cfgs[0]))
+        recs = _step_grid(cfgs, cfgs[0].written_snapshot_times())
     except (ValueError, RuntimeError, OverflowError):
         # a job raises it again when it runs alone
         return {}
@@ -494,18 +487,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> ScenarioConfig:
+def _load_cfg(args, solver: str = None) -> ScenarioConfig:
+    """The --config file, or the defaults, with the --set overrides and the
+    command's solver (None: the configured one), validated."""
+    overrides = args.set + ([f"solver={solver}"] if solver else [])
     if args.config:
-        return load_config(args.config, args.set)
-    return apply_overrides(ScenarioConfig(), args.set).validate()
+        return load_config(args.config, overrides)
+    return apply_overrides(ScenarioConfig(), overrides).validate()
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in SOLVER_COMMANDS:
-            cfg = _load_cfg(args)
-            cfg.solver = SOLVER_COMMANDS[args.command]
+            cfg = _load_cfg(args, SOLVER_COMMANDS[args.command])
             run_scenario(cfg, args.outdir, args.plot_script)
             return 0
         if args.command == "compare":

@@ -13,6 +13,13 @@ class ConfigError(ValueError):
 SOLVERS = ("spectral", "grid", "manifold", "planar2d", "exact", "asymptotic")
 SCHEMES = ("euler", "rk4", "imex")
 INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff")
+# the solvers that write snapshot_t<time>.csv files
+SNAPSHOT_SOLVERS = ("spectral", "grid", "asymptotic")
+
+
+def snapshot_name(t: float) -> str:
+    """The file a snapshot solver writes the state at time t to."""
+    return f"snapshot_t{t:g}.csv"
 
 
 def whole_steps(t_end: float, dt: float, name: str, t0: float = 0.0) -> int:
@@ -81,7 +88,7 @@ class ScenarioConfig:
         positive("model.beta00", self.beta00)
         for name, value in (("model.kappa", self.kappa), ("model.D", self.D),
                             ("model.k0", self.k0)):
-            if value < 0:
+            if not value >= 0:
                 raise ConfigError(f"{name}: must be nonnegative, got {value}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver: unknown solver {self.solver!r}")
@@ -94,6 +101,16 @@ class ScenarioConfig:
         whole_steps(self.t_end, self.dt, "numerics.t_end")
         for t in self.snapshot_times:
             whole_steps(t, self.dt, "numerics.snapshot_times")
+        if self.solver in SNAPSHOT_SOLVERS:
+            seen = {}
+            for t in self.written_snapshot_times():
+                name = snapshot_name(t)
+                if name in seen:
+                    raise ConfigError(
+                        f"numerics.snapshot_times: times {seen[name]!r} and "
+                        f"{t!r} both write to {name!r}; give times that "
+                        f"differ in 6 significant digits")
+                seen[name] = t
         if self.N < 8:
             raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
         if self.J < 0:
@@ -104,6 +121,12 @@ class ScenarioConfig:
         if self.n2d < 2:
             raise ConfigError(f"numerics.n2d: must be >= 2, got {self.n2d}")
         return self
+
+    def written_snapshot_times(self) -> list:
+        """The times a snapshot solver writes: the requested ones up to
+        t_end, plus t_end, in order; the times past t_end are dropped."""
+        return sorted({t for t in self.snapshot_times if t <= self.t_end}
+                      | {self.t_end})
 
 
 # dotted config name -> dataclass attribute

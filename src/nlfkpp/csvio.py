@@ -14,11 +14,9 @@ def fmt(value) -> str:
 
 def _words(col, end=""):
     """(words, index): the fmt text of each distinct value of a column once,
-    followed by end, and the index array of each cell's word; a text column,
-    a list of str, is its own words.  A float's word is its magnitude's, with
-    "-" for a set sign bit (not on a NaN, as fmt)."""
-    if isinstance(col, list) and all(isinstance(v, str) for v in col):
-        return [w + end for w in col], np.arange(len(col))
+    followed by end, and the index array of each cell's word.  A float's
+    word is its magnitude's, with "-" for a set sign bit (not on a NaN, as
+    fmt)."""
     col = np.asarray(col)
     if col.dtype.kind != "f":
         values, index = np.unique(col, return_inverse=True)
@@ -32,17 +30,9 @@ def _words(col, end=""):
     return words, index
 
 
-def column_text(col) -> list:
-    """fmt applied to every cell of a column, each distinct value formatted
-    once (equal cells share one str); a text column, a list of str, is kept
-    as it is."""
-    words, index = _words(col)
-    return [words[i] for i in index.tolist()]
-
-
 def write_csv(path, header, columns) -> None:
-    """Columns of numbers, written by fmt, or of text (lists of str),
-    written as given, 1024 rows per write: no whole-file string."""
+    """Columns of numbers, written by fmt, 1024 rows per write: no
+    whole-file string."""
     ends = [","] * (len(columns) - 1) + ["\n"]
     parts = [_words(c, end) for c, end in zip(columns, ends)]
     n = len(parts[0][1])

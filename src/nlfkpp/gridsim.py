@@ -131,8 +131,8 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     driver, one run per row of rho0 (runs, N).
 
     Run i has the kernel kerns[i] and the coefficients a[i], kappa[i] and
-    D[i]; the runs must agree on whether D > 0.  Every row gets the bytes
-    that stepping it alone gives.  Its stability bound is
+    D[i] >= 0; the runs must agree on whether D > 0.  Every row gets the
+    bytes that stepping it alone gives.  Its stability bound is
     0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex, explicit
     reaction and implicit (backward Euler) diffusion, drops the ds^2
     restriction.  A step whose dt exceeds any run's bound raises
@@ -150,6 +150,9 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     a, kappa, D = (np.asarray(c, dtype=float) for c in (a, kappa, D))
     if not len(kerns) == len(a) == len(kappa) == len(D) == runs:
         raise ValueError(f"expected one kernel, a, kappa and D per run ({runs})")
+    if not np.all(D >= 0):
+        raise ValueError("diffusion coefficients must be >= 0, "
+                         f"got D = {D.tolist()}")
     diffuses = D > 0
     if np.any(diffuses) and not np.all(diffuses):
         raise ValueError("the runs of a batch must agree on whether D > 0, "

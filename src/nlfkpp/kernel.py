@@ -28,6 +28,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
+# rectangle-rule nodes of fourier_coefficients
+N_QUAD = 2048
+
 # largest argument for which the unscaled I_j(mu) fits in a double
 _BESSEL_MU_MAX = 700.0
 
@@ -42,21 +45,19 @@ def grid_nodes(N: int) -> np.ndarray:
     return -math.pi + TWO_PI * np.arange(N) / N
 
 
-def fourier_coefficients(f, J: int, n_quad: int = 2048) -> np.ndarray:
+def fourier_coefficients(f, J: int) -> np.ndarray:
     """beta_j = int v_j*(s) f(s) ds for j = -J..J, at index j + J.
 
     ``f`` is a callable on [-pi, pi); the integral uses the rectangle rule on
-    grid_nodes(n_quad) (spectrally accurate for smooth data).
+    grid_nodes(N_QUAD) (spectrally accurate for smooth data).
     """
     if J < 0:
         raise ValueError(f"J must be >= 0, got {J}")
-    if n_quad < 1024:
-        raise ValueError(f"need at least 1024 quadrature points, got {n_quad}")
-    s = grid_nodes(n_quad)
+    s = grid_nodes(N_QUAD)
     vals = np.asarray(f(s), dtype=float)
     if vals.shape != s.shape or not np.all(np.isfinite(vals)):
         raise ValueError("f returned non-finite or misshaped samples")
-    ds = TWO_PI / n_quad
+    ds = TWO_PI / N_QUAD
     js = np.arange(-J, J + 1)
     return ds * (np.exp(-1j * np.outer(js, s)) @ vals) / SQRT_TWO_PI
 

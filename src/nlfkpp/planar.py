@@ -21,6 +21,9 @@ from .analysis import trapezoid
 from .csvio import write_csv
 from .kernel import grid_nodes
 
+# trapezoid points per ray of extract_sld
+N_RADIAL = 400
+
 
 @dataclass
 class Field2D:
@@ -39,6 +42,8 @@ class Field2D:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.n, self.n):
             raise ValueError(f"expected ({self.n}, {self.n}) field, got {self.u.shape}")
+        if not self.D >= 0:
+            raise ValueError(f"diffusion coefficient must be >= 0, got {self.D}")
         if stepping.hard_negative(self.u):
             raise ValueError(f"field has a hard negative value {np.min(self.u)}")
 
@@ -219,13 +224,14 @@ def _bilinear(field: Field2D, x, y):
             + (1 - tx) * ty * u[i0, j0 + 1] + tx * ty * u[i0 + 1, j0 + 1])
 
 
-def extract_sld(field: Field2D, n_angles: int, n_radial: int = 400):
+def extract_sld(field: Field2D, n_angles: int):
     """Angle-resolved radial marginal rho(s_k) = int_0^rmax u(r, s_k) r dr.
 
     Rays run from the origin to the square boundary; values come from
-    bilinear interpolation and the integral from the trapezoid rule with
-    the polar Jacobian r.  Returns (s, rho).  Extraction is flagged with a
-    warning when more than 1% of the mass sits within one cell of the border.
+    bilinear interpolation and the integral from the trapezoid rule on
+    N_RADIAL points with the polar Jacobian r.  Returns (s, rho).
+    Extraction is flagged with a warning when more than 1% of the mass sits
+    within one cell of the border.
     """
     frac = boundary_mass_fraction(field)
     if frac > 0.01:
@@ -236,7 +242,7 @@ def extract_sld(field: Field2D, n_angles: int, n_radial: int = 400):
     rho = np.empty(n_angles)
     for k, angle in enumerate(s):
         r_max = field.L / max(abs(math.cos(angle)), abs(math.sin(angle)))
-        r = np.linspace(0.0, r_max, n_radial)
+        r = np.linspace(0.0, r_max, N_RADIAL)
         vals = _bilinear(field, r * math.cos(angle), r * math.sin(angle))
         rho[k] = trapezoid(vals * r, r)
     return s, rho

@@ -15,8 +15,6 @@ and the enforcement drift is recorded (Record.drift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import backends, stepping
@@ -26,43 +24,23 @@ from .kernel import (SQRT_TWO_PI, CircleKernelParams, eigenvalues,
                      fourier_coefficients, fourier_modes, real_part)
 
 
-@dataclass
-class SpectralState:
-    """Complex coefficients beta_j, j = -J..J, stored at index j + J."""
-
-    J: int
-    beta: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=complex)
-        if self.beta.shape != (2 * self.J + 1,):
-            raise ValueError(
-                f"expected {2 * self.J + 1} coefficients for J={self.J}, "
-                f"got shape {self.beta.shape}"
-            )
-
-    def mode(self, j: int) -> complex:
-        return self.beta[j + self.J]
+def _modes(beta):
+    """(beta as a complex array, J) for coefficients beta_j, j = -J..J, at
+    index j + J; ValueError unless beta is 1-D of odd length."""
+    beta = np.asarray(beta, dtype=complex)
+    if beta.ndim != 1 or len(beta) % 2 == 0:
+        raise ValueError(f"expected 2J + 1 coefficients beta_-J..beta_J, "
+                         f"got shape {beta.shape}")
+    return beta, (len(beta) - 1) // 2
 
 
-@dataclass(frozen=True)
-class DiffusiveRates:
-    """Linear growth a and diffusion D; mode j grows at a - D j^2."""
-
-    a: float
-    D: float = 0.0
-
-    def __post_init__(self):
-        if self.D < 0:
-            raise ValueError(f"diffusion coefficient must be >= 0, got {self.D}")
-
-    def rate(self, j) -> np.ndarray:
-        j = np.asarray(j)
-        return self.a - self.D * j.astype(float) ** 2
-
-    def band(self, J: int) -> np.ndarray:
-        return self.rate(np.arange(-J, J + 1))
+def _band(a: float, D: float, J: int) -> np.ndarray:
+    """The linear rates a - D j^2 of the modes j = -J..J; ValueError unless
+    D >= 0."""
+    if not D >= 0:
+        raise ValueError(f"diffusion coefficient must be >= 0, got {D}")
+    j = np.arange(-J, J + 1)
+    return a - D * j.astype(float) ** 2
 
 
 def basis_matrix(J: int, s_grid) -> np.ndarray:
@@ -70,11 +48,10 @@ def basis_matrix(J: int, s_grid) -> np.ndarray:
     return fourier_modes(J, s_grid) / SQRT_TWO_PI
 
 
-def project_initial(rho_phi, J: int, n_quad: int = 2048) -> SpectralState:
+def project_initial(rho_phi, J: int) -> np.ndarray:
     """Fourier coefficients beta_{0j} = int v_j*(s) rho_phi(s) ds
     (kernel.fourier_coefficients), paired exactly conjugate for real data."""
-    return SpectralState(J, _paired(fourier_coefficients(rho_phi, J, n_quad)),
-                         0.0)
+    return _paired(fourier_coefficients(rho_phi, J))
 
 
 def _paired(beta):
@@ -82,11 +59,11 @@ def _paired(beta):
     return 0.5 * (beta + beta[::-1].conj())
 
 
-def rhs(state: SpectralState, rates: DiffusiveRates, kern: CircleKernelParams,
-        kappa: float) -> np.ndarray:
+def rhs(beta, kern: CircleKernelParams, a: float, kappa: float,
+        D: float) -> np.ndarray:
     """Coefficient derivatives of the band-truncated mode system."""
-    return _mode_rhs(state.beta, rates.band(state.J), eigenvalues(state.J, kern),
-                     kappa)
+    beta, J = _modes(beta)
+    return _mode_rhs(beta, _band(a, D, J), eigenvalues(J, kern), kappa)
 
 
 def _mode_rhs(beta, band, lam, kappa):
@@ -96,20 +73,22 @@ def _mode_rhs(beta, band, lam, kappa):
     return band * beta - (kappa / SQRT_TWO_PI) * coupling
 
 
-def integrate(state0: SpectralState, rates: DiffusiveRates,
-              kern: CircleKernelParams, kappa: float, t_end: float, dt: float,
-              store_every: int = 1, snapshot_times=()) -> stepping.Record:
-    """Fixed-step RK4 from state0.t to t_end, each step re-paired by
-    _paired; the record's frames and snapshots are coefficient arrays and
-    its drift the largest re-pairing change (see stepping.march)."""
+def integrate(beta0, kern: CircleKernelParams, a: float, kappa: float,
+              D: float, dt: float, t_end: float, snapshot_times=(),
+              store_every: int = 1, t0: float = 0.0) -> stepping.Record:
+    """Fixed-step RK4 of the coefficients beta0 from t0 to t_end, each step
+    re-paired by _paired; the record's frames and snapshots are coefficient
+    arrays and its drift the largest re-pairing change (see
+    stepping.march)."""
+    beta0, J = _modes(beta0)
     # the rate band and the kernel spectrum are fixed for the whole run
-    band = rates.band(state0.J)
-    lam = eigenvalues(state0.J, kern)
+    band = _band(a, D, J)
+    lam = eigenvalues(J, kern)
 
     def rhs(beta, t):
         return _mode_rhs(beta, band, lam, kappa)
 
-    return stepping.march(state0.beta, float(state0.t), t_end, dt, rhs, "rk4",
+    return stepping.march(beta0, float(t0), t_end, dt, rhs, "rk4",
                           project=_paired, store_every=store_every,
                           at=snapshot_times)
 
@@ -125,10 +104,10 @@ def trajectory_to_csv(path, rec: stepping.Record) -> None:
                beta.real.ravel(), beta.imag.ravel()])
 
 
-def reconstruct(state: SpectralState, s_grid) -> np.ndarray:
-    """Density rho(t, s_k) = sum_j beta_j v_j(s_k); must come out real."""
-    return real_part(basis_matrix(state.J, s_grid) @ state.beta,
-                     "reconstruction")
+def reconstruct(beta, s_grid) -> np.ndarray:
+    """Density rho(s_k) = sum_j beta_j v_j(s_k); must come out real."""
+    beta, J = _modes(beta)
+    return real_part(basis_matrix(J, s_grid) @ beta, "reconstruction")
 
 
 def exponential_form(rec: stepping.Record, kern: CircleKernelParams,

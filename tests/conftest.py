@@ -58,19 +58,19 @@ def spectral_reconstruction(s, s_prime, J: int, params: CircleKernelParams):
     return total / TWO_PI
 
 
-def rhs_bruteforce(state, rates, kern: CircleKernelParams,
+def rhs_bruteforce(beta, a: float, D: float, kern: CircleKernelParams,
                    kappa: float) -> np.ndarray:
     """Literal double loop over (j, l); oracle for the banded convolution of
-    spectral.rhs."""
-    J = state.J
+    spectral.rhs on the coefficients beta_j, j = -J..J, at index j + J."""
+    J = (len(beta) - 1) // 2
     lam = eigenvalues(J, kern)
     out = np.zeros(2 * J + 1, dtype=complex)
     for j in range(-J, J + 1):
         acc = 0.0 + 0.0j
         for l in range(-J, J + 1):
             if -J <= j - l <= J:
-                acc += lam[l + J] * state.beta[j - l + J] * state.beta[l + J]
-        out[j + J] = rates.rate(j) * state.beta[j + J] - (kappa / SQRT_TWO_PI) * acc
+                acc += lam[l + J] * beta[j - l + J] * beta[l + J]
+        out[j + J] = (a - D * j**2) * beta[j + J] - (kappa / SQRT_TWO_PI) * acc
     return out
 
 

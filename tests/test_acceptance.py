@@ -68,10 +68,10 @@ def grid_run(gamma, D, t_end, initial, **kwargs):
 
 
 def test_criterion_01_exact_vs_spectral():
-    state0 = spectral.SpectralState(10, np.eye(21)[10].astype(complex))
+    beta0 = np.eye(21)[10].astype(complex)
     times = (1.0, 5.0, 20.0)
-    traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0), KERNEL,
-                              0.2, 20.0, 0.01, snapshot_times=times)
+    traj = spectral.integrate(beta0, KERNEL, 1.0, 0.2, 0.0, 0.01, 20.0,
+                              snapshot_times=times)
     m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
     worst = max(abs(traj.snapshots[t][10] - exact.beta0(t, m)) for t in times)
     ok = worst < 1e-8
@@ -128,16 +128,15 @@ def test_criterion_04_order_in_T():
     errs = {}
     times = (1.0, 2.0, 5.0)
     for T in (10.0, 20.0, 40.0):
-        state0 = spectral.project_initial(
+        beta0 = spectral.project_initial(
             lambda x: 1.0 / SQRT_TWO_PI + tilde_phi(x) / T, 10)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  KERNEL, 0.2, 5.0, 0.005, snapshot_times=times)
+        traj = spectral.integrate(beta0, KERNEL, 1.0, 0.2, 0.0, 0.005, 5.0,
+                                  snapshot_times=times)
         expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, 10, KERNEL,
                                                1.0, 0.2, 0.0)
         errs[T] = max(
-            np.max(np.abs(spectral.reconstruct(
-                spectral.SpectralState(10, traj.snapshots[t]), s)
-                - asymptotics.composite_density(t, s, expn)))
+            np.max(np.abs(spectral.reconstruct(traj.snapshots[t], s)
+                          - asymptotics.composite_density(t, s, expn)))
             for t in times)
     orders = (analysis.richardson_order(errs[10.0], errs[20.0], 2.0),
               analysis.richardson_order(errs[20.0], errs[40.0], 2.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,23 +85,21 @@ class TestCompositeDensity:
         T = 80.0
         J = 10
         rho_phi = lambda s: 1.0 / SQRT_TWO_PI + tilde_phi(s) / T
-        state0 = spectral.project_initial(rho_phi, J)
-        traj = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                  unit_kernel, 0.2, 5.0, 0.005,
+        beta0 = spectral.project_initial(rho_phi, J)
+        traj = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.005, 5.0,
                                   snapshot_times=(5.0,))
         beta1 = asymptotics.beta1_initial(tilde_phi, J)
         expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, J, unit_kernel,
                                                1.0, 0.2, 0.0)
         s = np.linspace(-math.pi, math.pi, 129)
-        rho_spec = spectral.reconstruct(
-            spectral.SpectralState(J, traj.snapshots[5.0]), s)
+        rho_spec = spectral.reconstruct(traj.snapshots[5.0], s)
         rho_asym = asymptotics.composite_density(5.0, s, expn)
         assert np.max(np.abs(rho_spec - rho_asym)) < 5.0 / T**2
 
 
 class TestAppendixRoutes:
     def test_appendix_b_equals_beta1_evolution(self, expansion):
-        flat = expansion.without_diffusion()
+        flat = dataclasses.replace(expansion, D=0.0)
         for j in (-5, 0, 3):
             for t in (0.5, 2.0, 20.0):
                 via_b = asymptotics.appendix_b_solution(j, flat.a * t,
@@ -109,7 +108,7 @@ class TestAppendixRoutes:
                 assert abs(via_b - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_assembled_fields_identical(self, expansion):
-        flat = expansion.without_diffusion()
+        flat = dataclasses.replace(expansion, D=0.0)
         s = np.linspace(-math.pi, math.pi, 512, endpoint=False)
         for t in (1.0, 10.0, 100.0):
             a = asymptotics.composite_density(t, s, flat)

@@ -42,8 +42,9 @@ def test_special_cells_cover_both_nan_signs():
 
 @settings(max_examples=300, deadline=None)
 @given(columns())
-def test_column_text_is_per_cell_fmt_formatted_once(col):
-    text = csvio.column_text(col)
+def test_words_are_per_cell_fmt_formatted_once(col):
+    words, index = csvio._words(col)
+    text = [words[i] for i in index.tolist()]
     assert text == [csvio.fmt(v) for v in col]
     # equal cells share one str: each distinct value was formatted once
     assert len({id(word) for word in text}) == len(set(text))

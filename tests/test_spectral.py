@@ -16,31 +16,38 @@ def bump(s):
 
 class TestProjection:
     def test_homogeneous_projects_to_zero_mode(self, unit_kernel):
-        state = spectral.project_initial(lambda s: np.full_like(s, 2.0 / SQRT_TWO_PI), 4)
-        assert state.mode(0) == pytest.approx(2.0, abs=1e-12)
+        beta = spectral.project_initial(lambda s: np.full_like(s, 2.0 / SQRT_TWO_PI), 4)
+        assert beta[0 + 4] == pytest.approx(2.0, abs=1e-12)
         for j in (1, 2, 3, 4):
-            assert abs(state.mode(j)) < 1e-12
+            assert abs(beta[j + 4]) < 1e-12
 
     def test_cosine_mode(self):
-        state = spectral.project_initial(lambda s: np.cos(3 * s), 5)
+        beta = spectral.project_initial(lambda s: np.cos(3 * s), 5)
         # cos(3s) = (e^{3is} + e^{-3is})/2 = sqrt(2 pi)/2 (v_3 + v_-3)
-        assert state.mode(3) == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
-        assert state.mode(-3) == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
-        assert abs(state.mode(0)) < 1e-12
+        assert beta[3 + 5] == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
+        assert beta[-3 + 5] == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
+        assert abs(beta[0 + 5]) < 1e-12
 
     def test_conjugate_pairing(self):
-        state = spectral.project_initial(bump, 8)
-        np.testing.assert_allclose(state.beta, state.beta[::-1].conj(), rtol=0)
-
-    def test_quadrature_floor(self):
-        with pytest.raises(ValueError):
-            spectral.project_initial(bump, 4, n_quad=512)
+        beta = spectral.project_initial(bump, 8)
+        np.testing.assert_allclose(beta, beta[::-1].conj(), rtol=0)
 
     def test_roundtrip_through_reconstruct(self):
-        state = spectral.project_initial(bump, 24)
+        beta = spectral.project_initial(bump, 24)
         s = np.linspace(-math.pi, math.pi, 129)
-        np.testing.assert_allclose(spectral.reconstruct(state, s), bump(s),
+        np.testing.assert_allclose(spectral.reconstruct(beta, s), bump(s),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4,), (0,), (3, 3)])
+    def test_even_or_not_1d_rejected(self, unit_kernel, shape):
+        beta = np.zeros(shape, complex)
+        s = np.linspace(-math.pi, math.pi, 9)
+        for call in (lambda: spectral.reconstruct(beta, s),
+                     lambda: spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.0),
+                     lambda: spectral.integrate(beta, unit_kernel, 1.0, 0.2,
+                                                0.0, 0.1, 0.1)):
+            with pytest.raises(ValueError, match="2J \\+ 1 coefficients"):
+                call()
 
 
 class TestRhs:
@@ -49,78 +56,76 @@ class TestRhs:
         for J in (1, 4, 9):
             half = rng.random(J) + 1j * rng.random(J)
             beta = np.concatenate([half[::-1].conj(), [rng.random(1)[0] + 0j], half])
-            state = spectral.SpectralState(J, beta)
-            rates = spectral.DiffusiveRates(1.0, 0.1)
             np.testing.assert_allclose(
-                spectral.rhs(state, rates, unit_kernel, 0.2),
-                rhs_bruteforce(state, rates, unit_kernel, 0.2),
+                spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.1),
+                rhs_bruteforce(beta, 1.0, 0.1, unit_kernel, 0.2),
                 rtol=1e-12, atol=1e-14)
 
     def test_zero_mode_only_is_logistic(self, unit_kernel):
-        state = spectral.SpectralState(3, np.array([0, 0, 0, 2.0, 0, 0, 0], complex))
-        deriv = spectral.rhs(state, spectral.DiffusiveRates(1.0), unit_kernel, 0.2)
+        beta = np.array([0, 0, 0, 2.0, 0, 0, 0], complex)
+        deriv = spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.0)
         expected = 1.0 * 2.0 - 0.2 / SQRT_TWO_PI * LAMBDA0 * 4.0
         assert deriv[3] == pytest.approx(expected, rel=1e-12)
         assert np.max(np.abs(np.delete(deriv, 3))) == 0.0
 
-    def test_diffusive_rates_band(self):
-        rates = spectral.DiffusiveRates(1.0, 0.5)
-        np.testing.assert_allclose(rates.band(2),
-                                   [1.0 - 2.0, 0.5, 1.0, 0.5, -1.0])
+    def test_diffusive_rates_band(self, unit_kernel):
+        # at kappa = 0 the right-hand side is the rate band (a - D j^2) beta
+        beta = np.arange(1, 6) + 1j * np.arange(5)
+        np.testing.assert_allclose(
+            spectral.rhs(beta, unit_kernel, 1.0, 0.0, 0.5),
+            np.array([1.0 - 2.0, 0.5, 1.0, 0.5, -1.0]) * beta, rtol=0)
 
-    def test_negative_diffusion_rejected(self):
-        with pytest.raises(ValueError):
-            spectral.DiffusiveRates(1.0, -0.1)
+    def test_negative_diffusion_rejected(self, unit_kernel):
+        beta = spectral.project_initial(bump, 2)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            spectral.rhs(beta, unit_kernel, 1.0, 0.2, -0.1)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            spectral.integrate(beta, unit_kernel, 1.0, 0.2, -0.1, 0.01, 0.1)
 
 
 class TestIntegrate:
     def test_symmetric_data_follows_exact_beta0(self, unit_kernel):
         # beta_{0j} = delta_{j0}: the zero mode is closed and logistic
-        state0 = spectral.SpectralState(5, np.eye(11)[5].astype(complex))
+        beta0 = np.eye(11)[5].astype(complex)
         times = (1.0, 5.0, 20.0)
-        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                 unit_kernel, 0.2, 20.0, 0.01,
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.01, 20.0,
                                  snapshot_times=times)
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
         for t in times:
             assert abs(rec.snapshots[t][5] - exact.beta0(t, m)) < 1e-8
 
     def test_kappa_zero_modes_grow_independently(self, unit_kernel):
-        state0 = spectral.project_initial(bump, 4)
-        rates = spectral.DiffusiveRates(1.0, 0.3)
-        rec = spectral.integrate(state0, rates, unit_kernel, 0.0, 2.0, 0.005,
+        beta0 = spectral.project_initial(bump, 4)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.0, 0.3, 0.005, 2.0,
                                  snapshot_times=(2.0,))
-        final = spectral.SpectralState(4, rec.snapshots[2.0])
+        final = rec.snapshots[2.0]
         for j in range(-4, 5):
-            expected = state0.mode(j) * np.exp(rates.rate(j) * 2.0)
-            assert abs(final.mode(j) - expected) < 1e-9
+            expected = beta0[j + 4] * np.exp((1.0 - 0.3 * j**2) * 2.0)
+            assert abs(final[j + 4] - expected) < 1e-9
 
     def test_t_end_is_absolute(self, unit_kernel):
         # the mode system is autonomous: a run from t = 5 to t_end = 6 takes
         # the same 100 steps as one from 0 to 1
-        rates = spectral.DiffusiveRates(1.0)
-        state0 = spectral.project_initial(bump, 3)
-        late = spectral.SpectralState(3, state0.beta, 5.0)
-        rec = spectral.integrate(late, rates, unit_kernel, 0.2, 6.0, 0.01)
-        ref = spectral.integrate(state0, rates, unit_kernel, 0.2, 1.0, 0.01)
+        beta0 = spectral.project_initial(bump, 3)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.01, 6.0,
+                                 t0=5.0)
+        ref = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0)
         assert len(rec.times) == 101 and rec.times[0] == 5.0 \
             and rec.times[-1] == 6.0
         assert np.array_equal(rec.frames, ref.frames)
 
     def test_reality_preserved(self, unit_kernel):
-        state0 = spectral.project_initial(bump, 6)
-        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1),
-                                 unit_kernel, 0.2, 10.0, 0.01)
+        beta0 = spectral.project_initial(bump, 6)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.1, 0.01, 10.0)
         assert rec.drift < 1e-12
         beta_T = rec.frames[-1]
         np.testing.assert_allclose(beta_T, beta_T[::-1].conj(), rtol=0)
 
     def test_blowup_detected(self, unit_kernel):
         # kappa < 0 makes the quadratic term antidissipative
-        state0 = spectral.SpectralState(2, np.array([0, 0, 5.0, 0, 0], complex))
+        beta0 = np.array([0, 0, 5.0, 0, 0], complex)
         with pytest.raises(RuntimeError):
-            spectral.integrate(state0, spectral.DiffusiveRates(5.0),
-                               unit_kernel, -2.0, 50.0, 0.05)
+            spectral.integrate(beta0, unit_kernel, 5.0, -2.0, 0.0, 0.05, 50.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
     def test_blowup_guard_catches_bad_update(self, unit_kernel, monkeypatch,
@@ -129,26 +134,23 @@ class TestIntegrate:
         dt = 0.01
         monkeypatch.setattr(spectral, "_mode_rhs",
                             lambda beta, *args: np.full_like(beta, bad / dt))
-        state0 = spectral.project_initial(bump, 3)
+        beta0 = spectral.project_initial(bump, 3)
         with pytest.raises(RuntimeError, match="blew up"):
-            spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                               unit_kernel, 0.2, dt, dt)
+            spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, dt, dt)
 
     def test_snapshots_are_the_stepped_states(self, unit_kernel):
-        state0 = spectral.project_initial(bump, 4)
-        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                 unit_kernel, 0.2, 1.0, 0.01,
+        beta0 = spectral.project_initial(bump, 4)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0,
                                  snapshot_times=(0.37, 0.0, 1.0))
         assert list(rec.snapshots) == [0.0, 0.37, 1.0]
-        np.testing.assert_array_equal(rec.snapshots[0.0], state0.beta)
+        np.testing.assert_array_equal(rec.snapshots[0.0], beta0)
         np.testing.assert_array_equal(rec.snapshots[0.37], rec.frames[37])
         np.testing.assert_array_equal(rec.snapshots[1.0], rec.frames[-1])
 
     def test_trajectory_csv_roundtrip(self, unit_kernel, tmp_path):
         from nlfkpp.csvio import read_csv
-        state0 = spectral.project_initial(bump, 3)
-        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                 unit_kernel, 0.2, 1.0, 0.1)
+        beta0 = spectral.project_initial(bump, 3)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.1, 1.0)
         path = tmp_path / "traj.csv"
         spectral.trajectory_to_csv(path, rec)
         header, cols = read_csv(path)
@@ -177,22 +179,19 @@ class TestRunInvariantOperator:
 
         monkeypatch.setattr(kernel, "bessel_i_scaled", counted)
         monkeypatch.setattr(spectral, "eigenvalues", counted_spectrum)
-        state0 = spectral.project_initial(bump, 6)
-        spectral.integrate(state0, spectral.DiffusiveRates(1.0, 0.1), kern,
-                           0.2, 0.1, 0.01)
+        beta0 = spectral.project_initial(bump, 6)
+        spectral.integrate(beta0, kern, 1.0, 0.2, 0.1, 0.01, 0.1)
         assert sorted(calls) == list(range(7))
         assert builds == [6]  # one spectrum per run, not one per RHS call
 
     def test_trajectory_equals_rk4_on_public_rhs(self, unit_kernel):
         J, dt, n_steps = 8, 0.01, 50
-        state0 = spectral.project_initial(bump, J)
-        rates = spectral.DiffusiveRates(1.0, 0.1)
+        beta0 = spectral.project_initial(bump, J)
 
         def f(b):
-            return spectral.rhs(spectral.SpectralState(J, b), rates,
-                                unit_kernel, 0.2)
+            return spectral.rhs(b, unit_kernel, 1.0, 0.2, 0.1)
 
-        beta = state0.beta.copy()
+        beta = beta0.copy()
         history = [beta.copy()]
         for _ in range(n_steps):
             k1 = f(beta)
@@ -202,8 +201,8 @@ class TestRunInvariantOperator:
             beta = beta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             beta = 0.5 * (beta + beta[::-1].conj())
             history.append(beta.copy())
-        rec = spectral.integrate(state0, rates, unit_kernel, 0.2,
-                                 n_steps * dt, dt)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.1, dt,
+                                 n_steps * dt)
         assert np.array_equal(rec.frames, np.array(history))
 
 
@@ -225,12 +224,10 @@ class TestOmegaCoefficients:
 class TestExponentialForm:
     def test_matches_reconstruction(self, unit_kernel):
         # the exponential representation resums to the same density
-        state0 = spectral.project_initial(bump, 12)
-        rec = spectral.integrate(state0, spectral.DiffusiveRates(1.0),
-                                 unit_kernel, 0.2, 5.0, 0.001, store_every=1,
-                                 snapshot_times=(5.0,))
+        beta0 = spectral.project_initial(bump, 12)
+        rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.001, 5.0,
+                                 snapshot_times=(5.0,), store_every=1)
         s = np.linspace(-math.pi, math.pi, 65)
         via_exp = spectral.exponential_form(rec, unit_kernel, bump, s, 1.0, 0.2)
-        direct = spectral.reconstruct(
-            spectral.SpectralState(12, rec.snapshots[5.0]), s)
+        direct = spectral.reconstruct(rec.snapshots[5.0], s)
         np.testing.assert_allclose(via_exp, direct, rtol=2e-3)

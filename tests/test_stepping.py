@@ -14,9 +14,8 @@ def run_grid(t0, t_end, dt):
 
 
 def run_spectral(t0, t_end, dt):
-    return spectral.integrate(spectral.SpectralState(2, np.eye(5)[2], t0),
-                              spectral.DiffusiveRates(1.0), KERNEL, 0.2,
-                              t_end, dt)
+    return spectral.integrate(np.eye(5)[2], KERNEL, 1.0, 0.2, 0.0, dt, t_end,
+                              t0=t0)
 
 
 def run_manifold(t0, t_end, dt):
@@ -59,6 +58,22 @@ def test_run_length_checked(run, t0, t_end, dt, message):
     # run it cannot take in whole steps of dt
     with pytest.raises(ValueError, match=message):
         run(t0, t_end, dt)
+
+
+@pytest.mark.parametrize("D", [-0.1, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("run", [
+    lambda D: gridsim.integrate(gridsim.GridState(16, np.ones(16)), KERNEL,
+                                1.0, 0.2, D, 0.01, 0.1),
+    lambda D: spectral.integrate(np.eye(5)[2], KERNEL, 1.0, 0.2, D, 0.01, 0.1),
+    lambda D: planar.run2d(planar.gaussian_ring(3.0, 16, 1.0, 0.3, D=D),
+                           planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, 0.01,
+                           0.1),
+], ids=["grid", "spectral", "planar"])
+def test_negative_diffusion_rejected(run, D):
+    # a library call gets no ConfigError from the CLI's validation, so each
+    # solver rejects a negative (or NaN) D itself instead of running it as 0
+    with pytest.raises(ValueError, match="must be >= 0"):
+        run(D)
 
 
 def test_single_step_late_in_a_run():
