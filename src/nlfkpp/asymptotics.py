@@ -33,8 +33,7 @@ N_SIMPSON = 20001
 class AsymptoticExpansion:
     T: float
     beta00: float
-    beta1: np.ndarray  # beta_{1j}, j = -J..J at index j+J
-    J: int
+    beta1: np.ndarray  # beta_{1j}, j = -J..J at index j+J, J = len // 2
     kernel: CircleKernelParams
     a: float
     kappa: float
@@ -44,9 +43,9 @@ class AsymptoticExpansion:
         if self.T <= 0:
             raise ValueError(f"evolution-scale parameter T must be > 0, got {self.T}")
         self.beta1 = np.asarray(self.beta1, dtype=complex)
-        if self.beta1.shape != (2 * self.J + 1,):
+        if self.beta1.ndim != 1 or len(self.beta1) % 2 == 0:
             raise ValueError(
-                f"expected {2 * self.J + 1} first-order coefficients, "
+                f"expected 2J + 1 first-order coefficients beta1_-J..beta1_J, "
                 f"got shape {self.beta1.shape}"
             )
 
@@ -68,9 +67,10 @@ def _mode_factors(exp: AsymptoticExpansion, t):
     """
     t = np.asarray(t, dtype=float)
     c = exp.model.saturation
-    js = np.arange(-exp.J, exp.J + 1)
-    lam = eigenvalues(exp.J, exp.kernel)
-    p = 1.0 + lam / lam[exp.J]
+    J = len(exp.beta1) // 2
+    js = np.arange(-J, J + 1)
+    lam = eigenvalues(J, exp.kernel)
+    p = 1.0 + lam / lam[J]
     a_j = exp.a - exp.D * js.astype(float) ** 2
     base = (1.0 - c) * np.exp(-exp.a * t) + c
     return np.exp(np.multiply.outer(t, a_j - p * exp.a)) / np.power.outer(base, p)
@@ -85,13 +85,15 @@ def beta1_evolution(j: int, t, exp: AsymptoticExpansion):
     p = 1.0 + lam_j / lam0
     a_j = exp.a - exp.D * float(j) ** 2
     base = (1.0 - c) * np.exp(-exp.a * t) + c
-    return exp.beta1[j + exp.J] * np.exp((a_j - p * exp.a) * t) / base ** p
+    beta1_j = exp.beta1[j + len(exp.beta1) // 2]
+    return beta1_j * np.exp((a_j - p * exp.a) * t) / base ** p
 
 
 def composite_density(t, s, exp: AsymptoticExpansion) -> np.ndarray:
     """Zero-order homogeneous density plus all first-order corrections."""
     coeffs = exp.beta1 * _mode_factors(exp, float(t))
-    correction = fourier_modes(exp.J, s) @ coeffs / (exp.T * SQRT_TWO_PI)
+    correction = (fourier_modes(len(exp.beta1) // 2, s) @ coeffs
+                  / (exp.T * SQRT_TWO_PI))
     return real_part(beta0(float(t), exp.model) / SQRT_TWO_PI + correction,
                      "composite density")
 
@@ -108,14 +110,16 @@ def appendix_b_solution(j: int, theta, c0, exp: AsymptoticExpansion):
     lam0 = eigenvalue(0, exp.kernel)
     p = 1.0 + eigenvalue(j, exp.kernel) / lam0
     base = (1.0 - c) * np.exp(-theta) + c
-    return np.asarray(c0)[j + exp.J] * np.exp((1.0 - p) * theta) / base ** p
+    c0_j = np.asarray(c0)[j + len(exp.beta1) // 2]
+    return c0_j * np.exp((1.0 - p) * theta) / base ** p
 
 
 def assemble_appendix_b(t, s, c0, exp: AsymptoticExpansion) -> np.ndarray:
     """Density built from the Appendix-route coefficients C_j(a t)."""
+    J = len(exp.beta1) // 2
     coeffs = np.array([appendix_b_solution(j, exp.a * float(t), c0, exp)
-                       for j in range(-exp.J, exp.J + 1)])
-    correction = fourier_modes(exp.J, s) @ coeffs / (exp.T * SQRT_TWO_PI)
+                       for j in range(-J, J + 1)])
+    correction = fourier_modes(J, s) @ coeffs / (exp.T * SQRT_TWO_PI)
     rho = beta0(float(t), exp.model) / SQRT_TWO_PI + correction
     return rho.real
 
@@ -139,16 +143,17 @@ def appendix_a_check(exp: AsymptoticExpansion, t_grid) -> float:
     flat = replace(exp, D=0.0)
     m = flat.model
     v0 = m.v0
+    J = len(flat.beta1) // 2
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
         if t < 0:
             raise ValueError("times must be nonnegative")
         tau = np.linspace(0.0, t, N_SIMPSON)
         ratio = beta0(t, m) / flat.beta00
-        for j in range(-flat.J, flat.J + 1):
+        for j in range(-J, J + 1):
             lam_j = eigenvalue(j, flat.kernel)
             integral = simpson(beta1_evolution(j, tau, flat), x=tau) if t > 0 else 0.0
-            coeff = ratio * (flat.beta1[j + flat.J]
+            coeff = ratio * (flat.beta1[j + J]
                              - flat.beta00 * v0 * flat.kappa * lam_j * integral)
             worst = max(worst, abs(coeff - beta1_evolution(j, t, flat)))
     return float(worst)

@@ -193,7 +193,7 @@ def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
             f"(homogeneous background plus 1/T bump), got {cfg.initial_kind!r}")
     bump = gridsim.initial_profile("gaussian", width=cfg.initial_width)
     beta1 = asymptotics.beta1_initial(bump, cfg.J)
-    return asymptotics.AsymptoticExpansion(cfg.T, cfg.beta00, beta1, cfg.J,
+    return asymptotics.AsymptoticExpansion(cfg.T, cfg.beta00, beta1,
                                            _kernel(cfg), cfg.a, cfg.kappa, cfg.D)
 
 
@@ -382,48 +382,91 @@ def _step_batch(jobs, group) -> dict:
     return {i: (rec, share) for i, rec in zip(group, recs)}
 
 
-def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
-                    tol_linf: float = None) -> dict:
-    """Relative L-inf/L2 errors between matching snapshot CSVs."""
-    names_a = sorted(n for n in os.listdir(dir_a) if n.startswith("snapshot"))
-    names_b = sorted(n for n in os.listdir(dir_b) if n.startswith("snapshot"))
-    common = sorted(set(names_a) & set(names_b))
-    if not common:
-        raise ConfigError("bundles share no snapshot files")
-    report = {}
-    for name in common:
-        _, (s_a, rho_a) = read_csv(os.path.join(dir_a, name))
-        _, (s_b, rho_b) = read_csv(os.path.join(dir_b, name))
-        if len(s_a) != len(s_b) or not np.allclose(s_a, s_b):
-            # periodic resample of b onto a's grid
-            order = np.argsort(s_b)
-            sb, rb = s_b[order], rho_b[order]
-            sb = np.concatenate([sb, [sb[0] + TWO_PI]])
-            rb = np.concatenate([rb, [rb[0]]])
-            rho_b = np.interp(np.mod(s_a - sb[0], TWO_PI) + sb[0], sb, rb)
-        diff = rho_a - rho_b
-        report[name] = {
-            "rel_linf": analysis.relative(np.max(np.abs(diff)),
+def _csv_names(root: str) -> set:
+    """The paths of the CSV files under root, relative to it."""
+    return {os.path.relpath(os.path.join(d, n), root)
+            for d, _, names in os.walk(root) for n in names
+            if n.endswith(".csv")}
+
+
+def _snapshot_errors(path_a: str, path_b: str) -> dict:
+    """Relative L-inf and L2 errors of snapshot a against snapshot b, b
+    resampled periodically onto a's nodes when they differ."""
+    _, (s_a, rho_a) = read_csv(path_a)
+    _, (s_b, rho_b) = read_csv(path_b)
+    if len(s_a) != len(s_b) or not np.allclose(s_a, s_b):
+        # periodic resample of b onto a's grid
+        order = np.argsort(s_b)
+        sb, rb = s_b[order], rho_b[order]
+        sb = np.concatenate([sb, [sb[0] + TWO_PI]])
+        rb = np.concatenate([rb, [rb[0]]])
+        rho_b = np.interp(np.mod(s_a - sb[0], TWO_PI) + sb[0], sb, rb)
+    diff = rho_a - rho_b
+    return {"rel_linf": analysis.relative(np.max(np.abs(diff)),
                                           np.max(np.abs(rho_b))),
             "rel_l2": analysis.relative(np.linalg.norm(diff),
-                                        np.linalg.norm(rho_b)),
-        }
+                                        np.linalg.norm(rho_b))}
+
+
+def _column_errors(name: str, path_a: str, path_b: str) -> dict:
+    """{column: max|a - b| / max|b|} of two CSVs with one header and row
+    count, by the zero-reference rule of analysis.relative; equal cells
+    (two NaNs, two equal infinities) differ by 0.  ConfigError naming the
+    file when the header or row count differ."""
+    head_a, cols_a = read_csv(path_a)
+    head_b, cols_b = read_csv(path_b)
+    rows_a, rows_b = len(cols_a[0]), len(cols_b[0])
+    if head_a != head_b or rows_a != rows_b:
+        raise ConfigError(f"{name}: the bundles' files differ in header or "
+                          f"row count: {head_a} with {rows_a} rows against "
+                          f"{head_b} with {rows_b}")
+    errors = {}
+    for column, a, b in zip(head_a, cols_a, cols_b):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        diff = np.where(same, 0.0, np.abs(a - b))
+        scale = np.abs(b[~np.isnan(b)])
+        errors[column] = analysis.relative(np.max(diff, initial=0.0),
+                                           np.max(scale, initial=0.0))
+    return errors
+
+
+def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
+                    tol_linf: float = None) -> dict:
+    """Relative errors of bundle a against bundle b over every CSV file the
+    two share, subdirectories (the entries of a sweep) included: rel_linf
+    and rel_l2 of each snapshot (see _snapshot_errors), listed in
+    outdir/compare.csv, and {column: rel_linf} of every other file (see
+    _column_errors).  tol_linf judges every rel_linf."""
+    common = sorted(_csv_names(dir_a) & _csv_names(dir_b))
+    if not common:
+        raise ConfigError("bundles share no CSV files")
+    report, lines = {}, []
+    for name in common:
+        paths = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if os.path.basename(name).startswith("snapshot"):
+            entry = report[name] = _snapshot_errors(*paths)
+            lines.append((name, entry["rel_linf"],
+                          f" rel_l2={entry['rel_l2']:.3e}"))
+        else:
+            report[name] = _column_errors(name, *paths)
+            lines += [(f"{name}:{column}", err, "")
+                      for column, err in report[name].items()]
     if outdir:
-        names = sorted(report)
+        names = [n for n in common
+                 if os.path.basename(n).startswith("snapshot")]
         write_csv(_artifact_path(outdir)("compare.csv"),
                   ["snapshot_index", "rel_linf", "rel_l2"],
                   [np.arange(len(names)),
                    [report[n]["rel_linf"] for n in names],
                    [report[n]["rel_l2"] for n in names]])
     passed = True
-    for name, entry in sorted(report.items()):
+    for label, rel_linf, rest in lines:
         verdict = ""
         if tol_linf is not None:
-            ok = entry["rel_linf"] <= tol_linf
+            ok = rel_linf <= tol_linf
             passed = passed and ok
             verdict = "  PASS" if ok else "  FAIL"
-        print(f"{name}: rel_linf={entry['rel_linf']:.3e} "
-              f"rel_l2={entry['rel_l2']:.3e}{verdict}")
+        print(f"{label}: rel_linf={rel_linf:.3e}{rest}{verdict}")
     report["_passed"] = passed
     return report
 

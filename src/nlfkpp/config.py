@@ -96,12 +96,12 @@ class ScenarioConfig:
             raise ConfigError(f"numerics.scheme: unknown scheme {self.scheme!r}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigError(f"initial.kind: unknown kind {self.initial_kind!r}")
-        # a snapshot is the state at the nearest step: off the step grid it
-        # would be written under a time it does not hold
         whole_steps(self.t_end, self.dt, "numerics.t_end")
-        for t in self.snapshot_times:
-            whole_steps(t, self.dt, "numerics.snapshot_times")
         if self.solver in SNAPSHOT_SOLVERS:
+            # a snapshot is the state at the nearest step: off the step grid
+            # it would be written under a time it does not hold
+            for t in self.snapshot_times:
+                whole_steps(t, self.dt, "numerics.snapshot_times")
             seen = {}
             for t in self.written_snapshot_times():
                 name = snapshot_name(t)

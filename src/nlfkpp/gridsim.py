@@ -90,11 +90,50 @@ def _circulant_symbol(diag: float, off: float, n: int) -> np.ndarray:
     return eig
 
 
-def _cyclic_tridiag_solve(symbol: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
-    """Solve the circulant tridiagonal system of the given symbol (see
-    _circulant_symbol) along the last axis.  Being circulant, the FFT
-    diagonalizes it exactly, which is both O(N log N) and deterministic."""
-    return np.fft.irfft(np.fft.rfft(rhs_vec) / symbol, n=rhs_vec.shape[-1])
+def _imex_step(rho0, spectrum, symbol, grow, couple, ds):
+    """The imex step of a (runs, N) batch, for stepping.march: explicit
+    reaction and interaction, implicit (backward Euler) diffusion, whose
+    circulant tridiagonal matrix of the given symbol (see _circulant_symbol)
+    the FFT diagonalizes exactly.
+
+    It carries the half spectrum Y = rfft(rho) and the interaction I of the
+    state from one step to the next, and takes
+
+        Z = (grow Y - couple rfft(rho I)) / symbol,
+
+    rho and I / ds together from one irfft of [Z, spectrum Z]: two FFT calls
+    per step.  Only the runs march clamped are transformed again (the FFT
+    treats each row alone), so every run keeps the bytes it gets stepped
+    alone.
+    """
+    runs, n = rho0.shape
+    # Y and spectrum Y, stacked for the one inverse transform
+    half = np.empty((2 * runs, n // 2 + 1), dtype=complex)
+    Y, SY = half[:runs], half[runs:]
+    Y[:] = np.fft.rfft(rho0)
+    I = ds * np.fft.irfft(np.multiply(spectrum, Y, out=SY), n=n)
+    # every factor is real, so the update runs on float views: the real and
+    # imaginary parts each scaled and divided by the symbol in one rounding
+    Yv, symbol = Y.view(float), np.repeat(symbol, 2, axis=-1)
+
+    def advance(rho, t, clamped):
+        nonlocal I
+        if clamped is not None:
+            rows = clamped > 0
+            Y[rows] = np.fft.rfft(rho[rows])
+            I[rows] = ds * np.fft.irfft(spectrum[rows] * Y[rows], n=n)
+        F = np.fft.rfft(rho * I).view(float)
+        np.multiply(Yv, grow, out=Yv)
+        np.multiply(F, couple, out=F)
+        np.subtract(Yv, F, out=Yv)
+        np.divide(Yv, symbol, out=Yv)
+        np.multiply(spectrum, Y, out=SY)
+        both = np.fft.irfft(half, n=n)
+        I = both[runs:]
+        I *= ds
+        return both[:runs]
+
+    return advance
 
 
 def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
@@ -133,12 +172,12 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     Run i has the kernel kerns[i] and the coefficients a[i], kappa[i] and
     D[i] >= 0; the runs must agree on whether D > 0.  Every row gets the
     bytes that stepping it alone gives.  Its stability bound is
-    0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex, explicit
-    reaction and implicit (backward Euler) diffusion, drops the ds^2
-    restriction.  A step whose dt exceeds any run's bound raises
-    ConfigError; limit reads each run's max from the driver, which takes it
-    once per step.  reduce(y) is what each stored frame keeps (see
-    stepping.march); Record.row(i) is the record of run i.
+    0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex with D > 0 (see
+    _imex_step) drops the ds^2 restriction, and at D = 0 is euler.  A step
+    whose dt exceeds any run's bound raises ConfigError; limit reads each
+    run's max from the driver, which takes it once per step.  reduce(y) is
+    what each stored frame keeps (see stepping.march); Record.row(i) is the
+    record of run i.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 2:
@@ -176,15 +215,14 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
         return min([0.8 * min(diffusive, 1.0 / (a_i + c_i * max(top, 0.0)))
                     for (a_i, c_i, diffusive), top in zip(bounds, tops)])
 
-    solve = None
+    imex = None
     if implicit:
         symbol = np.stack([_circulant_symbol(1.0 + 2.0 * r, -r, n)
                            for r in (dt * D / ds**2).tolist()])
+        imex = _imex_step(rho0, spectrum, symbol, 1.0 + dt * a_run,
+                          dt * kappa_run, ds)
 
-        def solve(rho):
-            return _cyclic_tridiag_solve(symbol, rho)
-
-    return stepping.march(rho0, t0, t_end, dt, rhs, scheme, solve=solve,
+    return stepping.march(rho0, t0, t_end, dt, rhs, scheme, step=imex,
                           limit=limit, store_every=store_every,
                           at=snapshot_times, reduce=reduce, batched=True)
 

@@ -3,11 +3,12 @@
 A solver holds its state in one array and hands ``march`` the right-hand
 side ``rhs(y, t)`` of its per-run operator.  The driver owns what all the
 solvers do alike: the run length (a whole number of steps from t0 to
-t_end, or ConfigError), the stage arithmetic of the euler, rk4 and imex
-schemes, the time t0 + k dt (never an accumulated sum), the stability
-check, the blow-up guard, the round-off clamp of the density with its
-count, the drift of a projection, and the storage of frames and
-snapshots.  Every solver returns the driver's Record as it is.
+t_end, or ConfigError), the stage arithmetic of the euler and rk4
+schemes (an imex solver with an implicit part hands over its whole step),
+the time t0 + k dt (never an accumulated sum), the stability check, the
+blow-up guard, the round-off clamp of the density with its count, the
+drift of a projection, and the storage of frames and snapshots.  Every
+solver returns the driver's Record as it is.
 
 A batched march steps independent runs together, one per row of a
 (runs, N) stack of densities: the clamp judges each run against its own max
@@ -77,7 +78,7 @@ def _clamp(d, top, low, t):
     return np.count_nonzero(band, axis=None if np.ndim(top) == 0 else 1)
 
 
-def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
+def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
           density=None, project=None, store_every=0, at=(), reduce=None,
           batched=False) -> Record:
     """Advance y by steps of dt from time t0 to t_end.
@@ -86,8 +87,13 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
     steps raise ConfigError.
 
     euler is y + dt rhs(y, t); rk4 the classical four stages at t, t + dt/2,
-    t + dt/2 and t + dt; imex is solve(y + dt rhs(y, t)), where rhs is the
-    explicit part and solve the implicit one (None: there is none).
+    t + dt/2 and t + dt; imex is the solver's whole step step(y, t,
+    clamped), or y + dt rhs(y, t) when it has no implicit part (step None).
+    clamped is the clamp count of the previous step (per run, when
+    batched), or None when it clamped nothing: a step that carries a
+    transform of y from one call to the next takes it again for the runs
+    the clamp changed (project, which changes every run, does not combine
+    with a step).
 
     Before each step, dt > limit(y) raises ConfigError.  After it, y becomes
     project(y), whose largest change is kept as Record.drift; max|y| must
@@ -123,6 +129,7 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
 
     snap(t0, y)
     clamped = np.zeros(len(y), dtype=int) if batched else 0
+    changed = None
     drift = 0.0
     top = y.max(axis=1) if batched else None
     t = t0
@@ -139,10 +146,10 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
             k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = rhs(y + dt * k3, t + dt)
             y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
+        elif step is None:
             y = y + dt * rhs(y, t)
-            if solve is not None:
-                y = solve(y)
+        else:
+            y = step(y, t, changed)
         if project is not None:
             projected = project(y)
             drift = max(drift, float(np.max(np.abs(projected - y))))
@@ -159,14 +166,17 @@ def march(y, t0, t_end, dt, rhs, scheme, *, solve=None, limit=None,
         if not bounded:
             raise RuntimeError(f"solution blew up at t={t}: "
                                f"max|y| = {np.max(np.abs(y)):.3e}")
+        changed = None
         if batched:
             if low < 0:
-                clamped += _clamp(y, top[:, None], low, t)
+                changed = _clamp(y, top[:, None], low, t)
         elif density is not None:
             d = density(y)
             low = d.min()
             if low < 0:
-                clamped += _clamp(d, d.max(), low, t)
+                changed = _clamp(d, d.max(), low, t)
+        if changed is not None:
+            clamped += changed
         if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
             times.append(t)
             frames.append(keep(y))

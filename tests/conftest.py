@@ -21,6 +21,64 @@ def circulant_term(rho, kern: CircleKernelParams) -> np.ndarray:
     return backends.circulant_apply(gridsim.kernel_row(kern, n), rho, TWO_PI / n)
 
 
+def imex_symbol(D: float, dt: float, N: int) -> np.ndarray:
+    """1 + 2r - 2r cos(2 pi j / N), j = 0..N/2, r = dt D / ds^2: the
+    eigenvalues of the grid's backward-Euler diffusion matrix."""
+    r = dt * D / (TWO_PI / N)**2
+    return (1.0 + 2.0 * r) + 2.0 * (-r) * np.cos(
+        TWO_PI * np.arange(N // 2 + 1) / N)
+
+
+def imex_four_fft(rho, kern: CircleKernelParams, a: float, kappa: float,
+                  D: float, dt: float, n_steps: int) -> np.ndarray:
+    """n_steps of the grid's imex step as four FFT calls each: the
+    interaction of rho, then the circulant solve of rho + dt (a rho -
+    kappa rho I).  The step computed this way before the grid carried its
+    state in Fourier space; the reference the two-call step tracks to
+    round-off."""
+    N = len(rho)
+    ds = TWO_PI / N
+    spectrum = np.fft.rfft(gridsim.kernel_row(kern, N))
+    symbol = imex_symbol(D, dt, N)
+    for _ in range(n_steps):
+        interaction = ds * np.fft.irfft(spectrum * np.fft.rfft(rho), n=N)
+        rho_star = rho + dt * (a * rho - kappa * rho * interaction)
+        rho = np.fft.irfft(np.fft.rfft(rho_star) / symbol, n=N)
+    return rho
+
+
+def imex_two_fft(rho, kern: CircleKernelParams, a: float, kappa: float,
+                 D: float, dt: float, n_steps: int):
+    """(rho, clamped values) after n_steps of the grid's imex step written
+    out with fresh arrays: it carries Y = rfft(rho) and I, takes
+    Z = ((1 + dt a) Y - dt kappa rfft(rho I)) / symbol and rho, I / ds
+    from one irfft of [Z, S Z].  A step that leaves negative values zeroes
+    them, as stepping.march clamps round-off, and transforms the clamped
+    state again."""
+    N = len(rho)
+    ds = TWO_PI / N
+    spectrum = np.fft.rfft(gridsim.kernel_row(kern, N))
+    # each of the real and imaginary parts divided by the real symbol
+    # (numpy's complex division by symbol + 0j rounds differently)
+    parts = np.repeat(imex_symbol(D, dt, N), 2)
+    Y = np.fft.rfft(rho)
+    interaction = ds * np.fft.irfft(spectrum * Y, n=N)
+    clamped = 0
+    for _ in range(n_steps):
+        Z = (1.0 + dt * a) * Y - dt * kappa * np.fft.rfft(rho * interaction)
+        Z = (Z.view(float) / parts).view(complex)
+        both = np.fft.irfft(np.stack([Z, spectrum * Z]), n=N)
+        rho, interaction, Y = both[0], ds * both[1], Z
+        negative = rho < 0
+        if negative.any():
+            assert np.all(rho >= -stepping.NEGATIVE_TOL * rho.max())
+            clamped += np.count_nonzero(negative)
+            rho = np.where(negative, 0.0, rho)
+            Y = np.fft.rfft(rho)
+            interaction = ds * np.fft.irfft(spectrum * Y, n=N)
+    return rho, clamped
+
+
 def coupling_band(beta, lam) -> np.ndarray:
     """The band of the full linear convolution of beta with lam*beta that
     the spectral right-hand side keeps: len(beta) outputs from index

@@ -100,7 +100,7 @@ def test_criterion_03_figure5_reproduction():
     # gamma = 1 run against the diffusive composite expansion
     out = grid_run(1.0, 0.1, 200.0, "gaussian_bump", T=10.0)
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
-    expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, 10, KERNEL,
+    expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, KERNEL,
                                            1.0, 0.2, 0.1)
     rho_asym = asymptotics.composite_density(200.0, out.s, expn)
     rel_linf = analysis.relative_linf(out.rho, rho_asym)
@@ -132,7 +132,7 @@ def test_criterion_04_order_in_T():
             lambda x: 1.0 / SQRT_TWO_PI + tilde_phi(x) / T, 10)
         traj = spectral.integrate(beta0, KERNEL, 1.0, 0.2, 0.0, 0.005, 5.0,
                                   snapshot_times=times)
-        expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, 10, KERNEL,
+        expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, KERNEL,
                                                1.0, 0.2, 0.0)
         errs[T] = max(
             np.max(np.abs(spectral.reconstruct(traj.snapshots[t], s)
@@ -148,7 +148,7 @@ def test_criterion_04_order_in_T():
 
 def test_criterion_05_appendix_b_route():
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
-    expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, 10, KERNEL,
+    expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, KERNEL,
                                            1.0, 0.2, 0.0)
     s = np.linspace(-math.pi, math.pi, 512, endpoint=False)
     worst = max(

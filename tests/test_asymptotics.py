@@ -17,7 +17,7 @@ def tilde_phi(s):
 @pytest.fixture
 def expansion(unit_kernel):
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
-    return asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, 10, unit_kernel,
+    return asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, unit_kernel,
                                            1.0, 0.2, 0.1)
 
 
@@ -38,7 +38,7 @@ class TestBeta1Evolution:
     def test_initial_value(self, expansion):
         for j in (-3, 0, 2):
             assert asymptotics.beta1_evolution(j, 0.0, expansion) == \
-                pytest.approx(expansion.beta1[j + expansion.J], abs=1e-15)
+                pytest.approx(expansion.beta1[j + 10], abs=1e-15)
 
     def test_linearized_ode_residual(self, expansion):
         # dbeta1_j/dt = (a_j - kappa v0 (lambda0 + lambda_j) beta0) beta1_j
@@ -89,7 +89,7 @@ class TestCompositeDensity:
         traj = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.005, 5.0,
                                   snapshot_times=(5.0,))
         beta1 = asymptotics.beta1_initial(tilde_phi, J)
-        expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, J, unit_kernel,
+        expn = asymptotics.AsymptoticExpansion(T, 1.0, beta1, unit_kernel,
                                                1.0, 0.2, 0.0)
         s = np.linspace(-math.pi, math.pi, 129)
         rho_spec = spectral.reconstruct(traj.snapshots[5.0], s)
@@ -123,10 +123,10 @@ class TestAppendixRoutes:
 class TestValidation:
     def test_rejects_nonpositive_T(self, unit_kernel):
         with pytest.raises(ValueError):
-            asymptotics.AsymptoticExpansion(0.0, 1.0, np.zeros(3), 1,
+            asymptotics.AsymptoticExpansion(0.0, 1.0, np.zeros(3),
                                             unit_kernel, 1.0, 0.2)
 
     def test_rejects_wrong_shape(self, unit_kernel):
         with pytest.raises(ValueError):
-            asymptotics.AsymptoticExpansion(10.0, 1.0, np.zeros(4), 1,
+            asymptotics.AsymptoticExpansion(10.0, 1.0, np.zeros(4),
                                             unit_kernel, 1.0, 0.2)

@@ -53,6 +53,20 @@ class TestConfig:
             with pytest.raises(ConfigError, match="must be nonnegative"):
                 ScenarioConfig(**{key: math.nan}).validate()
 
+    @pytest.mark.parametrize("solver, valid", [
+        ("manifold", True), ("planar2d", True), ("exact", True),
+        ("grid", False), ("spectral", False), ("asymptotic", False)])
+    def test_snapshot_times_checked_for_snapshot_solvers_only(self, solver,
+                                                              valid):
+        # a time off the step grid matters only to a solver that writes it
+        cfg = ScenarioConfig(solver=solver, dt=0.00001,
+                             snapshot_times=(0.0000100001,))
+        if valid:
+            assert cfg.validate() is cfg
+        else:
+            with pytest.raises(ConfigError, match="numerics.snapshot_times"):
+                cfg.validate()
+
     def test_resolved_items_cover_all_keys(self):
         # one dotted key per field, so no key outlives the field it sets
         names = [f.name for f in dataclasses.fields(ScenarioConfig)]
@@ -250,6 +264,49 @@ class TestCliEntry:
                       "--outdir", d])
         rc = cli.main(["compare", a_dir, b_dir, "--tol-linf", "1e-12"])
         assert rc == 0
+
+    def test_compare_reads_every_csv_of_a_preset(self, tmp_path, capsys):
+        # summary.csv, and per D series.csv and two snapshots
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert cli.main(["preset", "fig8", "--set", "numerics.t_end=0.2",
+                             "--outdir", str(out)]) == 0
+        report = cli.compare_bundles(*map(str, runs))
+        assert report.pop("_passed")
+        assert len(report) == 10
+        assert report["summary.csv"] == {"value": 0.0, "n_peaks": 0.0,
+                                         "homogeneity": 0.0, "mass": 0.0}
+        for name, entry in report.items():
+            assert set(entry.values()) == {0.0}, name
+        # one ulp on one cell: found, named, and judged by --tol-linf
+        series = runs[1] / "D_0.005" / "series.csv"
+        header, cols = read_csv(series)
+        cols[1][7] = np.nextafter(cols[1][7], np.inf)
+        write_csv(series, header, cols)
+        capsys.readouterr()
+        assert cli.main(["compare", *map(str, runs), "--tol-linf", "0"]) == 1
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith(os.path.join("D_0.005", "series.csv")
+                                    + ":mass: rel_linf=")
+        report = cli.compare_bundles(*map(str, runs))
+        mass = report[os.path.join("D_0.005", "series.csv")]["mass"]
+        assert 0 < mass < 1e-15
+
+    def test_compare_names_a_mismatched_file(self, tmp_path, capsys):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d, rows in zip(dirs, (3, 4)):
+            d.mkdir()
+            write_csv(d / "series.csv", ["t", "mass"],
+                      [np.arange(rows), np.ones(rows)])
+        assert cli.main(["compare", *map(str, dirs)]) == 2
+        assert "series.csv: the bundles' files differ" in \
+            capsys.readouterr().err
+        write_csv(dirs[1] / "series.csv", ["t", "n_peaks"],
+                  [np.arange(3), np.ones(3)])
+        with pytest.raises(ConfigError, match="series.csv"):
+            cli.compare_bundles(*map(str, dirs))
 
     def test_compare_all_zero_snapshots(self, tmp_path, capsys):
         s = np.linspace(-math.pi, math.pi, 16, endpoint=False)

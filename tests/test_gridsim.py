@@ -6,7 +6,7 @@ import pytest
 from nlfkpp import analysis, exact, gridsim, kernel, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
 
-from conftest import circulant_term
+from conftest import circulant_term, imex_four_fft, imex_two_fft
 
 LAMBDA0 = 2.926453923110091
 
@@ -157,19 +157,70 @@ class TestRunInvariantOperator:
         assert gridsim._circulant_symbol.cache_info().misses - before == 1
 
     def test_imex_step_matches_inline_symbol(self, unit_kernel):
+        # Z = ((1 + dt a) Y - dt kappa rfft(rho I)) / symbol from the
+        # carried Y = rfft(rho) and I; rho and I / ds from one irfft of
+        # [Z, S Z]
         a, kappa, D, dt, N = 1.0, 0.2, 0.1, 0.01, 128
         state = gridsim.make_initial("gaussian_bump", N, T=10.0)
         rho, ds = state.rho, TWO_PI / N
-        interaction = ds * np.fft.irfft(
-            np.fft.rfft(gridsim.kernel_row(unit_kernel, N)) * np.fft.rfft(rho),
-            n=N)
-        rho_star = rho + dt * (a * rho - kappa * rho * interaction)
+        S = np.fft.rfft(gridsim.kernel_row(unit_kernel, N))
+        Y = np.fft.rfft(rho)
+        interaction = ds * np.fft.irfft(S * Y, n=N)
         r = dt * D / ds**2
         eig = (1.0 + 2.0 * r) + 2.0 * (-r) * np.cos(
             TWO_PI * np.arange(N // 2 + 1) / N)
-        expected = np.fft.irfft(np.fft.rfft(rho_star) / eig, n=N)
+        Z = (1.0 + dt * a) * Y - dt * kappa * np.fft.rfft(rho * interaction)
+        # the real and imaginary parts each divided by the real symbol
+        Z = (Z.view(float) / np.repeat(eig, 2)).view(complex)
+        expected = np.fft.irfft(np.stack([Z, S * Z]), n=N)[0]
         out = gridsim.step(state, unit_kernel, a, kappa, D, dt, "imex")
         assert np.array_equal(out.rho, expected)
+
+    def test_imex_tracks_the_four_fft_step(self, unit_kernel):
+        # carrying the state in Fourier space reorders the step's round-off
+        # only: 500 steps stay within 1e-13 of interaction-then-solve
+        a, kappa, D, dt, N = 1.0, 0.2, 0.1, 0.01, 128
+        state = gridsim.make_initial("gaussian_bump", N, T=10.0)
+        out = gridsim.integrate(state, unit_kernel, a, kappa, D, dt,
+                                500 * dt, "imex")
+        reference = imex_four_fft(state.rho, unit_kernel, a, kappa, D, dt, 500)
+        assert analysis.relative_linf(out.y, reference) <= 1e-13
+
+
+class TestImexClampRefresh:
+    """The imex step carries rfft(rho) and the interaction; a step the
+    clamp changed is transformed again, per run."""
+
+    N, DT, STEPS = 256, 0.01, 100
+
+    def run_alone(self, kind, D, kern):
+        state = gridsim.make_initial(kind, self.N)
+        return gridsim.integrate(state, kern, 1.0, 0.2, D, self.DT,
+                                 self.STEPS * self.DT, "imex")
+
+    def test_clamping_run_matches_the_oracle(self, unit_kernel):
+        # weak diffusion of the cutoff's jump leaves round-off negatives
+        rec = self.run_alone("cutoff", 0.001, unit_kernel)
+        rho0 = gridsim.make_initial("cutoff", self.N).rho
+        rho, clamped = imex_two_fft(rho0, unit_kernel, 1.0, 0.2, 0.001,
+                                    self.DT, self.STEPS)
+        assert rec.clamped == clamped > 0
+        assert np.array_equal(rec.y, rho)
+
+    def test_batched_rows_match_their_runs_alone(self, unit_kernel):
+        # the cutoff row clamps and the bump row does not: refreshing the
+        # bump's spectrum too would move its last bits
+        kerns = [unit_kernel, CircleKernelParams(1.0, 1.5, 1.0)]
+        runs = [("cutoff", 0.001), ("gaussian_bump", 0.1)]
+        rho0 = [gridsim.make_initial(kind, self.N).rho for kind, _ in runs]
+        rec = gridsim.integrate_batch(rho0, kerns, [1.0, 1.0], [0.2, 0.2],
+                                      [D for _, D in runs], self.DT,
+                                      self.STEPS * self.DT, "imex")
+        assert rec.clamped[0] > 0 and rec.clamped[1] == 0
+        for i, ((kind, D), kern) in enumerate(zip(runs, kerns)):
+            alone = self.run_alone(kind, D, kern)
+            assert rec.row(i).clamped == alone.clamped
+            assert np.array_equal(rec.row(i).y, alone.y)
 
 
 class TestInitialProfiles:
