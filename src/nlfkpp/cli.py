@@ -71,11 +71,11 @@ def _artifact_path(outdir: str):
     return path
 
 
-def _write_manifest(path, cfg, wall, extra=None):
+def _write_manifest(path, cfg, mode, wall, extra=None):
     manifest = {
         "config": resolved_items(cfg),
         "version": __version__,
-        "mode": _mode(),
+        "mode": mode,
         "wall_time_s": wall,
     }
     if extra:
@@ -151,8 +151,10 @@ def run_spectral(cfg: ScenarioConfig, path) -> dict:
     s = grid_nodes(cfg.N)
     snapshots = {t: spectral.reconstruct(beta, s)
                  for t, beta in rec.snapshots.items()}
+    # Im beta_0, 0 by construction of the half spectrum
+    drift = max(abs(beta[0].imag) for beta in rec.frames)
     return {"csv": ["trajectory.csv"] + _write_snapshots(path, s, snapshots),
-            "diagnostics": {"reality_drift": rec.drift}}
+            "diagnostics": {"reality_drift": float(drift)}}
 
 
 def _step_grid(cfgs, snapshot_times) -> list:
@@ -257,6 +259,7 @@ def run_scenario(cfg: ScenarioConfig, outdir: str = None,
     of the batch's wall time, which wall_time_s includes.  note=False
     leaves the snapshot-time note to the caller (run_sweep notes once)."""
     cfg.validate()
+    mode = _mode()  # a configuration error too: raised before any output
     _note_late_snapshots([cfg] if note else [])
     path = _artifact_path(outdir or cfg.outdir)
     start = time.perf_counter()
@@ -269,8 +272,9 @@ def run_scenario(cfg: ScenarioConfig, outdir: str = None,
     if extra == "ring_csv" and cfg.solver == "grid":
         _emit_ring_csv(cfg, path, result)
     wall += time.perf_counter() - start
-    _write_manifest(path, cfg, wall, {"diagnostics": result["diagnostics"],
-                                      "artifacts": result["csv"]})
+    _write_manifest(path, cfg, mode, wall,
+                    {"diagnostics": result["diagnostics"],
+                     "artifacts": result["csv"]})
     if plot_script:
         snaps = [n for n in result["csv"] if n.startswith("snapshot")]
         _emit_plot_script(path, snaps or result["csv"][:1],

@@ -110,13 +110,6 @@ def _laplacian_reflect(u: np.ndarray, dx: float, pad: np.ndarray,
     return out
 
 
-def step2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
-           dt: float) -> Field2D:
-    """One explicit Euler step of the planar equation."""
-    rec = run2d(field, kern, a, kappa, dt, field.t + dt)
-    return Field2D(field.L, field.n, rec.y, rec.t, field.D)
-
-
 def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
           dt: float, t_end: float) -> stepping.Record:
     """Explicit Euler steps to t_end with the shared driver; the record's

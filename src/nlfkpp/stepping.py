@@ -6,9 +6,9 @@ solvers do alike: the run length (a whole number of steps from t0 to
 t_end, or ConfigError), the stage arithmetic of the euler and rk4
 schemes (an imex solver with an implicit part hands over its whole step),
 the time t0 + k dt (never an accumulated sum), the stability check, the
-blow-up guard, the round-off clamp of the density with its count, the
-drift of a projection, and the storage of frames and snapshots.  Every
-solver returns the driver's Record as it is.
+blow-up guard, the round-off clamp of the density with its count, and
+the storage of frames and snapshots.  Every solver returns the driver's
+Record as it is.
 
 A batched march steps independent runs together, one per row of a
 (runs, N) stack of densities: the clamp judges each run against its own max
@@ -45,22 +45,20 @@ def hard_negative(y, batched: bool = False) -> bool:
 @dataclass
 class Record:
     """The final state y at time t, the number of density values clamped to
-    zero (an array of one count per run, when batched), the largest change
-    max|project(y) - y| a projection made (0.0 without one), the stored
-    times and frames, and {requested time: state}."""
+    zero (an array of one count per run, when batched), the stored times
+    and frames, and {requested time: state}."""
 
     y: np.ndarray
     t: float
     clamped: int
-    drift: float
     times: list
     frames: list
     snapshots: dict
 
     def row(self, i: int) -> Record:
         """Run i of a batched record, as the record of that run alone."""
-        return Record(self.y[i], self.t, int(self.clamped[i]), self.drift,
-                      self.times, [frame[i] for frame in self.frames],
+        return Record(self.y[i], self.t, int(self.clamped[i]), self.times,
+                      [frame[i] for frame in self.frames],
                       {t: y[i] for t, y in self.snapshots.items()})
 
 
@@ -79,7 +77,7 @@ def _clamp(d, top, low, t):
 
 
 def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
-          density=None, project=None, store_every=0, at=(), reduce=None,
+          density=None, store_every=0, at=(), reduce=None,
           batched=False) -> Record:
     """Advance y by steps of dt from time t0 to t_end.
 
@@ -92,12 +90,10 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
     clamped is the clamp count of the previous step (per run, when
     batched), or None when it clamped nothing: a step that carries a
     transform of y from one call to the next takes it again for the runs
-    the clamp changed (project, which changes every run, does not combine
-    with a step).
+    the clamp changed.
 
-    Before each step, dt > limit(y) raises ConfigError.  After it, y becomes
-    project(y), whose largest change is kept as Record.drift; max|y| must
-    stay within BLOWUP_LIMIT (a NaN fails too); and values of the view
+    Before each step, dt > limit(y) raises ConfigError.  After it, max|y|
+    must stay within BLOWUP_LIMIT (a NaN fails too); and values of the view
     density(y) in [-NEGATIVE_TOL max, 0) are set to zero and counted, while
     a lower one raises RuntimeError.  The initial y, every store_every-th
     step and the last one are stored as frames, reduced to reduce(y) when
@@ -130,7 +126,6 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
     snap(t0, y)
     clamped = np.zeros(len(y), dtype=int) if batched else 0
     changed = None
-    drift = 0.0
     top = y.max(axis=1) if batched else None
     t = t0
     for k in range(n_steps):
@@ -150,10 +145,6 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
             y = y + dt * rhs(y, t)
         else:
             y = step(y, t, changed)
-        if project is not None:
-            projected = project(y)
-            drift = max(drift, float(np.max(np.abs(projected - y))))
-            y = projected
         t = t0 + (k + 1) * dt
         if batched:
             # max|y| = max(max y, -min y), and a NaN fails both compares; the
@@ -181,4 +172,4 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
             times.append(t)
             frames.append(keep(y))
         snap(t, y)
-    return Record(y, t, clamped, drift, times, frames, snapshots)
+    return Record(y, t, clamped, times, frames, snapshots)

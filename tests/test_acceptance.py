@@ -63,17 +63,25 @@ def grid_snapshots(gamma, D, t_end, initial, N=512, dt=0.01, scheme="imex",
     return gridsim.GridState(N, rec.y, rec.t), rec.snapshots
 
 
-def grid_run(gamma, D, t_end, initial, **kwargs):
-    return grid_snapshots(gamma, D, t_end, initial, **kwargs)[0]
+def grid_batch(gammas, D, t_end, initial, N=512, dt=0.01, scheme="imex",
+               **params):
+    """{gamma: final state} of circle-grid runs that differ only in gamma,
+    stepped as one batch; each row has the bytes of its run alone."""
+    rho0 = gridsim.make_initial(initial, N, **params).rho
+    rec = gridsim.integrate_batch(
+        [rho0] * len(gammas), [CircleKernelParams(1.0, g, 1.0) for g in gammas],
+        [1.0] * len(gammas), [0.2] * len(gammas), [D] * len(gammas), dt,
+        t_end, scheme)
+    return {g: gridsim.GridState(N, rho, rec.t) for g, rho in zip(gammas, rec.y)}
 
 
 def test_criterion_01_exact_vs_spectral():
-    beta0 = np.eye(21)[10].astype(complex)
+    beta0 = np.eye(11)[0].astype(complex)
     times = (1.0, 5.0, 20.0)
     traj = spectral.integrate(beta0, KERNEL, 1.0, 0.2, 0.0, 0.01, 20.0,
                               snapshot_times=times)
     m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
-    worst = max(abs(traj.snapshots[t][10] - exact.beta0(t, m)) for t in times)
+    worst = max(abs(traj.snapshots[t][0] - exact.beta0(t, m)) for t in times)
     ok = worst < 1e-8
     report(1, ok, f"max |beta0 spectral - exact| = {worst:.3e} (tol 1e-8)")
     assert ok
@@ -97,21 +105,20 @@ def test_criterion_02_quasi_steady_formula():
 
 
 def test_criterion_03_figure5_reproduction():
+    # the four ranges share D = 0.1, N, dt and the scheme: one batch
+    runs = grid_batch((1.0, 0.05, 50.0, 1.5), 0.1, 200.0, "gaussian_bump",
+                      T=10.0)
     # gamma = 1 run against the diffusive composite expansion
-    out = grid_run(1.0, 0.1, 200.0, "gaussian_bump", T=10.0)
+    out = runs[1.0]
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
     expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, KERNEL,
                                            1.0, 0.2, 0.1)
     rho_asym = asymptotics.composite_density(200.0, out.s, expn)
     rel_linf = analysis.relative_linf(out.rho, rho_asym)
     # homogeneity of the extreme-range runs
-    hom = {g: analysis.homogeneity(grid_run(g, 0.1, 200.0, "gaussian_bump",
-                                            T=10.0).rho)
-           for g in (0.05, 50.0)}
-    # peak ordering of the intermediate-range runs; the gamma = 1 run is `out`
-    peaks = {1.0: analysis.count_peaks(out.rho),
-             1.5: analysis.count_peaks(grid_run(1.5, 0.1, 200.0, "gaussian_bump",
-                                                T=10.0).rho)}
+    hom = {g: analysis.homogeneity(runs[g].rho) for g in (0.05, 50.0)}
+    # peak ordering of the intermediate-range runs
+    peaks = {g: analysis.count_peaks(runs[g].rho) for g in (1.0, 1.5)}
     ok_linf = rel_linf <= 0.10
     ok_hom = all(h < 1e-2 for h in hom.values())
     ok_peaks = peaks[1.0] > peaks[1.5] >= 2
@@ -147,6 +154,8 @@ def test_criterion_04_order_in_T():
 
 
 def test_criterion_05_appendix_b_route():
+    from scipy.integrate import solve_ivp
+
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
     expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, KERNEL,
                                            1.0, 0.2, 0.0)
@@ -155,8 +164,25 @@ def test_criterion_05_appendix_b_route():
         np.max(np.abs(asymptotics.composite_density(t, s, expn)
                       - asymptotics.assemble_appendix_b(t, s, expn.beta1, expn)))
         for t in (1.0, 10.0, 100.0))
-    ok = worst < 1e-12
-    report(5, ok, f"max pointwise route mismatch = {worst:.3e} (tol 1e-12)")
+    # the closed form against the Appendix-B mode ODE integrated numerically:
+    # dC_j/dtheta = C_j (1 - c p_j / ((1 - c) e^-theta + c)),
+    # p_j = 1 + lambda_j/lambda_0, C_j(0) = beta_1j; atol = 0, since C_0
+    # falls by 42 orders of magnitude by theta = 100 and only rtol follows it
+    c = expn.model.saturation
+    p = 1.0 + eigenvalues(10, KERNEL) / LAMBDA0
+    thetas = (1.0, 10.0, 100.0)
+    sol = solve_ivp(
+        lambda theta, C: C * (1.0 - c * p / ((1.0 - c) * np.exp(-theta) + c)),
+        (0.0, 100.0), beta1, method="DOP853", rtol=1e-12, atol=0.0,
+        t_eval=thetas)
+    closed = np.array([asymptotics.appendix_b_solution(j, thetas, beta1, expn)
+                       for j in range(-10, 11)])
+    ode_rel = float(np.max(np.abs(sol.y - closed) / np.abs(closed)))
+    ok_routes = worst < 1e-12
+    ok_ode = sol.success and ode_rel <= 1e-9
+    ok = ok_routes and ok_ode
+    report(5, ok, f"max pointwise route mismatch = {worst:.3e} (tol 1e-12), "
+                  f"mode ODE vs closed form {ode_rel:.3e} relative (tol 1e-9)")
     assert ok
 
 

@@ -154,6 +154,17 @@ class TestCliEntry:
         assert message in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_bad_mode_rejected_before_output(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the mode is checked before the solver runs, so no bundle is begun
+        monkeypatch.setenv("NLFKPP_MODE", "bogus")
+        outdir = tmp_path / "run"
+        rc = cli.main(["exact", "--set", "numerics.t_end=1",
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert "NLFKPP_MODE" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_exit_three_on_solver_abort(self, tmp_path, capsys):
         # spectral blow-up from a huge growth rate and tiny competition
         outdir = tmp_path / "run"
@@ -722,10 +733,14 @@ class TestCsvWriting:
     def test_spectral_trajectory_csv_matches_per_cell_fmt(self, tmp_path):
         rng = np.random.default_rng(8)
         times = np.array([0.0, 0.1, 0.30000000000000004, 1e-300])
-        beta = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        beta[1, 2] = complex(-0.0, 0.0)
+        half = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        half[:, 0] = half[:, 0].real
+        half[1, 0] = complex(-0.0, 0.0)
+        half[2, 1] = complex(-0.0, 0.0)  # its conjugate is written -0,-0
+        # the half spectrum j = 0..2 written as j = -2..2, beta_-j = conj(beta_j)
+        beta = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
         path = tmp_path / "trajectory.csv"
-        spectral.trajectory_to_csv(path, stored(times, list(beta)))
+        spectral.trajectory_to_csv(path, stored(times, list(half)))
         expected = "t,j,re_beta,im_beta\n" + "".join(
             ",".join(csvio.fmt(v) for v in (t, j, beta[i, j + 2].real,
                                             beta[i, j + 2].imag)) + "\n"
@@ -735,8 +750,8 @@ class TestCsvWriting:
 
 def stored(times, frames) -> stepping.Record:
     """A record that holds only the stored times and frames."""
-    return stepping.Record(frames[-1], times[-1], 0, 0.0, list(times),
-                           frames, {})
+    return stepping.Record(frames[-1], times[-1], 0, list(times), frames,
+                           {})
 
 
 class TestDeterminism:

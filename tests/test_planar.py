@@ -102,7 +102,7 @@ class TestStep2D:
     def test_stability_bound_enforced(self, kernel2d):
         field = planar.gaussian_ring(3.0, 32, 1.0, 0.2, 1.0, D=1.0)
         with pytest.raises(ValueError):
-            planar.step2d(field, kernel2d, 1.0, 0.2, 0.5)
+            planar.run2d(field, kernel2d, 1.0, 0.2, 0.5, field.t + 0.5)
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
@@ -113,7 +113,7 @@ class TestStep2D:
                             lambda u, dx, *work: np.full_like(u, bad / (dt * D)))
         field = planar.gaussian_ring(3.0, 32, 1.0, 0.2, 1.0, D=D)
         with pytest.raises(RuntimeError, match="blew up"):
-            planar.step2d(field, kernel2d, 1.0, 0.2, dt)
+            planar.run2d(field, kernel2d, 1.0, 0.2, dt, field.t + dt)
 
 
 class TestWorkArrays:

@@ -17,20 +17,28 @@ def bump(s):
 class TestProjection:
     def test_homogeneous_projects_to_zero_mode(self, unit_kernel):
         beta = spectral.project_initial(lambda s: np.full_like(s, 2.0 / SQRT_TWO_PI), 4)
-        assert beta[0 + 4] == pytest.approx(2.0, abs=1e-12)
+        assert beta[0] == pytest.approx(2.0, abs=1e-12)
         for j in (1, 2, 3, 4):
-            assert abs(beta[j + 4]) < 1e-12
+            assert abs(beta[j]) < 1e-12
 
     def test_cosine_mode(self):
         beta = spectral.project_initial(lambda s: np.cos(3 * s), 5)
         # cos(3s) = (e^{3is} + e^{-3is})/2 = sqrt(2 pi)/2 (v_3 + v_-3)
-        assert beta[3 + 5] == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
-        assert beta[-3 + 5] == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
-        assert abs(beta[0 + 5]) < 1e-12
+        assert len(beta) == 6
+        assert beta[3] == pytest.approx(SQRT_TWO_PI / 2, abs=1e-12)
+        assert spectral._full(beta)[-3 + 5] == beta[3].conjugate()
+        assert abs(beta[0]) < 1e-12
 
     def test_conjugate_pairing(self):
+        # the half spectrum keeps 0.5 (beta_j + conj(beta_-j)), j >= 0, of
+        # the full projection: beta_0 is real, and the band it stands for
+        # is conjugate-symmetric
         beta = spectral.project_initial(bump, 8)
-        np.testing.assert_allclose(beta, beta[::-1].conj(), rtol=0)
+        full = kernel.fourier_coefficients(bump, 8)
+        assert np.array_equal(beta, 0.5 * (full + full[::-1].conj())[8:])
+        assert beta[0].imag == 0.0
+        band = spectral._full(beta)
+        assert np.array_equal(band, band[::-1].conj())
 
     def test_roundtrip_through_reconstruct(self):
         beta = spectral.project_initial(bump, 24)
@@ -38,15 +46,17 @@ class TestProjection:
         np.testing.assert_allclose(spectral.reconstruct(beta, s), bump(s),
                                    atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(4,), (0,), (3, 3)])
-    def test_even_or_not_1d_rejected(self, unit_kernel, shape):
-        beta = np.zeros(shape, complex)
+    @pytest.mark.parametrize("beta", [np.zeros(0, complex),
+                                      np.zeros((3, 3), complex),
+                                      np.array([1.0 + 1e-300j, 0.5, 0.1])],
+                             ids=["empty", "not_1d", "complex_zero_mode"])
+    def test_bad_half_spectrum_rejected(self, unit_kernel, beta):
         s = np.linspace(-math.pi, math.pi, 9)
         for call in (lambda: spectral.reconstruct(beta, s),
                      lambda: spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.0),
                      lambda: spectral.integrate(beta, unit_kernel, 1.0, 0.2,
                                                 0.0, 0.1, 0.1)):
-            with pytest.raises(ValueError, match="2J \\+ 1 coefficients"):
+            with pytest.raises(ValueError, match="J \\+ 1 coefficients"):
                 call()
 
 
@@ -57,23 +67,23 @@ class TestRhs:
             half = rng.random(J) + 1j * rng.random(J)
             beta = np.concatenate([half[::-1].conj(), [rng.random(1)[0] + 0j], half])
             np.testing.assert_allclose(
-                spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.1),
-                rhs_bruteforce(beta, 1.0, 0.1, unit_kernel, 0.2),
+                spectral.rhs(beta[J:], unit_kernel, 1.0, 0.2, 0.1),
+                rhs_bruteforce(beta, 1.0, 0.1, unit_kernel, 0.2)[J:],
                 rtol=1e-12, atol=1e-14)
 
     def test_zero_mode_only_is_logistic(self, unit_kernel):
-        beta = np.array([0, 0, 0, 2.0, 0, 0, 0], complex)
+        beta = np.array([2.0, 0, 0, 0], complex)
         deriv = spectral.rhs(beta, unit_kernel, 1.0, 0.2, 0.0)
         expected = 1.0 * 2.0 - 0.2 / SQRT_TWO_PI * LAMBDA0 * 4.0
-        assert deriv[3] == pytest.approx(expected, rel=1e-12)
-        assert np.max(np.abs(np.delete(deriv, 3))) == 0.0
+        assert deriv[0] == pytest.approx(expected, rel=1e-12)
+        assert np.max(np.abs(deriv[1:])) == 0.0
 
     def test_diffusive_rates_band(self, unit_kernel):
         # at kappa = 0 the right-hand side is the rate band (a - D j^2) beta
         beta = np.arange(1, 6) + 1j * np.arange(5)
         np.testing.assert_allclose(
             spectral.rhs(beta, unit_kernel, 1.0, 0.0, 0.5),
-            np.array([1.0 - 2.0, 0.5, 1.0, 0.5, -1.0]) * beta, rtol=0)
+            np.array([1.0, 0.5, -1.0, -3.5, -7.0]) * beta, rtol=0)
 
     def test_negative_diffusion_rejected(self, unit_kernel):
         beta = spectral.project_initial(bump, 2)
@@ -86,22 +96,22 @@ class TestRhs:
 class TestIntegrate:
     def test_symmetric_data_follows_exact_beta0(self, unit_kernel):
         # beta_{0j} = delta_{j0}: the zero mode is closed and logistic
-        beta0 = np.eye(11)[5].astype(complex)
+        beta0 = np.eye(6)[0].astype(complex)
         times = (1.0, 5.0, 20.0)
         rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.0, 0.01, 20.0,
                                  snapshot_times=times)
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
         for t in times:
-            assert abs(rec.snapshots[t][5] - exact.beta0(t, m)) < 1e-8
+            assert abs(rec.snapshots[t][0] - exact.beta0(t, m)) < 1e-8
 
     def test_kappa_zero_modes_grow_independently(self, unit_kernel):
         beta0 = spectral.project_initial(bump, 4)
         rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.0, 0.3, 0.005, 2.0,
                                  snapshot_times=(2.0,))
         final = rec.snapshots[2.0]
-        for j in range(-4, 5):
-            expected = beta0[j + 4] * np.exp((1.0 - 0.3 * j**2) * 2.0)
-            assert abs(final[j + 4] - expected) < 1e-9
+        for j in range(5):
+            expected = beta0[j] * np.exp((1.0 - 0.3 * j**2) * 2.0)
+            assert abs(final[j] - expected) < 1e-9
 
     def test_t_end_is_absolute(self, unit_kernel):
         # the mode system is autonomous: a run from t = 5 to t_end = 6 takes
@@ -114,16 +124,26 @@ class TestIntegrate:
             and rec.times[-1] == 6.0
         assert np.array_equal(rec.frames, ref.frames)
 
-    def test_reality_preserved(self, unit_kernel):
+    def test_reality_preserved(self, unit_kernel, tmp_path):
+        # Im beta_0 stays exactly 0 through every RK4 stage, and the
+        # trajectory writes each negative mode as the exact conjugate
+        from nlfkpp.csvio import read_csv
         beta0 = spectral.project_initial(bump, 6)
         rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.1, 0.01, 10.0)
-        assert rec.drift < 1e-12
-        beta_T = rec.frames[-1]
-        np.testing.assert_allclose(beta_T, beta_T[::-1].conj(), rtol=0)
+        assert all(frame[0].imag == 0.0 for frame in rec.frames)
+        assert rec.y[0].imag == 0.0
+        path = tmp_path / "traj.csv"
+        spectral.trajectory_to_csv(path, rec)
+        _, (t, j, re, im) = read_csv(path)
+        re, im = re.reshape(len(rec.times), 13), im.reshape(len(rec.times), 13)
+        assert np.array_equal(j[:13], np.arange(-6, 7))
+        assert np.array_equal(re[:, :6], re[:, :6:-1])
+        assert np.array_equal(im[:, :6], -im[:, :6:-1])
+        assert np.array_equal(re[:, 6:] + 1j * im[:, 6:], np.array(rec.frames))
 
     def test_blowup_detected(self, unit_kernel):
         # kappa < 0 makes the quadratic term antidissipative
-        beta0 = np.array([0, 0, 5.0, 0, 0], complex)
+        beta0 = np.array([5.0, 0, 0], complex)
         with pytest.raises(RuntimeError):
             spectral.integrate(beta0, unit_kernel, 5.0, -2.0, 0.0, 0.05, 50.0)
 
@@ -157,7 +177,8 @@ class TestIntegrate:
         assert header == ["t", "j", "re_beta", "im_beta"]
         n_modes = 2 * 3 + 1
         assert len(cols[0]) == len(rec.times) * n_modes
-        np.testing.assert_allclose(cols[2][:n_modes], rec.frames[0].real, rtol=0)
+        np.testing.assert_allclose(cols[2][:n_modes],
+                                   spectral._full(rec.frames[0]).real, rtol=0)
 
 
 class TestRunInvariantOperator:
@@ -199,7 +220,6 @@ class TestRunInvariantOperator:
             k3 = f(beta + 0.5 * dt * k2)
             k4 = f(beta + dt * k3)
             beta = beta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            beta = 0.5 * (beta + beta[::-1].conj())
             history.append(beta.copy())
         rec = spectral.integrate(beta0, unit_kernel, 1.0, 0.2, 0.1, dt,
                                  n_steps * dt)

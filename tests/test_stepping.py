@@ -14,7 +14,7 @@ def run_grid(t0, t_end, dt):
 
 
 def run_spectral(t0, t_end, dt):
-    return spectral.integrate(np.eye(5)[2], KERNEL, 1.0, 0.2, 0.0, dt, t_end,
+    return spectral.integrate(np.eye(3)[0], KERNEL, 1.0, 0.2, 0.0, dt, t_end,
                               t0=t0)
 
 
@@ -64,7 +64,7 @@ def test_run_length_checked(run, t0, t_end, dt, message):
 @pytest.mark.parametrize("run", [
     lambda D: gridsim.integrate(gridsim.GridState(16, np.ones(16)), KERNEL,
                                 1.0, 0.2, D, 0.01, 0.1),
-    lambda D: spectral.integrate(np.eye(5)[2], KERNEL, 1.0, 0.2, D, 0.01, 0.1),
+    lambda D: spectral.integrate(np.eye(3)[0], KERNEL, 1.0, 0.2, D, 0.01, 0.1),
     lambda D: planar.run2d(planar.gaussian_ring(3.0, 16, 1.0, 0.3, D=D),
                            planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, 0.01,
                            0.1),
@@ -81,8 +81,9 @@ def test_single_step_late_in_a_run():
     t, dt = 10.0, 1e-7
     grid = gridsim.step(gridsim.GridState(16, np.ones(16), t), KERNEL,
                         1.0, 0.2, 0.0, dt)
-    field = planar.step2d(planar.Field2D(3.0, 16, np.ones((16, 16)), t),
-                          planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, dt)
+    field = planar.run2d(planar.Field2D(3.0, 16, np.ones((16, 16)), t),
+                         planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, dt,
+                         t + dt)
     assert grid.t == field.t == t + dt
 
 
@@ -123,9 +124,9 @@ class TestBatchedClamp:
         u[0] = 1e-4
         u[0, 3] = -1e-12
         field = planar.Field2D(3.0, 16, u)
-        out = planar.step2d(field, planar.GaussianKernel2D(1.0, 1.0), 1.0,
-                            0.2, 0.01)
-        assert out.u[0, 3] >= 0.0
+        out = planar.run2d(field, planar.GaussianKernel2D(1.0, 1.0), 1.0,
+                           0.2, 0.01, field.t + 0.01)
+        assert out.y[0, 3] >= 0.0
 
 
 def constant_rhs(row, value):
