@@ -31,7 +31,10 @@ def _peak_counts(rho, mean, prominence):
     indices r N + k, each wrapped within its own row r: walking left from k
     ends at the nearest j before k (cyclically) with rho[j-1] > rho[j],
     walking right at the nearest j after k with rho[j+1] > rho[j], and the
-    flanking minima are rho[j] at those stops.
+    flanking minima are rho[j] at those stops.  The walk left climbs no
+    step between j and k, so rho[j+1] >= rho[j] at its stop (and
+    rho[j-1] >= rho[j] at the stop of the walk right): the stop lists hold
+    only such valley floors, which leaves every nearest stop as it is.
     """
     runs, n = rho.shape
     if n < 8:
@@ -48,8 +51,8 @@ def _peak_counts(rho, mean, prominence):
         return np.zeros(runs, dtype=int)
     # a row with a candidate rises somewhere, so it falls somewhere: both
     # stop lists hold at least one index of that row
-    stop_l = np.flatnonzero(left > rho)
-    stop_r = np.flatnonzero(right > rho)
+    stop_l = np.flatnonzero((left > rho) & (right >= rho))
+    stop_r = np.flatnonzero((right > rho) & (left >= rho))
     row = cand // n
     edges = np.arange(runs + 1) * n
     first_l, end_l = np.searchsorted(stop_l, edges)[[row, row + 1]]

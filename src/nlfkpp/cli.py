@@ -160,16 +160,24 @@ def run_spectral(cfg: ScenarioConfig, path) -> dict:
 def _step_grid(cfgs, snapshot_times) -> list:
     """Step grid scenarios that share N, dt, t_end, scheme and whether D > 0
     as one batch; returns one record per scenario, whose frames are the
-    diagnostics of the stored states (the last one of the final state)."""
+    diagnostics of the stored states (the last one of the final state),
+    taken by one analysis.diagnose call per block of stored states."""
     cfg = cfgs[0]
     s = grid_nodes(cfg.N)
     ds = TWO_PI / cfg.N
+    runs = len(cfgs)
+
+    def diagnose(stack):
+        # one row per run and stored state; frame i is the runs of state i
+        rows = analysis.diagnose(stack.reshape(-1, cfg.N), ds)
+        return [rows[i:i + runs] for i in range(0, len(rows), runs)]
+
     rec = gridsim.integrate_batch(
         [scenario_initial(c)(s) for c in cfgs], [_kernel(c) for c in cfgs],
         [c.a for c in cfgs], [c.kappa for c in cfgs], [c.D for c in cfgs],
         cfg.dt, cfg.t_end, cfg.scheme, snapshot_times, _series_stride(cfg),
-        reduce=lambda y: analysis.diagnose(y, ds))
-    return [rec.row(i) for i in range(len(cfgs))]
+        reduce=diagnose)
+    return [rec.row(i) for i in range(runs)]
 
 
 def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
@@ -386,11 +394,10 @@ def _step_batch(jobs, group) -> dict:
     return {i: (rec, share) for i, rec in zip(group, recs)}
 
 
-def _csv_names(root: str) -> set:
-    """The paths of the CSV files under root, relative to it."""
+def _file_names(root: str) -> set:
+    """The paths of the files under root, relative to it."""
     return {os.path.relpath(os.path.join(d, n), root)
-            for d, _, names in os.walk(root) for n in names
-            if n.endswith(".csv")}
+            for d, _, names in os.walk(root) for n in names}
 
 
 def _snapshot_errors(path_a: str, path_b: str) -> dict:
@@ -434,14 +441,45 @@ def _column_errors(name: str, path_a: str, path_b: str) -> dict:
     return errors
 
 
+def _value_error(a, b) -> float:
+    """Relative error of a manifest value a against b: analysis.relative of
+    |a - b| for numbers, the largest elementwise error for lists of one
+    length, and otherwise 0 when a == b and inf when not.  Equal values
+    (two NaNs too) differ by 0."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max(_value_error(x, y) for x, y in zip(a, b))
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           for v in (a, b)):
+        err = analysis.relative(abs(a - b), abs(b))
+        return math.inf if math.isnan(err) else err
+    return math.inf
+
+
+def _diagnostics_errors(path_a: str, path_b: str) -> dict:
+    """{"diagnostics.<key>": error} of two manifests over the union of
+    their diagnostics keys (see _value_error; a key one lacks is None)."""
+    diag = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            diag.append(json.load(fh).get("diagnostics", {}))
+    return {f"diagnostics.{key}": _value_error(diag[0].get(key),
+                                               diag[1].get(key))
+            for key in sorted(diag[0].keys() | diag[1].keys())}
+
+
 def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
                     tol_linf: float = None) -> dict:
     """Relative errors of bundle a against bundle b over every CSV file the
     two share, subdirectories (the entries of a sweep) included: rel_linf
     and rel_l2 of each snapshot (see _snapshot_errors), listed in
     outdir/compare.csv, and {column: rel_linf} of every other file (see
-    _column_errors).  tol_linf judges every rel_linf."""
-    common = sorted(_csv_names(dir_a) & _csv_names(dir_b))
+    _column_errors); and {"diagnostics.<key>": error} of every manifest.json
+    the two share (see _diagnostics_errors).  tol_linf judges every rel_linf
+    and every diagnostics error."""
+    shared = sorted(_file_names(dir_a) & _file_names(dir_b))
+    common = [name for name in shared if name.endswith(".csv")]
     if not common:
         raise ConfigError("bundles share no CSV files")
     report, lines = {}, []
@@ -455,6 +493,12 @@ def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
             report[name] = _column_errors(name, *paths)
             lines += [(f"{name}:{column}", err, "")
                       for column, err in report[name].items()]
+    for name in (n for n in shared
+                 if os.path.basename(n) == "manifest.json"):
+        report[name] = _diagnostics_errors(os.path.join(dir_a, name),
+                                           os.path.join(dir_b, name))
+        lines += [(f"{name}:{key}", err, "")
+                  for key, err in report[name].items()]
     if outdir:
         names = [n for n in common
                  if os.path.basename(n).startswith("snapshot")]

@@ -175,9 +175,9 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex with D > 0 (see
     _imex_step) drops the ds^2 restriction, and at D = 0 is euler.  A step
     whose dt exceeds any run's bound raises ConfigError; limit reads each
-    run's max from the driver, which takes it once per step.  reduce(y) is
-    what each stored frame keeps (see stepping.march); Record.row(i) is the
-    record of run i.
+    run's max from the driver, which takes it once per step.  reduce maps a
+    (k, runs, N) stack of stored states to their k frames (see
+    stepping.march); Record.row(i) is the record of run i.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 2:

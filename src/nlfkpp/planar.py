@@ -88,24 +88,29 @@ def nonlocal_term_2d(field: Field2D, kern: GaussianKernel2D) -> np.ndarray:
     return kern.b0 * field.dx**2 * (G @ field.u @ G)
 
 
-def _laplacian_reflect(u: np.ndarray, dx: float, pad: np.ndarray,
+def _laplacian_reflect(u: np.ndarray, dx: float, scratch: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
-    """Five-point Laplacian of u with zero-flux borders, written into out
-    and returned: ((((p_up + p_down) + p_left) + p_right) - 4u) / dx^2 on
-    the ghost-padded field p, built in the (n + 2, n + 2) work array pad
-    with each ghost a copy of its edge value (np.pad's "edge" mode; the
-    corners are never read)."""
-    pad[1:-1, 1:-1] = u
-    pad[0, 1:-1] = u[0]
-    pad[-1, 1:-1] = u[-1]
-    pad[1:-1, 0] = u[:, 0]
-    pad[1:-1, -1] = u[:, -1]
-    np.add(pad[:-2, 1:-1], pad[2:, 1:-1], out=out)
-    out += pad[1:-1, :-2]
-    out += pad[1:-1, 2:]
-    # the shifted sums are done, so the interior of pad is free for 4u
-    four_u = np.multiply(u, 4.0, out=pad[1:-1, 1:-1])
-    out -= four_u
+    """Five-point Laplacian of u with zero-flux borders, written into the
+    C-ordered out and returned: ((((u_up + u_down) + u_left) + u_right)
+    - 4u) / dx^2 from shifted slices of u, each ghost beyond a border the
+    edge value itself (np.pad's "edge" mode).  scratch, an (n, n) work
+    array, holds a border column and then 4u."""
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    np.add(u[:-2], u[2:], out=out[1:-1])
+    np.add(u[0], u[1], out=out[0])
+    np.add(u[-2], u[-1], out=out[-1])
+    # left and right: the neighbour along the flattened field, a
+    # contiguous shift (a quarter of the cost of a strided one), which
+    # gives each border cell the end of an adjacent row; that column is
+    # then summed again from its saved value
+    edge = scratch[0]
+    edge[:] = out[:, 0]
+    flat_out[1:] += flat_u[:-1]
+    np.add(edge, u[:, 0], out=out[:, 0])
+    edge[:] = out[:, -1]
+    flat_out[:-1] += flat_u[1:]
+    np.add(edge, u[:, -1], out=out[:, -1])
+    out -= np.multiply(u, 4.0, out=scratch)
     out /= dx**2
     return out
 
@@ -118,8 +123,9 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
     interaction I, which the right-hand side then reuses.
 
     The right-hand side and the stability bound allocate no (n, n)
-    arrays.  This call owns one work array each for G @ u, the interaction
-    I, the ghost-padded field, the Laplacian and the right-hand side, and
+    arrays.  This call owns one work array each for G @ u (free once I is
+    built, when the Laplacian takes it for 4u), the interaction I, the
+    Laplacian and the right-hand side, and
     every operation writes into them in the order of the allocating
     expressions b0 dx^2 ((G @ u) @ G) and a u - (kappa u) I + D lap, so the
     bits are theirs.  The right-hand side returns its work array, which
@@ -132,7 +138,6 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
     scale = kern.b0 * field.dx**2
     n = field.n
     Gu, I, lap, out = (np.empty((n, n)) for _ in range(4))
-    pad = np.empty((n + 2, n + 2))
     last_u = None
 
     def interaction(u):
@@ -157,7 +162,7 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
         np.multiply(u, a, out=out)
         np.subtract(out, lap, out=out)
         if field.D > 0:
-            diffusion = _laplacian_reflect(u, field.dx, pad, lap)
+            diffusion = _laplacian_reflect(u, field.dx, Gu, lap)
             np.multiply(diffusion, field.D, out=diffusion)
             np.add(out, diffusion, out=out)
         return out

@@ -14,6 +14,12 @@ A batched march steps independent runs together, one per row of a
 (runs, N) stack of densities: the clamp judges each run against its own max
 and counts its clamps per run, and one row max and one min of the state per
 step serve the blow-up guard, the clamp and the stability check.
+
+A reduce hook maps a (k, *y.shape) stack of stored states to their k
+frames.  The driver copies each stored state into one stack of at most
+REDUCE_BLOCK states and hands over each full stack, and what remains after
+the last step, in one call, so a per-frame diagnostic runs once per block
+of states instead of once per state.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .config import SCHEMES, ConfigError, whole_steps
 
 BLOWUP_LIMIT = 1e12
 NEGATIVE_TOL = 1e-10
+# stored states a reduce call receives at most
+REDUCE_BLOCK = 16
 
 
 def _floor(top):
@@ -96,10 +104,16 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
     must stay within BLOWUP_LIMIT (a NaN fails too); and values of the view
     density(y) in [-NEGATIVE_TOL max, 0) are set to zero and counted, while
     a lower one raises RuntimeError.  The initial y, every store_every-th
-    step and the last one are stored as frames, reduced to reduce(y) when
-    reduce is given (store_every = 0 stores none), and the first state, the
-    initial one included, with t >= ts - dt/2 for each ts in at is stored as
-    its snapshot.
+    step and the last one are stored as frames (store_every = 0 stores
+    none), and the first state, the initial one included, with
+    t >= ts - dt/2 for each ts in at is stored as its snapshot.
+
+    reduce None keeps each stored y as its frame.  Otherwise reduce(stack)
+    maps a (k, *y.shape) stack of stored states, 1 <= k <= REDUCE_BLOCK,
+    to their k frames: march copies each stored state into the stack and
+    calls reduce once per REDUCE_BLOCK of them and once for what remains
+    after the last step.  The stack is march's and is overwritten after the
+    call, so reduce keeps none of it.
 
     batched: y is a real (runs, N) stack of densities, one independent run
     per row, which the clamp judges each against its own max and counts per
@@ -114,8 +128,24 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
         raise ValueError("a batched state is its own density; density must "
                          "be None")
     n_steps = whole_steps(t_end, dt, "t_end - t0", t0)
-    keep = (lambda y: y) if reduce is None else reduce
-    times, frames = ([t0], [keep(y)]) if store_every else ([], [])
+    times, frames, filled = [], [], 0
+    if store_every and reduce is not None:
+        block = np.empty((REDUCE_BLOCK, *y.shape), dtype=y.dtype)
+
+    def store(t, y):
+        nonlocal filled
+        times.append(t)
+        if reduce is None:
+            frames.append(y)
+            return
+        block[filled] = y
+        filled += 1
+        if filled == REDUCE_BLOCK:
+            frames.extend(reduce(block))
+            filled = 0
+
+    if store_every:
+        store(t0, y)
     remaining = sorted(float(ts) for ts in at)
     snapshots = {}
 
@@ -169,7 +199,8 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
         if changed is not None:
             clamped += changed
         if store_every and ((k + 1) % store_every == 0 or k == n_steps - 1):
-            times.append(t)
-            frames.append(keep(y))
+            store(t, y)
         snap(t, y)
+    if filled:
+        frames.extend(reduce(block[:filled]))
     return Record(y, t, clamped, times, frames, snapshots)

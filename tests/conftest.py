@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import backends, gridsim, planar, stepping
+from nlfkpp import analysis, backends, csvio, gridsim, planar, stepping
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
-                           eigenvalues, wrap_angle)
+                           eigenvalues, grid_nodes, wrap_angle)
 
 
 @pytest.fixture
@@ -77,6 +77,29 @@ def imex_two_fft(rho, kern: CircleKernelParams, a: float, kappa: float,
             Y = np.fft.rfft(rho)
             interaction = ds * np.fft.irfft(spectrum * Y, n=N)
     return rho, clamped
+
+
+def series_oracle(cfgs) -> list:
+    """The series.csv text of each grid scenario of cfgs, stepped as one
+    batch that keeps every stored (runs, N) state, each state diagnosed by
+    its own analysis.diagnose call and each cell written by csvio.fmt: the
+    reference for the grid's block diagnostics (a state stored about every
+    t_end / (400 dt) steps)."""
+    cfg = cfgs[0]
+    s = grid_nodes(cfg.N)
+    rec = gridsim.integrate_batch(
+        [gridsim.initial_profile(c.initial_kind, c.beta00, c.T,
+                                 c.initial_width, c.initial_edge)(s)
+         for c in cfgs],
+        [CircleKernelParams(c.b0, c.gamma, c.R) for c in cfgs],
+        [c.a for c in cfgs], [c.kappa for c in cfgs], [c.D for c in cfgs],
+        cfg.dt, cfg.t_end, cfg.scheme,
+        store_every=max(1, int(round(cfg.t_end / cfg.dt / 400))))
+    frames = [analysis.diagnose(state, TWO_PI / cfg.N) for state in rec.frames]
+    return ["t,mass,homogeneity,n_peaks\n" + "".join(
+        ",".join(csvio.fmt(v) for v in (t, d[i].mass, d[i].homogeneity,
+                                        d[i].n_peaks)) + "\n"
+        for t, d in zip(rec.times, frames)) for i in range(len(cfgs))]
 
 
 def coupling_band(beta, lam) -> np.ndarray:

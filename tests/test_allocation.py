@@ -1,15 +1,23 @@
 """The planar and manifold hot loops write into per-run work arrays instead
 of fresh (n, n) temporaries.  Freed together, such temporaries let glibc
 give their pages back to the kernel, and the next step faults them in again;
-the minor-fault count of a fresh process shows the difference."""
+the minor-fault count of a fresh process shows the difference.  The grid's
+stored states, diagnosed a block at a time, cost at most one block more
+than diagnosing each alone."""
 
+import dataclasses
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nlfkpp import analysis, cli, config, stepping
+from nlfkpp.kernel import TWO_PI
 
 TESTS = Path(__file__).resolve().parent
 
@@ -65,3 +73,40 @@ def test_work_arrays_stop_the_page_faults(case):
     work, fresh = minor_faults(case, "work"), minor_faults(case, "fresh")
     print(f"{case}: {work} minor faults with work arrays, {fresh} without")
     assert 4 * work <= fresh, (work, fresh)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of the allocations made by call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_diagnostics_stay_within_one_block(monkeypatch):
+    # the circle_grid workload's batch: fig5a's four gammas at N = 512,
+    # imex, 2 000 steps, a state stored every 5 steps; REDUCE_BLOCK = 1
+    # diagnoses each stored state alone, the per-frame oracle
+    cfg = config.parse_config_text(cli.preset_text("fig5a"))
+    config.apply_overrides(cfg, ["numerics.t_end=20"])
+    cfgs = [dataclasses.replace(cfg, gamma=g) for g in (0.05, 1.0, 1.5, 50.0)]
+
+    def run():
+        return cli._step_grid(cfgs, ())
+
+    block = stepping.REDUCE_BLOCK
+    monkeypatch.setattr(stepping, "REDUCE_BLOCK", 1)
+    per_frame = run()  # warm the kernel spectrum and symbol caches
+    oracle = traced_peak(run)
+    monkeypatch.setattr(stepping, "REDUCE_BLOCK", block)
+    blocked = traced_peak(run)
+    # one block of stored states, and the temporaries of diagnosing it
+    states = np.concatenate([rec.y[None] for rec in per_frame] * block)
+    allowance = states.nbytes + traced_peak(
+        lambda: analysis.diagnose(states, TWO_PI / cfg.N))
+    print(f"tracemalloc peak: {oracle} B per frame, {blocked} B in blocks "
+          f"of {block}, allowance {allowance} B")
+    assert blocked <= oracle + allowance
+    assert [rec.frames for rec in run()] == [rec.frames for rec in per_frame]

@@ -14,6 +14,8 @@ from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
 from nlfkpp.csvio import read_csv, write_csv
 from nlfkpp.kernel import CircleKernelParams
 
+from conftest import series_oracle
+
 
 class TestConfig:
     def test_parse_dotted_keys(self):
@@ -277,14 +279,15 @@ class TestCliEntry:
         assert rc == 0
 
     def test_compare_reads_every_csv_of_a_preset(self, tmp_path, capsys):
-        # summary.csv, and per D series.csv and two snapshots
+        # summary.csv, and per D series.csv, two snapshots and the
+        # manifest's diagnostics
         runs = [tmp_path / "a", tmp_path / "b"]
         for out in runs:
             assert cli.main(["preset", "fig8", "--set", "numerics.t_end=0.2",
                              "--outdir", str(out)]) == 0
         report = cli.compare_bundles(*map(str, runs))
         assert report.pop("_passed")
-        assert len(report) == 10
+        assert len(report) == 13
         assert report["summary.csv"] == {"value": 0.0, "n_peaks": 0.0,
                                          "homogeneity": 0.0, "mass": 0.0}
         for name, entry in report.items():
@@ -304,6 +307,40 @@ class TestCliEntry:
         report = cli.compare_bundles(*map(str, runs))
         mass = report[os.path.join("D_0.005", "series.csv")]["mass"]
         assert 0 < mass < 1e-15
+
+    def test_compare_diffs_manifest_diagnostics(self, tmp_path, capsys):
+        diagnostics = [
+            {"mass": 2.0, "moment": [1.0, -4.0], "limit": None, "kind": "x",
+             "steady": math.nan, "only_a": 1.0},
+            {"mass": 2.0 + 1e-6, "moment": [1.0, -4.0 + 2e-2], "limit": None,
+             "kind": "y", "steady": math.nan},
+        ]
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d, diag in zip(dirs, diagnostics):
+            for sub in (d, d / "D_0"):
+                sub.mkdir(exist_ok=True)
+                write_csv(sub / "series.csv", ["t"], [np.arange(3.0)])
+                (sub / "manifest.json").write_text(
+                    json.dumps({"diagnostics": diag}))
+        report = cli.compare_bundles(*map(str, dirs))
+        for name in ("manifest.json", os.path.join("D_0", "manifest.json")):
+            assert report[name] == {
+                "diagnostics.kind": math.inf, "diagnostics.limit": 0.0,
+                "diagnostics.mass": pytest.approx(1e-6 / (2.0 + 1e-6)),
+                "diagnostics.moment": pytest.approx(2e-2 / (4.0 - 2e-2)),
+                "diagnostics.only_a": math.inf, "diagnostics.steady": 0.0}
+        capsys.readouterr()
+        assert cli.main(["compare", *map(str, dirs), "--tol-linf",
+                         "1e-3"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        failed = sorted(line.split(":")[0] + ":" + line.split(":")[1]
+                        for line in out if line.endswith("FAIL"))
+        assert failed == sorted(
+            f"{name}:diagnostics.{key}"
+            for name in ("manifest.json", os.path.join("D_0", "manifest.json"))
+            for key in ("kind", "moment", "only_a"))
+        assert "manifest.json:diagnostics.mass: rel_linf=5.000e-07  PASS" \
+            in out
 
     def test_compare_names_a_mismatched_file(self, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -636,6 +673,30 @@ class TestSweepBatches:
             cli.main(["sweep", "--axis", "model.gamma", "--values", "0.5,1",
                       "--outdir", str(out)] + SMALL_GRID)
         assert not out.exists()
+
+
+class TestBlockDiagnostics:
+    def test_sweep_series_equals_per_frame_diagnostics(self, tmp_path,
+                                                       monkeypatch):
+        # 51 stored states of four runs: four diagnose calls of at most 16
+        # states, 64 rows each
+        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        sizes = count_batches(monkeypatch)
+        cfg = config.parse_config_text(cli.preset_text("fig5a"))
+        config.apply_overrides(cfg, ["numerics.N=64", "numerics.t_end=0.5",
+                              "numerics.snapshot_times=0.5"])
+        values = ["0.05", "1", "1.5", "50"]
+        cli.run_sweep(cfg, "model.gamma", values, str(tmp_path))
+        assert sizes == [4]
+        subs = []
+        for value in values:
+            sub = dataclasses.replace(cfg)
+            config.apply_assignment(sub, "model.gamma", value)
+            subs.append(sub)
+        for value, want in zip(values, series_oracle(subs)):
+            got = (tmp_path / f"gamma_{float(value):g}" / "series.csv")
+            assert got.read_text() == want
+            assert want.count("\n") == 52
 
 
 class TestIntegerSweepAxes:

@@ -187,6 +187,31 @@ class TestRunInvariantOperator:
         assert analysis.relative_linf(out.y, reference) <= 1e-13
 
 
+class TestImexModes:
+    """About the flat steady state rho* = a / (kappa L_0), the imex step
+    multiplies the amplitude of a small mode cos(j s) by
+    g_j = (1 - dt kappa rho* L_j) / (1 + 4 dt D sin^2(j ds / 2) / ds^2),
+    with L_j = ds Re rfft(kernel_row)[j] the grid interaction's eigenvalue:
+    the reaction a = kappa rho* L_0 cancels, and the implicit diffusion
+    divides by the symbol of its circulant matrix."""
+
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    def test_mode_amplitude_ratio(self, unit_kernel, j):
+        N, a, kappa, D, dt, k = 64, 1.0, 0.5, 0.1, 0.01, 50
+        ds = TWO_PI / N
+        L = ds * np.fft.rfft(gridsim.kernel_row(unit_kernel, N)).real
+        rho_star = a / (kappa * L[0])
+        s = gridsim.GridState(N, np.zeros(N)).s
+        state = gridsim.GridState(N, rho_star * (1.0 + 1e-7 * np.cos(j * s)))
+        rec = gridsim.integrate(state, unit_kernel, a, kappa, D, dt, k * dt,
+                                "imex")
+        g = (1.0 - dt * kappa * rho_star * L[j]) / (
+            1.0 + 4.0 * dt * D * math.sin(j * ds / 2.0) ** 2 / ds**2)
+        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(state.rho)[j].real
+        assert ratio == pytest.approx(g**k, rel=1e-4)
+        assert g**k < 0.99  # the mode decays visibly over the k steps
+
+
 class TestImexClampRefresh:
     """The imex step carries rfft(rho) and the interaction; a step the
     clamp changed is transformed again, per run."""

@@ -6,7 +6,7 @@ import pytest
 from nlfkpp import manifold, planar, stepping
 from nlfkpp.kernel import SQRT_TWO_PI
 
-from conftest import bits, run2d_oracle
+from conftest import bits, laplacian_pad_oracle, run2d_oracle
 
 
 @pytest.fixture
@@ -119,6 +119,23 @@ class TestStep2D:
 class TestWorkArrays:
     """run2d writes every step into its own work arrays; the bits are those
     of the allocating expressions (conftest.run2d_oracle)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33])
+    def test_laplacian_matches_the_padded_oracle(self, n):
+        # fields over many magnitudes, and a NaN and an infinity, which the
+        # sums carry to the same cells as the padded field's
+        rng = np.random.default_rng(n)
+        scratch, out = np.empty((n, n)), np.empty((n, n))
+        for trial in range(20):
+            u = rng.random((n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+            if trial == 0:
+                u[0, -1], u[-1, 0] = np.nan, np.inf
+            dx = rng.uniform(0.01, 1.0)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = planar._laplacian_reflect(u, dx, scratch, out)
+                want = laplacian_pad_oracle(u, dx)
+            assert got is out
+            assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("n", [16, 33])
     @pytest.mark.parametrize("D", [0.0, 0.05])

@@ -216,3 +216,70 @@ class TestFusedReductions:
             stepping.march(np.ones((2, 8)), 0.0, 1.0, 1.0,
                            lambda y, t: 0 * y, "euler",
                            density=lambda y: y, batched=True)
+
+
+def grid_batch(steps, store_every, reduce=None, kinds=("gaussian_bump",
+                                                       "cutoff"), D=0.1):
+    """An imex batch of one N = 64 run per initial kind, stepped from 0 by
+    steps of 0.01 and stored every store_every steps."""
+    rho0 = [gridsim.make_initial(kind, 64).rho for kind in kinds]
+    runs = len(kinds)
+    return gridsim.integrate_batch(rho0, [KERNEL] * runs, [1.0] * runs,
+                                   [0.2] * runs, [D] * runs, 0.01,
+                                   steps * 0.01, "imex",
+                                   store_every=store_every, reduce=reduce)
+
+
+def recording(calls):
+    """A reduce that records the size of each stack it gets and keeps a
+    copy of each state as its frame, so its frames are the per-frame
+    result of storing each state as it is."""
+    def reduce(stack):
+        calls.append(len(stack))
+        return [state.copy() for state in stack]
+    return reduce
+
+
+class TestBlockReduce:
+    """reduce maps a (k, *y.shape) stack of stored states to their k frames,
+    one call per REDUCE_BLOCK of them and one for what remains."""
+
+    @pytest.mark.parametrize("frames, steps, store_every", [
+        (1, 0, 1), (15, 14, 1), (16, 15, 1), (17, 16, 1), (401, 2000, 5),
+    ])
+    def test_frames_equal_the_per_frame_results(self, frames, steps,
+                                                store_every):
+        calls = []
+        got = grid_batch(steps, store_every, recording(calls))
+        want = grid_batch(steps, store_every)
+        assert got.times == want.times
+        assert len(got.frames) == len(want.frames) == frames
+        for block, alone in zip(got.frames, want.frames):
+            assert np.array_equal(block, alone)
+        assert max(calls) <= stepping.REDUCE_BLOCK
+        assert len(calls) == -(-frames // stepping.REDUCE_BLOCK)
+        assert sum(calls) == frames
+        for i in range(2):
+            row, alone = got.row(i), want.row(i)
+            assert (row.t, row.clamped, row.times) == \
+                (alone.t, alone.clamped, alone.times)
+            assert np.array_equal(row.y, alone.y)
+            for block, frame in zip(row.frames, alone.frames):
+                assert np.array_equal(block, frame)
+
+    def test_a_batch_the_clamp_changes(self):
+        # weak diffusion of the cutoff's jump leaves round-off negatives,
+        # which the clamp zeroes before the state is stored
+        calls = []
+        got = grid_batch(100, 3, recording(calls), D=0.001)
+        want = grid_batch(100, 3, D=0.001)
+        assert got.clamped[1] > 0
+        assert len(got.frames) == len(want.frames) == 35
+        for block, alone in zip(got.frames, want.frames):
+            assert np.array_equal(block, alone)
+        assert calls == [16, 16, 3]
+
+    def test_no_frames_no_calls(self):
+        calls = []
+        rec = grid_batch(10, 0, recording(calls))
+        assert (rec.times, rec.frames, calls) == ([], [], [])
