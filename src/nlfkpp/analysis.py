@@ -1,6 +1,6 @@
 """Profile diagnostics shared by the solvers: peak counting on periodic
-grids, homogeneity, norms, steady-state detection, empirical order, and the
-trapezoid rule (``np.trapezoid``, or ``np.trapz`` before numpy 2)."""
+grids, homogeneity, norms, steady-state detection, and the trapezoid rule
+(``np.trapezoid``, or ``np.trapz`` before numpy 2)."""
 
 from __future__ import annotations
 
@@ -24,6 +24,15 @@ def _rows(profile):
     return (rho, True) if rho.ndim == 2 else (rho[None], False)
 
 
+def _against_next(x, n, op):
+    """op(x[k], x[k + 1]) for each flat index k of a stack of rows of
+    length n, k + 1 taken within k's own row, cyclically."""
+    out = np.empty_like(x)
+    op(x[:-1], x[1:], out=out[:-1])
+    op(x[n - 1::n], x[::n], out=out[n - 1::n])
+    return out
+
+
 def _peak_counts(rho, mean, prominence):
     """count_peaks of each row of the stack rho, whose row means are mean.
 
@@ -39,20 +48,30 @@ def _peak_counts(rho, mean, prominence):
     runs, n = rho.shape
     if n < 8:
         raise ValueError(f"profile too short for peak counting: {n} < 8")
-    # each row between its own last and first value: rho[k-1] and rho[k+1]
-    # with periodic wrap
-    wrapped = np.concatenate((rho[:, -1:], rho, rho[:, :1]), axis=1)
-    left, right = wrapped[:, :-2], wrapped[:, 2:]
-    # collapse plateaus: a candidate is the left edge of a flat top; a row
-    # whose mean is not > 0 (NaN included: no prominence reaches a NaN
-    # threshold) counts nothing
-    cand = np.flatnonzero((rho > left) & (rho >= right) & (mean > 0)[:, None])
+    # rise[k]: rho[k] > rho[k-1], fall[k]: rho[k-1] > rho[k], as contiguous
+    # shifts of the flat stack, with each row's first index wrapped to its
+    # own last value
+    flat = rho.reshape(-1)
+    rise, fall = np.empty((2, flat.size), dtype=bool)
+    np.greater(flat[1:], flat[:-1], out=rise[1:])
+    np.less(flat[1:], flat[:-1], out=fall[1:])
+    rise[::n] = rho[:, 0] > rho[:, -1]
+    fall[::n] = rho[:, 0] < rho[:, -1]
+    # collapse plateaus: a candidate is the left edge of a flat top,
+    # rho[k] > rho[k-1] and rho[k] >= rho[k+1]; a row whose mean is not > 0
+    # (NaN included: no prominence reaches a NaN threshold) counts nothing.
+    # a >= b is read as not b > a, which holds in every row that can count:
+    # its positive mean excludes a NaN
+    cand = _against_next(rise, n, np.greater)
+    cand.reshape(runs, n)[~(mean > 0)] = False
+    cand = np.flatnonzero(cand)
     if cand.size == 0:
         return np.zeros(runs, dtype=int)
     # a row with a candidate rises somewhere, so it falls somewhere: both
-    # stop lists hold at least one index of that row
-    stop_l = np.flatnonzero((left > rho) & (right >= rho))
-    stop_r = np.flatnonzero((right > rho) & (left >= rho))
+    # stop lists hold at least one index of that row.  rho[k-1] > rho[k]
+    # and rho[k+1] >= rho[k]; rho[k+1] > rho[k] and rho[k-1] >= rho[k]
+    stop_l = np.flatnonzero(_against_next(fall, n, np.greater))
+    stop_r = np.flatnonzero(_against_next(rise, n, np.less))
     row = cand // n
     edges = np.arange(runs + 1) * n
     first_l, end_l = np.searchsorted(stop_l, edges)[[row, row + 1]]
@@ -140,15 +159,6 @@ def steady_state_time(times, profiles, tol: float) -> float:
         if rate < tol:
             return float(t[i])
     return NEVER_STEADY
-
-
-def richardson_order(e_coarse: float, e_fine: float, ratio: float) -> float:
-    """Empirical order log(e_coarse/e_fine) / log(ratio)."""
-    if e_coarse <= 0 or e_fine <= 0:
-        raise ValueError("errors must be positive for an order estimate")
-    if ratio <= 1:
-        raise ValueError(f"refinement ratio must exceed 1, got {ratio}")
-    return math.log(e_coarse / e_fine) / math.log(ratio)
 
 
 @dataclass(frozen=True)

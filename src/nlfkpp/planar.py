@@ -246,36 +246,6 @@ def extract_sld(field: Field2D, n_angles: int):
     return s, rho
 
 
-def concentration_check(field: Field2D, manifold_state, observable=None) -> float:
-    """Deviation of the planar and manifold averages of an observable.
-
-    The default observable is the position itself; the return value is the
-    largest absolute component difference between m_u^{-1} int A(x) u dx and
-    m_rho^{-1} int A(X(s)) rho(s) ds.
-    """
-    from .manifold import initial_correspondence
-
-    if observable is None:
-        m_u, x_u = moments(field)
-        m_rho, x_rho = initial_correspondence(manifold_state)
-        return float(np.max(np.abs(x_u - x_rho)))
-    ax = field.axis
-    w = np.full(field.n, field.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    W = np.outer(w, w)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    A_grid = np.asarray(observable(X, Y), dtype=float)
-    m_u = float(np.sum(W * field.u))
-    mean_u = float(np.sum(W * field.u * A_grid)) / m_u
-    wts = manifold_state.weights()
-    m_rho = float(np.sum(wts * manifold_state.rho))
-    A_manifold = np.asarray(
-        observable(manifold_state.X[:, 0], manifold_state.X[:, 1]), dtype=float)
-    mean_rho = float(np.sum(wts * manifold_state.rho * A_manifold)) / m_rho
-    return abs(mean_u - mean_rho)
-
-
 def field_to_csv(path, field: Field2D) -> None:
     """Flat rows (x, y, u) in row-major order."""
     ax = field.axis

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlfkpp import analysis, backends, csvio, gridsim, planar, stepping
+from nlfkpp import analysis, backends, csvio, gridsim, manifold, planar, stepping
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                            eigenvalues, grid_nodes, wrap_angle)
 
@@ -247,3 +247,41 @@ def gaussian_influence_oracle(b0: float, gamma: float):
         sq *= b0
         return sq
     return b
+
+
+def richardson_order(e_coarse: float, e_fine: float, ratio: float) -> float:
+    """Empirical order log(e_coarse/e_fine) / log(ratio)."""
+    if e_coarse <= 0 or e_fine <= 0:
+        raise ValueError("errors must be positive for an order estimate")
+    if ratio <= 1:
+        raise ValueError(f"refinement ratio must exceed 1, got {ratio}")
+    return math.log(e_coarse / e_fine) / math.log(ratio)
+
+
+def concentration_check(field: planar.Field2D, manifold_state,
+                        observable=None) -> float:
+    """Deviation of the planar and manifold averages of an observable.
+
+    The default observable is the position itself; the return value is the
+    largest absolute component difference between m_u^{-1} int A(x) u dx and
+    m_rho^{-1} int A(X(s)) rho(s) ds.
+    """
+    if observable is None:
+        m_u, x_u = planar.moments(field)
+        m_rho, x_rho = manifold.initial_correspondence(manifold_state)
+        return float(np.max(np.abs(x_u - x_rho)))
+    ax = field.axis
+    w = np.full(field.n, field.dx)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    W = np.outer(w, w)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    A_grid = np.asarray(observable(X, Y), dtype=float)
+    m_u = float(np.sum(W * field.u))
+    mean_u = float(np.sum(W * field.u * A_grid)) / m_u
+    wts = manifold_state.weights()
+    m_rho = float(np.sum(wts * manifold_state.rho))
+    A_manifold = np.asarray(
+        observable(manifold_state.X[:, 0], manifold_state.X[:, 1]), dtype=float)
+    mean_rho = float(np.sum(wts * manifold_state.rho * A_manifold)) / m_rho
+    return abs(mean_u - mean_rho)

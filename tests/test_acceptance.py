@@ -39,7 +39,8 @@ from nlfkpp import spectral
 from nlfkpp.config import ScenarioConfig
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                            eigenvalues)
-from conftest import circulant_term, eigenvalue_quadrature
+from conftest import (circulant_term, concentration_check,
+                      eigenvalue_quadrature, richardson_order)
 
 KERNEL = CircleKernelParams(1.0, 1.0, 1.0)
 LAMBDA0 = eigenvalue(0, KERNEL)
@@ -145,8 +146,8 @@ def test_criterion_04_order_in_T():
             np.max(np.abs(spectral.reconstruct(traj.snapshots[t], s)
                           - asymptotics.composite_density(t, s, expn)))
             for t in times)
-    orders = (analysis.richardson_order(errs[10.0], errs[20.0], 2.0),
-              analysis.richardson_order(errs[20.0], errs[40.0], 2.0))
+    orders = (richardson_order(errs[10.0], errs[20.0], 2.0),
+              richardson_order(errs[20.0], errs[40.0], 2.0))
     ok = all(1.7 <= p <= 2.3 for p in orders)
     report(4, ok, f"richardson orders = {orders[0]:.3f}, {orders[1]:.3f} "
                   f"(window [1.7, 2.3])")
@@ -283,7 +284,7 @@ def test_criterion_09_concentration_verification():
         field = planar.gaussian_ring(3.0, 128, R, sigma, 1.0, D=D)
         rec = planar.run2d(field, kern2d, 1.0, 0.2, 0.002, 2.0)
         out = planar.Field2D(3.0, 128, rec.y, rec.t, D)
-        devs.append(planar.concentration_check(
+        devs.append(concentration_check(
             out, truth, observable=lambda x, y: np.hypot(x, y)))
         _, rho_ex = planar.extract_sld(out, 128)
         dists.append(float(np.linalg.norm(rho_ex - truth.rho)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfkpp import analysis, exact, gridsim
+from conftest import richardson_order
 
 
 S512 = -math.pi + 2.0 * math.pi * np.arange(512) / 512
@@ -196,6 +197,20 @@ class TestBatchedDiagnostics:
                 assert same_value(getattr(got, name), getattr(want, name)), name
             assert same_value(analysis.homogeneity(row), want.homogeneity)
 
+    def test_wide_stack_with_plateaus_counts_as_the_downhill_walk(self):
+        # the flat shifts' row-end fix-ups on a (64, 512) stack: rows of
+        # small integers (ties everywhere) and of wide steps rolled so that
+        # plateaus straddle the seam, checked row by row
+        rng = np.random.default_rng(11)
+        stack = rng.integers(0, 4, (64, 512)).astype(float)
+        steps = np.repeat(rng.integers(0, 5, (32, 32)), 16, axis=1)
+        stack[::2] = [np.roll(r, k) for r, k in
+                      zip(steps, rng.integers(0, 16, 32))]
+        for prominence in (0.0, 0.05, 0.5):
+            counts = analysis.count_peaks(stack, prominence)
+            assert counts.tolist() == [
+                count_peaks_walk(row, prominence) for row in stack]
+
     def test_rows_with_different_peak_counts(self):
         stack = np.array([1.0 + 0.5 * np.cos(k * S512 + 0.1)
                           for k in range(1, 8)])
@@ -280,14 +295,14 @@ class TestSteadyStateTime:
 
 class TestRichardsonOrder:
     def test_exact_orders(self):
-        assert analysis.richardson_order(4.0, 1.0, 2.0) == pytest.approx(2.0)
-        assert analysis.richardson_order(16.0, 1.0, 2.0) == pytest.approx(4.0)
+        assert richardson_order(4.0, 1.0, 2.0) == pytest.approx(2.0)
+        assert richardson_order(16.0, 1.0, 2.0) == pytest.approx(4.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            analysis.richardson_order(0.0, 1.0, 2.0)
+            richardson_order(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
-            analysis.richardson_order(1.0, 1.0, 1.0)
+            richardson_order(1.0, 1.0, 1.0)
 
 
 class TestDiagnostics:

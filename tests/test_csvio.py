@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,11 +44,89 @@ def test_special_cells_cover_both_nan_signs():
 @settings(max_examples=300, deadline=None)
 @given(columns())
 def test_words_are_per_cell_fmt_formatted_once(col):
-    words, index = csvio._words(col)
-    text = [words[i] for i in index.tolist()]
-    assert text == [csvio.fmt(v) for v in col]
-    # equal cells share one str: each distinct value was formatted once
-    assert len({id(word) for word in text}) == len(set(text))
+    # the per-value path, and the array path on every column
+    for cutoff in (csvio.VECTOR_MIN, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "VECTOR_MIN", cutoff)
+            words, index = csvio._words(col)
+        text = [words[i] for i in index.tolist()]
+        assert text == [csvio.fmt(v).encode() for v in col]
+        # equal cells share one bytes object: each distinct value was
+        # formatted once
+        assert len({id(word) for word in text}) == len(set(text))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=200),
+       st.integers(0, 2**32 - 1))
+def test_raw_bit_patterns_are_per_cell_fmt(csv_path, bits, seed):
+    # the drawn bit patterns (hypothesis favours the edges of the range)
+    # within a column of random patterns sized past the cutoff
+    fill = np.random.default_rng(seed).integers(
+        0, 2**64 - 1, csvio.VECTOR_MIN + 64, dtype=np.uint64, endpoint=True)
+    col = np.concatenate([np.array(bits, dtype=np.uint64), fill]).view(
+        np.float64)
+    assert len(np.unique(np.abs(col))) >= csvio.VECTOR_MIN
+    cols = [col, col[::-1]]
+    csvio.write_csv(csv_path, ["a", "b"], cols)
+    expected = "a,b\n" + "".join(
+        f"{csvio.fmt(a)},{csvio.fmt(b)}\n" for a, b in zip(*cols))
+    assert csv_path.read_bytes() == expected.encode()
+
+
+def edge_values():
+    """Values at the seams of the digit arithmetic: the ends of the
+    double range, powers of ten and their neighbours, the fixed/scientific
+    switch at 1e-4 and 1e17, and three-digit exponents."""
+    tens = 10.0 ** np.arange(-323, 309)
+    return np.concatenate([
+        [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+         1e17, 9.9999999999999998e16, 1e22, 1e23, 0.1, 0.3, 1.0,
+         123456789012345678.0, 9.9999999999999999e-5, 1e-5, 2.5, 0.5],
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+
+
+def test_edge_values_are_fmt_on_the_array_path(tmp_path):
+    values = np.unique(edge_values())
+    words, undecided = csvio._digit_words(values, "\n")
+    # most edges are decided by the array arithmetic itself
+    assert len(undecided) < len(values) // 10
+    decided = np.setdiff1d(np.arange(len(values)), undecided).tolist()
+    assert [words[i] for i in decided] == [
+        (csvio.fmt(values[i]) + "\n").encode() for i in decided]
+    path = tmp_path / "edges.csv"
+    col = np.concatenate([values, -values])
+    csvio.write_csv(path, ["x"], [col])
+    assert path.read_bytes() == ("x\n" + "".join(
+        csvio.fmt(v) + "\n" for v in col)).encode()
+
+
+def test_every_value_can_fall_back_to_format(tmp_path, monkeypatch):
+    # with double's epsilon no digit string is decided, so format writes
+    # every word, and the bytes are the same
+    rng = np.random.default_rng(5)
+    col = rng.standard_normal(3 * csvio.VECTOR_MIN) * 10.0 ** rng.integers(
+        -30, 30, 3 * csvio.VECTOR_MIN)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    csvio.write_csv(fast, ["x"], [col])
+    monkeypatch.setattr(csvio, "_EPS", np.finfo(np.float64).eps)
+    values = np.unique(np.abs(col))
+    assert len(csvio._digit_words(values, ",")[1]) == len(values)
+    csvio.write_csv(slow, ["x"], [col])
+    assert slow.read_bytes() == fast.read_bytes() == ("x\n" + "".join(
+        csvio.fmt(v) + "\n" for v in col)).encode()
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    p10 = csvio._tables()[0]
+    assert len(p10) == csvio._Q1 - csvio._Q0
+    for q, p in zip(range(csvio._Q0, csvio._Q1), p10):
+        exact = Fraction(10) ** q
+        err = abs(Fraction(*p.as_integer_ratio()) - exact)
+        # no long double is nearer: neither neighbour of p
+        for nb in (np.nextafter(p, p.dtype.type(0)),
+                   np.nextafter(p, p.dtype.type(np.inf))):
+            assert err < abs(Fraction(*nb.as_integer_ratio()) - exact), q
 
 
 @settings(max_examples=150, deadline=None)

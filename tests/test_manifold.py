@@ -8,7 +8,8 @@ from scipy import integrate, special
 from nlfkpp import analysis, gridsim, manifold, stepping
 from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
 
-from conftest import bits, circulant_term, gaussian_influence_oracle
+from conftest import (bits, circulant_term, gaussian_influence_oracle,
+                      richardson_order)
 
 
 def bump(s):
@@ -460,7 +461,7 @@ class TestMovingManifoldReference:
 
     def test_fourth_order_convergence(self):
         errors = [self.max_rel_error(dt) for dt in (0.1, 0.05, 0.025)]
-        orders = [analysis.richardson_order(coarse, fine, 2.0)
+        orders = [richardson_order(coarse, fine, 2.0)
                   for coarse, fine in zip(errors, errors[1:])]
         assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)
 
@@ -468,6 +469,6 @@ class TestMovingManifoldReference:
         # the amplitude grows 4.7-fold by t = 5, then relaxes; at dt = 0.025
         # the error would meet the round-off of a density of O(1)
         errors = [self.mode_rel_error(3, dt) for dt in (0.2, 0.1, 0.05)]
-        orders = [analysis.richardson_order(coarse, fine, 2.0)
+        orders = [richardson_order(coarse, fine, 2.0)
                   for coarse, fine in zip(errors, errors[1:])]
         assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)

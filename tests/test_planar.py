@@ -6,7 +6,8 @@ import pytest
 from nlfkpp import manifold, planar, stepping
 from nlfkpp.kernel import SQRT_TWO_PI
 
-from conftest import bits, laplacian_pad_oracle, run2d_oracle
+from conftest import (bits, concentration_check, laplacian_pad_oracle,
+                      run2d_oracle)
 
 
 @pytest.fixture
@@ -235,13 +236,13 @@ class TestConcentrationCheck:
     def test_matched_ring_and_circle(self):
         field = planar.gaussian_ring(3.0, 256, 1.0, 0.1, 1.0)
         circle = manifold.circle_state(1.0, 128, lambda s: np.ones_like(s))
-        dev = planar.concentration_check(field, circle)
+        dev = concentration_check(field, circle)
         assert dev < 1e-10
 
     def test_constant_observable_is_exact(self):
         field = planar.gaussian_ring(3.0, 128, 1.0, 0.2, 1.0)
         circle = manifold.circle_state(1.0, 64, lambda s: np.ones_like(s))
-        dev = planar.concentration_check(field, circle,
+        dev = concentration_check(field, circle,
                                          observable=lambda x, y: 1.0 + 0 * x)
         assert dev < 1e-13
 
@@ -254,6 +255,6 @@ class TestConcentrationCheck:
             field = planar.gaussian_ring(3.0, 128, 1.0, 0.1, 1.0, D=D)
             rec = planar.run2d(field, kernel2d, 1.0, 0.2, 0.002, 2.0)
             out = planar.Field2D(3.0, 128, rec.y, rec.t, D)
-            devs.append(planar.concentration_check(
+            devs.append(concentration_check(
                 out, circle, observable=lambda x, y: np.hypot(x, y)))
         assert devs[0] > devs[1] > devs[2]

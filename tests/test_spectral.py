@@ -181,6 +181,31 @@ class TestIntegrate:
                                    spectral._full(rec.frames[0]).real, rtol=0)
 
 
+class TestRk4Modes:
+    """About the steady state beta_0* = sqrt(2 pi) a / (kappa lambda_0), a
+    small mode j relaxes at sigma_j = -(a lambda_j / lambda_0 + D j^2): the
+    coupling's l = 0 and l = j terms give -kappa beta_0* (lambda_0 +
+    lambda_j) / sqrt(2 pi), and the first cancels a.  Each RK4 step
+    multiplies its amplitude by R(sigma_j dt), R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24."""
+
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    def test_mode_amplitude_ratio(self, unit_kernel, j):
+        J, a, kappa, D, dt, k = 10, 1.0, 0.5, 0.1, 0.01, 50
+        lam = kernel.eigenvalues(J, unit_kernel)
+        beta_star = SQRT_TWO_PI * a / (kappa * lam[J])
+        beta0 = np.zeros(J + 1, dtype=complex)
+        beta0[0] = beta_star
+        beta0[j] = 1e-7 * beta_star
+        rec = spectral.integrate(beta0, unit_kernel, a, kappa, D, dt, k * dt)
+        z = -(a * lam[J + j] / lam[J] + D * j**2) * dt
+        R = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        ratio = rec.y[j] / beta0[j]
+        assert ratio.real == pytest.approx(R**k, rel=1e-4)
+        assert abs(ratio.imag) <= 1e-12
+        assert R**k < 0.99  # the mode decays visibly over the k steps
+
+
 class TestRunInvariantOperator:
     def test_spectrum_built_once_per_run(self, monkeypatch):
         # kernel parameters no other test uses, so the eigenvalue cache is cold
