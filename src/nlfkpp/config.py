@@ -76,20 +76,21 @@ class ScenarioConfig:
     label: str = "run"
 
     def validate(self) -> "ScenarioConfig":
-        def positive(name, value):
-            if not value > 0:
-                raise ConfigError(f"{name}: must be positive, got {value}")
+        def bounded(name, value, sign="positive"):
+            """value > 0, or >= 0 when sign is "nonnegative", and finite."""
+            if not (value > 0 or sign == "nonnegative" and value == 0):
+                raise ConfigError(f"{name}: must be {sign}, got {value}")
+            if value == math.inf:
+                raise ConfigError(f"{name}: must be finite, got {value}")
 
-        positive("model.a", self.a)
-        positive("model.b0", self.b0)
-        positive("model.gamma", self.gamma)
-        positive("model.R", self.R)
-        positive("model.T", self.T)
-        positive("model.beta00", self.beta00)
+        for name, value in (("model.a", self.a), ("model.b0", self.b0),
+                            ("model.gamma", self.gamma), ("model.R", self.R),
+                            ("model.T", self.T),
+                            ("model.beta00", self.beta00)):
+            bounded(name, value)
         for name, value in (("model.kappa", self.kappa), ("model.D", self.D),
                             ("model.k0", self.k0)):
-            if not value >= 0:
-                raise ConfigError(f"{name}: must be nonnegative, got {value}")
+            bounded(name, value, "nonnegative")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver: unknown solver {self.solver!r}")
         if self.scheme not in SCHEMES:
@@ -116,8 +117,8 @@ class ScenarioConfig:
         if self.J < 0:
             raise ConfigError(f"numerics.J: must be >= 0, got {self.J}")
         # the planar field: dx = 2L / (n2d - 1) and a ring of width sigma
-        positive("numerics.L", self.L)
-        positive("numerics.sigma", self.sigma)
+        bounded("numerics.L", self.L)
+        bounded("numerics.sigma", self.sigma)
         if self.n2d < 2:
             raise ConfigError(f"numerics.n2d: must be >= 2, got {self.n2d}")
         return self

@@ -31,7 +31,7 @@ class GridState:
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho.shape != (self.N,):
             raise ValueError(f"expected {self.N} density values, got {self.rho.shape}")
-        if stepping.hard_negative(self.rho):
+        if stepping.hard_negative(self.rho[None]):
             raise ValueError(
                 f"density has a hard negative value {np.min(self.rho)} "
                 f"(max {np.max(self.rho)}); the scheme is unstable"
@@ -81,20 +81,11 @@ def _rhs(rho, spectrum, a, kappa, D, ds):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _circulant_symbol(diag: float, off: float, n: int) -> np.ndarray:
-    """Eigenvalues diag + 2 off cos(2 pi j / n), j = 0..n//2, of the circulant
-    tridiagonal matrix; built once per (diag, off, n) and shared read-only."""
-    eig = diag + 2.0 * off * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
-    eig.setflags(write=False)
-    return eig
-
-
 def _imex_step(rho0, spectrum, symbol, grow, couple, ds):
     """The imex step of a (runs, N) batch, for stepping.march: explicit
     reaction and interaction, implicit (backward Euler) diffusion, whose
-    circulant tridiagonal matrix of the given symbol (see _circulant_symbol)
-    the FFT diagonalizes exactly.
+    circulant tridiagonal matrix the FFT diagonalizes exactly: symbol holds
+    its eigenvalues, one row per run.
 
     It carries the half spectrum Y = rfft(rho) and the interaction I of the
     state from one step to the next, and takes
@@ -175,16 +166,14 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     0.8 * min(ds^2/(2D), 1/(a + kappa lam0 max rho)); imex with D > 0 (see
     _imex_step) drops the ds^2 restriction, and at D = 0 is euler.  A step
     whose dt exceeds any run's bound raises ConfigError; limit reads each
-    run's max from the driver, which takes it once per step.  reduce maps a
-    (k, runs, N) stack of stored states to their k frames (see
-    stepping.march); Record.row(i) is the record of run i.
+    run's max from the driver, which takes it once per step, and rejects a
+    hard-negative initial row.  reduce maps a (k, runs, N) stack of stored
+    states to their k frames (see stepping.march); Record.row(i) is the
+    record of run i.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.ndim != 2:
         raise ValueError(f"expected a (runs, N) batch, got {rho0.shape}")
-    if stepping.hard_negative(rho0, batched=True):
-        raise ValueError(f"density has a hard negative value {np.min(rho0)}; "
-                         "the scheme is unstable")
     runs, n = rho0.shape
     a, kappa, D = (np.asarray(c, dtype=float) for c in (a, kappa, D))
     if not len(kerns) == len(a) == len(kappa) == len(D) == runs:
@@ -211,20 +200,24 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
     def rhs(rho, t):
         return _rhs(rho, spectrum, a_run, kappa_run, D_explicit, ds)
 
-    def limit(tops):
-        return min([0.8 * min(diffusive, 1.0 / (a_i + c_i * max(top, 0.0)))
-                    for (a_i, c_i, diffusive), top in zip(bounds, tops)])
+    def limit(rho, top):
+        return min([0.8 * min(diffusive, 1.0 / (a_i + c_i * max(m, 0.0)))
+                    for (a_i, c_i, diffusive), m in zip(bounds, top.tolist())])
 
     imex = None
     if implicit:
-        symbol = np.stack([_circulant_symbol(1.0 + 2.0 * r, -r, n)
-                           for r in (dt * D / ds**2).tolist()])
+        # eigenvalues (1 + 2r) + 2 (-r) cos(2 pi j / n), j = 0..n//2, of each
+        # run's circulant tridiagonal matrix
+        r = (dt * D / ds**2)[:, None]
+        symbol = (1.0 + 2.0 * r) + 2.0 * -r * np.cos(
+            TWO_PI * np.arange(n // 2 + 1) / n)
         imex = _imex_step(rho0, spectrum, symbol, 1.0 + dt * a_run,
                           dt * kappa_run, ds)
 
     return stepping.march(rho0, t0, t_end, dt, rhs, scheme, step=imex,
-                          limit=limit, store_every=store_every,
-                          at=snapshot_times, reduce=reduce, batched=True)
+                          limit=limit, density=lambda rho: rho,
+                          store_every=store_every, at=snapshot_times,
+                          reduce=reduce)
 
 
 def initial_profile(kind: str, beta00: float = 1.0, T: float = 10.0,

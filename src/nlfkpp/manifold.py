@@ -37,7 +37,7 @@ class ManifoldState:
             raise ValueError(f"X must be (n_samples, n_dim), got {self.X.shape}")
         if self.rho.shape != (n,):
             raise ValueError(f"rho must have {n} samples, got {self.rho.shape}")
-        if stepping.hard_negative(self.rho):
+        if stepping.hard_negative(self.rho[None]):
             raise ValueError(f"density is negative: min rho = {np.min(self.rho)}")
         # weights() gives every node the first spacing
         steps = np.diff(self.s)
@@ -192,7 +192,8 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
     """Fixed-step RK4 on the coupled (rho, X) system, packed as one array
     [rho, X.ravel()] for the shared driver (see unpack); RK4 is
     elementwise, so packing changes no bit.  The record's state and frames
-    are packed; its clamp count is of rho."""
+    are packed; rho is the density view, one run, so its clamp count has
+    shape (1,)."""
     n = len(state0.s)
     w = state0.weights()  # the parameter sampling is fixed for the run
     # B depends on the positions alone: rebuild it only when they move
@@ -209,7 +210,7 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
 
     return stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
                           float(state0.t), t_end, dt, rhs, "rk4",
-                          density=lambda y: unpack(y, n)[0],
+                          density=lambda y: y[None, :n],
                           store_every=store_every)
 
 

@@ -44,7 +44,7 @@ class Field2D:
             raise ValueError(f"expected ({self.n}, {self.n}) field, got {self.u.shape}")
         if not self.D >= 0:
             raise ValueError(f"diffusion coefficient must be >= 0, got {self.D}")
-        if stepping.hard_negative(self.u):
+        if stepping.hard_negative(self.u.reshape(1, -1)):
             raise ValueError(f"field has a hard negative value {np.min(self.u)}")
 
     @property
@@ -118,9 +118,10 @@ def _laplacian_reflect(u: np.ndarray, dx: float, scratch: np.ndarray,
 def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
           dt: float, t_end: float) -> stepping.Record:
     """Explicit Euler steps to t_end with the shared driver; the record's
-    state is the (n, n) field u, one run for the clamp.  The stability
-    bound 0.8 min(1/(a + kappa max I), dx^2/(4D)) uses the step's own
-    interaction I, which the right-hand side then reuses.
+    state is the (n, n) field u, whose density view u.reshape(1, -1) is one
+    run for the clamp.  The stability bound 0.8 min(1/(a + kappa max I),
+    dx^2/(4D)) uses the step's own interaction I, which the right-hand side
+    then reuses.
 
     The right-hand side and the stability bound allocate no (n, n)
     arrays.  This call owns one work array each for G @ u (free once I is
@@ -149,7 +150,7 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
             last_u = u
         return I
 
-    def limit(u):
+    def limit(u, top):
         bound = 0.8 / (a + kappa * max(float(np.max(interaction(u))), 0.0))
         if field.D > 0:
             bound = min(bound, 0.8 * field.dx**2 / (4.0 * field.D))
@@ -168,7 +169,7 @@ def run2d(field: Field2D, kern: GaussianKernel2D, a: float, kappa: float,
         return out
 
     return stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
-                          limit=limit, density=lambda u: u)
+                          limit=limit, density=lambda u: u.reshape(1, -1))
 
 
 def gaussian_ring(L: float, n: int, R: float, sigma: float,

@@ -49,11 +49,6 @@ def _band(a: float, D: float, J: int) -> np.ndarray:
     return a - D * np.arange(J + 1.0) ** 2
 
 
-def basis_matrix(J: int, s_grid) -> np.ndarray:
-    """v_j(s_k) for j = -J..J, shape (len(s), 2J+1)."""
-    return fourier_modes(J, s_grid) / SQRT_TWO_PI
-
-
 def project_initial(rho_phi, J: int) -> np.ndarray:
     """The half spectrum of the Fourier coefficients
     beta_{0j} = int v_j*(s) rho_phi(s) ds (kernel.fourier_coefficients),
@@ -111,7 +106,8 @@ def reconstruct(beta, s_grid) -> np.ndarray:
     """Density rho(s_k) = sum_j beta_j v_j(s_k) of a half spectrum; must
     come out real."""
     beta, J = _modes(beta)
-    return real_part(basis_matrix(J, s_grid) @ _full(beta), "reconstruction")
+    return real_part(fourier_modes(J, s_grid) / SQRT_TWO_PI @ _full(beta),
+                     "reconstruction")
 
 
 def exponential_form(rec: stepping.Record, kern: CircleKernelParams,
@@ -132,7 +128,7 @@ def exponential_form(rec: stepping.Record, kern: CircleKernelParams,
     lam = eigenvalues(J, kern)
     integrals = trapezoid(beta, t, axis=0)
     exponent = a * (t[-1] - t[0]) - kappa * (
-        basis_matrix(J, s) @ (lam * integrals)
+        fourier_modes(J, s) / SQRT_TWO_PI @ (lam * integrals)
     )
     resid = float(np.max(np.abs(exponent.imag)))
     if resid > 1e-8 * max(1.0, float(np.max(np.abs(exponent)))):

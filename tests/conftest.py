@@ -211,7 +211,7 @@ def run2d_oracle(field, kern, a: float, kappa: float, dt: float,
             last_u, last_I = u, scale * (G @ u @ G)
         return last_I
 
-    def limit(u):
+    def limit(u, top):
         bound = 0.8 / (a + kappa * max(float(np.max(interaction(u))), 0.0))
         if field.D > 0:
             bound = min(bound, 0.8 * field.dx**2 / (4.0 * field.D))
@@ -224,7 +224,7 @@ def run2d_oracle(field, kern, a: float, kappa: float, dt: float,
         return out
 
     return stepping.march(field.u, field.t, t_end, dt, rhs, "euler",
-                          limit=limit, density=lambda u: u)
+                          limit=limit, density=lambda u: u.reshape(1, -1))
 
 
 def gaussian_influence_oracle(b0: float, gamma: float):

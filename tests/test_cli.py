@@ -144,7 +144,11 @@ class TestCliEntry:
         ("numerics.sigma=0", "numerics.sigma: must be positive, got 0.0"),
         ("numerics.L=0", "numerics.L: must be positive, got 0.0"),
         ("numerics.L=-3", "numerics.L: must be positive, got -3.0"),
-    ], ids=["one_node", "zero_sigma", "zero_L", "negative_L"])
+        ("numerics.L=inf", "numerics.L: must be finite, got inf"),
+        ("numerics.sigma=inf", "numerics.sigma: must be finite, got inf"),
+        ("model.R=inf", "model.R: must be finite, got inf"),
+    ], ids=["one_node", "zero_sigma", "zero_L", "negative_L", "infinite_L",
+            "infinite_sigma", "infinite_R"])
     def test_exit_two_on_bad_planar_numerics(self, tmp_path, capsys, item,
                                              message):
         # dx = 2L/(n2d - 1) and the ring width sigma: these used to divide by
@@ -154,6 +158,15 @@ class TestCliEntry:
                        "--outdir", str(outdir)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_exit_two_on_infinite_grid_radius(self, tmp_path, capsys):
+        # an infinite model value is rejected before any solver runs
+        outdir = tmp_path / "run"
+        rc = cli.main(["simulate", "--set", "model.R=inf",
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert "model.R: must be finite, got inf" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_bad_mode_rejected_before_output(self, tmp_path, capsys,

@@ -140,22 +140,6 @@ class TestRunInvariantOperator:
         np.testing.assert_array_equal(
             spectrum, np.fft.rfft(gridsim.kernel_row(unit_kernel, 64)))
 
-
-    def test_circulant_symbol_is_read_only(self):
-        symbol = gridsim._circulant_symbol(1.5, -0.25, 64)
-        assert symbol is gridsim._circulant_symbol(1.5, -0.25, 64)
-        with pytest.raises(ValueError):
-            symbol[0] = 0.0
-
-    def test_imex_symbol_built_once_per_run(self, unit_kernel):
-        # (D, dt, N) no other test uses, so the symbol cache starts cold
-        state = gridsim.make_initial("gaussian_bump", 96, T=10.0)
-        before = gridsim._circulant_symbol.cache_info().misses
-        out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0371, 0.0137,
-                                50 * 0.0137, "imex")
-        assert out.t == pytest.approx(50 * 0.0137)
-        assert gridsim._circulant_symbol.cache_info().misses - before == 1
-
     def test_imex_step_matches_inline_symbol(self, unit_kernel):
         # Z = ((1 + dt a) Y - dt kappa rfft(rho I)) / symbol from the
         # carried Y = rfft(rho) and I; rho and I / ds from one irfft of

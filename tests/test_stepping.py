@@ -87,19 +87,19 @@ def test_single_step_late_in_a_run():
     assert grid.t == field.t == t + dt
 
 
-def zero_step(y, batched):
-    # one euler step that leaves y as it is, so only the clamp acts; a
-    # batched state is its own density
-    return stepping.march(y, 0.0, 1.0, 1.0, lambda y, t: np.zeros_like(y),
-                          "euler", density=None if batched else (lambda y: y),
-                          batched=batched)
+def clamp_step(y, density=lambda y: y):
+    """One euler step of dt = 1 from max(y, 0) to y itself: only the clamp
+    acts, on the negatives of y, which the step makes."""
+    return stepping.march(np.maximum(y, 0.0), 0.0, 1.0, 1.0,
+                          lambda x, t: np.minimum(y, 0.0), "euler",
+                          density=density)
 
 
 class TestBatchedClamp:
     def test_each_run_clamped_against_its_own_max(self):
         y = np.array([[1.0, -1e-12, -1e-12, 1.0],
                       [1e-4, -1e-15, 1e-4, 1e-4]])
-        rec = zero_step(y, batched=True)
+        rec = clamp_step(y)
         assert rec.clamped.tolist() == [2, 1]
         assert np.all(rec.y >= 0.0)
         assert rec.row(1).clamped == 1
@@ -108,13 +108,13 @@ class TestBatchedClamp:
         # -1e-12 lies in the band of a max of 1 but below that of 1e-4
         y = np.array([[1.0, 1.0, 1.0, 1.0],
                       [1e-4, -1e-12, 1e-4, 1e-4]])
-        assert stepping.hard_negative(y, batched=True)
+        assert stepping.hard_negative(y)
         with pytest.raises(RuntimeError, match="hard negative"):
-            zero_step(y, batched=True)
+            clamp_step(y)
         # one run over the whole array: judged against the max of it all
-        assert not stepping.hard_negative(y)
-        rec = zero_step(y, batched=False)
-        assert rec.clamped == 1
+        assert not stepping.hard_negative(y.reshape(1, -1))
+        rec = clamp_step(y, lambda y: y.reshape(1, -1))
+        assert rec.clamped.tolist() == [1]
         assert rec.y[1, 1] == 0.0
 
     def test_planar_field_is_one_run(self):
@@ -127,6 +127,7 @@ class TestBatchedClamp:
         out = planar.run2d(field, planar.GaussianKernel2D(1.0, 1.0), 1.0,
                            0.2, 0.01, field.t + 0.01)
         assert out.y[0, 3] >= 0.0
+        assert out.clamped.tolist() == [1]
 
 
 def constant_rhs(row, value):
@@ -139,15 +140,15 @@ def constant_rhs(row, value):
 
 
 class TestFusedReductions:
-    # a batched march takes one row max and one min per step for the
-    # blow-up guard, the clamp and the stability check
+    # march takes one row max and one min of the density view per step for
+    # the blow-up guard, the clamp and the stability check
 
     def test_nan_trips_the_blow_up_guard(self):
         y = np.ones((3, 8))
-        for batched in (True, False):
+        for density in (lambda y: y, lambda y: y.reshape(1, -1), None):
             with pytest.raises(RuntimeError) as err:
                 stepping.march(y, 0.0, 1.0, 1.0, constant_rhs(1, np.nan),
-                               "euler", batched=batched)
+                               "euler", density=density)
             assert str(err.value) == "solution blew up at t=1.0: max|y| = nan"
 
     @pytest.mark.parametrize("value, text", [(np.inf, "inf"),
@@ -156,14 +157,28 @@ class TestFusedReductions:
     def test_blow_up_either_sign(self, value, text):
         with pytest.raises(RuntimeError) as err:
             stepping.march(np.ones((2, 8)), 0.0, 1.0, 1.0,
-                           constant_rhs(1, value), "euler", batched=True)
+                           constant_rhs(1, value), "euler",
+                           density=lambda y: y)
+        assert str(err.value) == f"solution blew up at t=1.0: max|y| = {text}"
+
+    @pytest.mark.parametrize("value, text", [(np.nan, "nan"), (np.inf, "inf"),
+                                             (-np.inf, "inf")])
+    def test_blow_up_outside_a_partial_view(self, value, text):
+        # the view holds y[:2] alone, so max|y| is taken over all of y
+        def rhs(y, t):
+            out = np.zeros_like(y)
+            out[2:] = value
+            return out
+        with pytest.raises(RuntimeError) as err:
+            stepping.march(np.ones(4), 0.0, 1.0, 1.0, rhs, "euler",
+                           density=lambda y: y[None, :2])
         assert str(err.value) == f"solution blew up at t=1.0: max|y| = {text}"
 
     def test_hard_negative_in_one_row(self):
         y = np.ones((3, 8))
         with pytest.raises(RuntimeError) as err:
             stepping.march(y, 0.0, 1.0, 1.0, constant_rhs(2, -1.5), "euler",
-                           batched=True)
+                           density=lambda y: y)
         assert str(err.value) == ("density has a hard negative value -0.5 at "
                                   "t=1.0; the scheme is unstable")
 
@@ -173,11 +188,11 @@ class TestFusedReductions:
         for i, k in ((0, 3), (0, 9), (1, 4), (3, 0), (3, 31), (3, 17)):
             y[i, k] = -1e-12 * y[i].max() * rng.random()
         y[4, 5] = -0.0
-        rec = zero_step(y.copy(), batched=True)
+        rec = clamp_step(y)
         assert rec.clamped.tolist() == [2, 1, 0, 3, 0]
         for i in range(5):
-            alone = zero_step(y[i].copy(), batched=False)
-            assert alone.clamped == rec.clamped[i]
+            alone = clamp_step(y[i], lambda y: y[None])
+            assert alone.clamped.tolist() == [rec.clamped[i]]
             assert np.array_equal(alone.y, rec.y[i])
 
     @pytest.mark.parametrize("scheme", ["euler", "rk4"])
@@ -211,11 +226,48 @@ class TestFusedReductions:
         bound = float(str(alone.value).split("bound ")[1].split()[0])
         assert 0.8 / 95.0 < bound < 0.01
 
-    def test_batched_state_is_its_own_density(self):
-        with pytest.raises(ValueError, match="density must be None"):
-            stepping.march(np.ones((2, 8)), 0.0, 1.0, 1.0,
-                           lambda y, t: 0 * y, "euler",
-                           density=lambda y: y, batched=True)
+    def test_limit_reads_the_views_row_maxima(self):
+        # before each step, limit gets the state and the row maxima of its
+        # density view, taken before the clamp
+        seen = []
+
+        def limit(y, top):
+            seen.append((y.copy(), top.copy()))
+            return 1.0
+
+        y0 = np.array([[1.0, 2.0, 0.5], [3.0, -1e-12, 1.0]])
+        rec = stepping.march(y0, 0.0, 2.0, 1.0, lambda y, t: 0.0 * y,
+                             "euler", limit=limit, density=lambda y: y)
+        assert [top.tolist() for _, top in seen] == [[2.0, 3.0]] * 2
+        assert seen[1][0][1, 1] == 0.0  # the first step's clamp
+        assert rec.clamped.tolist() == [0, 1]
+
+    def test_hard_negative_initial_density_rejected(self, unit_kernel):
+        # the driver checks the initial view, for every solver alike
+        rho0 = np.ones((2, 16))
+        rho0[1, 3] = -0.5
+        message = "density has a hard negative value -0.5; the scheme is " \
+                  "unstable"
+        with pytest.raises(ValueError) as direct:
+            stepping.march(rho0, 0.0, 1.0, 1.0, lambda y, t: 0.0 * y,
+                           "euler", density=lambda y: y)
+        with pytest.raises(ValueError) as batch:
+            gridsim.integrate_batch(rho0, [unit_kernel] * 2, (1.0, 1.0),
+                                    (0.2, 0.2), (0.0, 0.0), 0.01, 0.1)
+        assert str(direct.value) == str(batch.value) == message
+
+
+@pytest.mark.parametrize("run, clamped", [
+    (lambda: gridsim.integrate_batch(np.ones((3, 16)), [KERNEL] * 3,
+                                     [1.0] * 3, [0.2] * 3, [0.0] * 3, 0.01,
+                                     0.1), [0, 0, 0]),
+    (lambda: run_planar(0.0, 0.1, 0.01), [0]),
+    (lambda: run_manifold(0.0, 0.1, 0.01), [0]),
+    (lambda: run_spectral(0.0, 0.1, 0.01), 0),
+], ids=["grid", "planar", "manifold", "spectral"])
+def test_clamp_count_per_run_of_the_density_view(run, clamped):
+    # one count per run of the view; a state without a view counts 0
+    assert np.asarray(run().clamped).tolist() == clamped
 
 
 def grid_batch(steps, store_every, reduce=None, kinds=("gaussian_bump",
