@@ -86,7 +86,9 @@ class ScenarioConfig:
         for name, value in (("model.a", self.a), ("model.b0", self.b0),
                             ("model.gamma", self.gamma), ("model.R", self.R),
                             ("model.T", self.T),
-                            ("model.beta00", self.beta00)):
+                            ("model.beta00", self.beta00),
+                            ("initial.width", self.initial_width),
+                            ("initial.edge", self.initial_edge)):
             bounded(name, value)
         for name, value in (("model.kappa", self.kappa), ("model.D", self.D),
                             ("model.k0", self.k0)):

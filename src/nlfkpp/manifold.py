@@ -20,6 +20,9 @@ from . import stepping
 from .csvio import write_csv
 from .kernel import grid_nodes
 
+# rows of the influence matrix that gaussian_influence builds per block
+INFLUENCE_BLOCK = 64
+
 
 @dataclass
 class ManifoldState:
@@ -95,19 +98,66 @@ def gaussian_influence(b0: float, gamma: float) -> Callable:
     Every later operation works in place on that fresh sum; dividing by
     -(2 gamma^2) rounds exactly as negating and dividing by 2 gamma^2.
 
+    The self-pair b(X[:, None, :], X[None, :, :]) of one (N, n) array X,
+    the influence matrix, is built from its upper triangle: a block of at
+    most INFLUENCE_BLOCK rows k and the columns l >= the block's first row
+    at a time, and each block's transpose fills the columns below it.  The
+    entry (l, k) is the entry (k, l) to the bit: each coordinate's
+    difference only changes sign, (x - y)^2 == (y - x)^2 exactly, and the
+    coordinates are summed in the same order.  Any other pair of arguments
+    (rows, a point pair, two different arrays) is built as written.
+
     The returned array is the only one a call allocates, and the caller
-    owns it.  Each later coordinate's difference goes into a scratch array
-    that the closure owns and reallocates only when the shape of the
-    result changes; it is never returned.  So one closure serves calls of
-    any shape in turn, but not concurrent calls from several threads.  A
-    point pair gives a numpy scalar and uses no scratch.
+    owns it.  Work arrays belong to the closure and are never returned: a
+    self-pair copies X's coordinates into one contiguous (n, N) array and
+    builds its blocks in two (INFLUENCE_BLOCK, N) slabs, all allocated
+    again only when N or n changes; any other call puts each later
+    coordinate's difference into a scratch array reallocated only when the
+    shape of the result changes.  So one closure serves calls of any shape
+    in turn, but not concurrent calls from several threads.  A point pair
+    gives a numpy scalar and uses no scratch.
     """
-    scratch = np.empty(0)
+    scratch = cols = slabs = np.empty(0)
+    scale = -(2.0 * gamma**2)
+
+    def finish(sq):
+        sq /= scale
+        np.exp(sq, out=sq)
+        sq *= b0
+        return sq
+
+    def matrix(X):
+        nonlocal cols, slabs
+        N, n = X.shape
+        if cols.shape != (n, N):
+            cols = np.empty((n, N))
+            slabs = np.empty((min(n, 2), INFLUENCE_BLOCK * N))
+        np.copyto(cols, X.T)  # contiguous coordinates subtract faster
+        B = np.empty((N, N))
+        for i in range(0, N, INFLUENCE_BLOCK):
+            j = min(i + INFLUENCE_BLOCK, N)
+            block = (j - i, N - i)  # rows i..j-1, columns i..N-1
+            size = block[0] * block[1]
+            sq = np.subtract(cols[0, None, i:], cols[0, i:j, None],
+                             out=slabs[0, :size].reshape(block))
+            sq *= sq
+            for k in range(1, n):
+                d = np.subtract(cols[k, None, i:], cols[k, i:j, None],
+                                out=slabs[1, :size].reshape(block))
+                d *= d
+                sq += d
+            finish(sq)
+            B[i:j, i:] = sq
+            B[j:, i:j] = sq[:, j - i:].T
+        return B
 
     def b(x, y):
         nonlocal scratch
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        X = _self_pair(x, y)
+        if X is not None:
+            return matrix(X)
         sq = y[..., 0] - x[..., 0]
         sq *= sq
         pair = np.ndim(sq) == 0  # numpy scalars, not arrays
@@ -120,13 +170,22 @@ def gaussian_influence(b0: float, gamma: float) -> Callable:
                 d = np.subtract(y[..., k], x[..., k], out=scratch)
             d *= d
             sq += d
-        sq /= -(2.0 * gamma**2)
         if pair:
-            return b0 * np.exp(sq)
-        np.exp(sq, out=sq)
-        sq *= b0
-        return sq
+            return b0 * np.exp(sq / scale)
+        return finish(sq)
     return b
+
+
+def _self_pair(x: np.ndarray, y: np.ndarray):
+    """The (N, n) array X when x and y are its views X[:, None, :] and
+    X[None, :, :] (one data pointer, matching strides), else None."""
+    if (x.ndim == 3 and x.shape[1] == 1
+            and y.shape == (1, x.shape[0], x.shape[2])
+            and x.strides[::2] == y.strides[1:]
+            and x.__array_interface__["data"][0]
+            == y.__array_interface__["data"][0]):
+        return x[:, 0, :]
+    return None
 
 
 def linear_drag(k0: float) -> Callable:
@@ -156,29 +215,34 @@ def _influence_matrix(spec: ConvectionSpec, X: np.ndarray) -> np.ndarray:
 
 
 def ee_rhs(state: ManifoldState, spec: ConvectionSpec):
-    """Returns (drho/dt, dX/dt) by the rectangle rule over G."""
-    return _rhs(spec, state.weights(), state.X, state.rho, state.t,
-                _influence_matrix(spec, state.X))
+    """Returns (drho/dt, dX/dt) by the rectangle rule over G, views of one
+    packed array; a non-finite value raises RuntimeError."""
+    y_dot = _rhs(spec, state.weights(), state.X, state.rho, state.t,
+                 _influence_matrix(spec, state.X))
+    if not np.all(np.isfinite(y_dot)):
+        raise RuntimeError("model functions returned non-finite values")
+    return unpack(y_dot, len(state.X))
 
 
 def _rhs(spec: ConvectionSpec, w: np.ndarray, X: np.ndarray, rho: np.ndarray,
-         t: float, B: np.ndarray):
-    """ee_rhs on arrays: quadrature weights w, positions X, density rho and
-    the influence matrix B = b(X_k, X_l) of X."""
+         t: float, B: np.ndarray) -> np.ndarray:
+    """ee_rhs on arrays, packed as [rho_dot, X_dot.ravel()] in one fresh
+    array (see unpack) and not checked for finiteness: quadrature weights
+    w, positions X, density rho and the influence matrix B = b(X_k, X_l)
+    of X."""
     n = len(X)
     mass = w * rho
     rates = _evaluate("a", [(), (n,)], spec.a, X, t)
-    rho_dot = rho * (rates - spec.kappa * (B @ mass))
-    X_dot = np.zeros_like(X)
+    y_dot = np.zeros(n + X.size)
+    rho_dot, X_dot = unpack(y_dot, n)
+    np.multiply(rho, rates - spec.kappa * (B @ mass), out=rho_dot)
     if spec.V_x is not None:
         X_dot += _evaluate("V_x", [X.shape], spec.V_x, X, t)
     if spec.W_x is not None:
         W = _evaluate("W_x", [(n,) + X.shape], spec.W_x, X[:, None, :],
                       X[None, :, :], t)
         X_dot += spec.kappa * np.einsum("l,kld->kd", mass, W)
-    if not (np.all(np.isfinite(rho_dot)) and np.all(np.isfinite(X_dot))):
-        raise RuntimeError("model functions returned non-finite values")
-    return rho_dot, X_dot
+    return y_dot
 
 
 def unpack(y: np.ndarray, n: int):
@@ -193,7 +257,8 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
     [rho, X.ravel()] for the shared driver (see unpack); RK4 is
     elementwise, so packing changes no bit.  The record's state and frames
     are packed; rho is the density view, one run, so its clamp count has
-    shape (1,)."""
+    shape (1,).  A non-finite derivative is left to march's blow-up guard,
+    which reads max|y| over the whole packed state."""
     n = len(state0.s)
     w = state0.weights()  # the parameter sampling is fixed for the run
     # B depends on the positions alone: rebuild it only when they move
@@ -205,8 +270,7 @@ def integrate(state0: ManifoldState, spec: ConvectionSpec, t_end: float,
         rho, x = unpack(y, n)
         if last_x is None or not np.array_equal(x, last_x):
             last_x, B = x, _influence_matrix(spec, x)
-        rho_dot, X_dot = _rhs(spec, w, x, rho, t, B)
-        return np.concatenate([rho_dot, X_dot.ravel()])
+        return _rhs(spec, w, x, rho, t, B)
 
     return stepping.march(np.concatenate([state0.rho, state0.X.ravel()]),
                           float(state0.t), t_end, dt, rhs, "rk4",

@@ -169,6 +169,30 @@ class TestCliEntry:
         assert "model.R: must be finite, got inf" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("kind, item, message", [
+        ("gaussian_bump", "initial.width=0",
+         "initial.width: must be positive, got 0.0"),
+        ("gaussian", "initial.width=-1",
+         "initial.width: must be positive, got -1.0"),
+        ("gaussian", "initial.width=nan",
+         "initial.width: must be positive, got nan"),
+        ("cutoff", "initial.edge=inf", "initial.edge: must be finite, got inf"),
+        ("cutoff", "initial.edge=0", "initial.edge: must be positive, got 0.0"),
+    ], ids=["zero_bump_width", "negative_width", "nan_width", "infinite_edge",
+            "zero_edge"])
+    def test_exit_two_on_bad_initial_shape(self, tmp_path, capsys, kind, item,
+                                           message):
+        # a zero width used to blow up (exit 3), a negative one to be blamed
+        # on numerics.dt, and an infinite edge to run
+        fig1, outdir = tmp_path / "fig1.cfg", tmp_path / "run"
+        fig1.write_text(cli.preset_text("fig1"))
+        rc = cli.main(["simulate", "--config", str(fig1),
+                       "--set", f"initial.kind={kind}", "--set", item,
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_bad_mode_rejected_before_output(self, tmp_path, capsys,
                                              monkeypatch):
         # the mode is checked before the solver runs, so no bundle is begun

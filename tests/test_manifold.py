@@ -164,6 +164,40 @@ class TestGaussianInfluence:
         assert np.ndim(pair) == 0
         assert bits(pair) == bits(oracle(X[5], X[7]))
 
+    @pytest.mark.parametrize("block", [64, 7, 1])
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 64, 100, 257])
+    def test_upper_triangle_build_equals_full_build(self, monkeypatch, n,
+                                                    n_dim, block):
+        # the self-pair is built from row blocks of its upper triangle; other
+        # pairs of arrays, overlapping views among them, take the general path
+        monkeypatch.setattr(manifold, "INFLUENCE_BLOCK", block)
+        rng = np.random.default_rng(100 * n + n_dim)
+        X, Y = rng.standard_normal((2, n, n_dim))
+        b = manifold.gaussian_influence(1.3, 0.7)
+        oracle = gaussian_influence_oracle(1.3, 0.7)
+        for x, y in [(X[:, None, :], X[None, :, :]),
+                     (X[:, None, :], Y[None, :, :]),
+                     (X[1:, None, :], X[None, :-1, :]),
+                     (X[::-1, None, :], X[None, ::-1, :])]:
+            got = b(x, y)
+            assert np.array_equal(bits(got), bits(oracle(x, y)))
+        B = b(X[:, None, :], X[None, :, :])
+        assert np.array_equal(bits(B), bits(B.T))
+
+    def test_self_pair_recognised_by_pointer_and_strides(self):
+        X = np.random.default_rng(47).standard_normal((6, 2))
+        assert manifold._self_pair(X[:, None, :], X[None, :, :]) is not None
+        assert np.array_equal(manifold._self_pair(X[::2, None, :],
+                                                  X[None, ::2, :]), X[::2])
+        for x, y in [(X[:, None, :], X.copy()[None, :, :]),
+                     (X[1:, None, :], X[None, :-1, :]),
+                     (X[:-1, None, :], X[None, 1:, :]),
+                     (X[:, None, :], X[None, ::-1, :]),
+                     (X[3, None, None, :], X[None, 3:4, :]),
+                     (X[5], X)]:
+            assert manifold._self_pair(x, y) is None
+
     def test_one_closure_serves_two_sizes(self):
         rng = np.random.default_rng(43)
         b = manifold.gaussian_influence(1.3, 0.7)
@@ -216,10 +250,25 @@ class TestIntegrate:
                                              monkeypatch, bad):
         # an update of bad / dt on every node puts about bad into rho
         dt = 0.01
-        monkeypatch.setattr(manifold, "_rhs", lambda spec, w, X, rho, t, B: (
-            np.full_like(rho, bad / dt), np.zeros_like(X)))
+        monkeypatch.setattr(manifold, "_rhs", lambda spec, w, X, rho, t, B:
+                            np.concatenate([np.full_like(rho, bad / dt),
+                                            np.zeros(X.size)]))
         with pytest.raises(RuntimeError, match="blew up"):
             manifold.integrate(circle, static_spec, dt, dt)
+
+    @pytest.mark.parametrize("field, bad", [("a", math.nan),
+                                            ("V_x", math.inf)])
+    def test_nonfinite_model_blows_up(self, circle, field, bad):
+        # integrate leaves a non-finite derivative to march's blow-up guard
+        model = {"a": manifold.constant_rate(1.0),
+                 "V_x": lambda x, t: np.zeros(np.shape(x))}
+        model[field] = {"a": lambda x, t: np.full(len(x), bad),
+                        "V_x": lambda x, t: np.full(np.shape(x), bad)}[field]
+        spec = manifold.ConvectionSpec(b=manifold.gaussian_influence(1.0, 1.0),
+                                       kappa=0.2, **model)
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(RuntimeError, match="blew up")):
+            manifold.integrate(circle, spec, 0.1, 0.05)
 
     def test_mass_law_consistency(self, circle, static_spec):
         # d/dt int rho ds from the trajectory vs int rho_dot ds from the rhs
@@ -298,9 +347,9 @@ class TestClamping:
         dt = 0.01
 
         def rhs(spec, w, X, rho, t, B):
-            rho_dot = np.zeros_like(rho)
-            rho_dot[3] = change / dt
-            return rho_dot, np.zeros_like(X)
+            y_dot = np.zeros(len(rho) + X.size)  # packed [rho_dot, X_dot]
+            y_dot[3] = change / dt
+            return y_dot
 
         monkeypatch.setattr(manifold, "_rhs", rhs)
         state = manifold.circle_state(
