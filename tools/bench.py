@@ -12,7 +12,7 @@ k is even and the change tree first when k is odd.  A workload run is
 the tree; its last line of standard output is JSON, of which the
 ``metrics`` are kept.  A preset run is one
 fresh ``python -m nlfkpp.cli preset NAME`` process whose CPU time (user +
-system, from ``os.wait4``) is recorded.  Every process runs with
+system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every process runs with
 ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread.
 
 For each workload and side the record holds, per metric, the median, the
@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,15 +55,13 @@ def workload_run(tree: Path, name: str, seed: int, seconds: float) -> dict:
 
 
 def preset_cpu(tree: Path, name: str) -> float:
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     with tempfile.TemporaryDirectory() as outdir:
-        proc = subprocess.Popen([sys.executable, "-m", "nlfkpp.cli", "preset",
-                                 name, "--outdir", outdir], cwd=tree,
-                                env=child_env(tree), stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise SystemExit(f"preset {name} exited {proc.returncode} in {tree}")
-    return usage.ru_utime + usage.ru_stime
+        subprocess.run([sys.executable, "-m", "nlfkpp.cli", "preset", name,
+                        "--outdir", outdir], cwd=tree, env=child_env(tree),
+                       stdout=subprocess.DEVNULL, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
 def order(k: int) -> tuple:
