@@ -3,7 +3,7 @@ section prefixes (model.a, numerics.dt, initial.kind, output.dir) plus
 command-line overrides of the same dotted names."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -42,63 +42,71 @@ def whole_steps(t_end: float, dt: float, name: str, t0: float = 0.0) -> int:
     return n_steps
 
 
+# A field's domain is a (wording, test) pair; validate raises "must be
+# <wording>" for a value that fails the test, and "must be finite" for +inf.
+POSITIVE = ("positive", lambda v: v > 0)
+NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+NONEMPTY = ("non-empty", bool)
+
+
+def at_least(n):
+    return (f">= {n}", lambda v: v >= n)
+
+
+def one_of(choices):
+    return ("one of " + ", ".join(choices), lambda v: v in choices)
+
+
+def setting(key: str, default, domain=None):
+    """A ScenarioConfig field set by the dotted config key key; domain None
+    admits any value."""
+    return field(default=default, metadata={"key": key, "domain": domain})
+
+
 @dataclass
 class ScenarioConfig:
     # model
-    a: float = 1.0
-    b0: float = 1.0
-    kappa: float = 0.2
-    gamma: float = 1.0
-    R: float = 1.0
-    D: float = 0.0
-    k0: float = 0.0
-    T: float = 10.0
-    beta00: float = 1.0
+    a: float = setting("model.a", 1.0, POSITIVE)
+    b0: float = setting("model.b0", 1.0, POSITIVE)
+    kappa: float = setting("model.kappa", 0.2, NONNEGATIVE)
+    gamma: float = setting("model.gamma", 1.0, POSITIVE)
+    R: float = setting("model.R", 1.0, POSITIVE)
+    D: float = setting("model.D", 0.0, NONNEGATIVE)
+    k0: float = setting("model.k0", 0.0, NONNEGATIVE)
+    T: float = setting("model.T", 10.0, POSITIVE)
+    beta00: float = setting("model.beta00", 1.0, POSITIVE)
     # solver
-    solver: str = "grid"
+    solver: str = setting("solver", "grid", one_of(SOLVERS))
     # numerics
-    N: int = 512
-    J: int = 10
-    dt: float = 0.01
-    t_end: float = 10.0
-    scheme: str = "rk4"
-    snapshot_times: tuple = ()
-    # planar extras
-    L: float = 3.0
-    n2d: int = 128
-    sigma: float = 0.1
+    N: int = setting("numerics.N", 512, at_least(8))
+    J: int = setting("numerics.J", 10, at_least(0))
+    dt: float = setting("numerics.dt", 0.01, POSITIVE)
+    t_end: float = setting("numerics.t_end", 10.0, at_least(0))
+    scheme: str = setting("numerics.scheme", "rk4", one_of(SCHEMES))
+    snapshot_times: tuple = setting("numerics.snapshot_times", (), at_least(0))
+    # the planar field: dx = 2L / (n2d - 1) and a ring of width sigma
+    L: float = setting("numerics.L", 3.0, POSITIVE)
+    n2d: int = setting("numerics.n2d", 128, at_least(2))
+    sigma: float = setting("numerics.sigma", 0.1, POSITIVE)
     # initial condition
-    initial_kind: str = "homogeneous"
-    initial_width: float = 0.6
-    initial_edge: float = 2.0
+    initial_kind: str = setting("initial.kind", "homogeneous",
+                                one_of(INITIAL_KINDS))
+    initial_width: float = setting("initial.width", 0.6, POSITIVE)
+    initial_edge: float = setting("initial.edge", 2.0, POSITIVE)
     # output
-    outdir: str = "out"
-    label: str = "run"
+    outdir: str = setting("output.dir", "out", NONEMPTY)
+    label: str = setting("output.label", "run")
 
     def validate(self) -> "ScenarioConfig":
-        def bounded(name, value, sign="positive"):
-            """value > 0, or >= 0 when sign is "nonnegative", and finite."""
-            if not (value > 0 or sign == "nonnegative" and value == 0):
-                raise ConfigError(f"{name}: must be {sign}, got {value}")
-            if value == math.inf:
-                raise ConfigError(f"{name}: must be finite, got {value}")
-
-        for name, value in (("model.a", self.a), ("model.b0", self.b0),
-                            ("model.gamma", self.gamma), ("model.R", self.R),
-                            ("model.T", self.T),
-                            ("model.beta00", self.beta00),
-                            ("initial.width", self.initial_width),
-                            ("initial.edge", self.initial_edge)):
-            bounded(name, value)
-        for name, value in (("model.kappa", self.kappa), ("model.D", self.D),
-                            ("model.k0", self.k0)):
-            bounded(name, value, "nonnegative")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"solver: unknown solver {self.solver!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"numerics.scheme: unknown scheme {self.scheme!r}")
-        if self.initial_kind not in INITIAL_KINDS:
-            raise ConfigError(f"initial.kind: unknown kind {self.initial_kind!r}")
+        """self, when each field lies in its domain, in declaration order,
+        and the cross-key rules hold; else ConfigError naming the key."""
+        for key, f in _FIELDS.items():
+            value, domain = getattr(self, f.name), f.metadata["domain"]
+            for v in value if f.type is tuple else (value,):
+                if domain and not domain[1](v):
+                    raise ConfigError(f"{key}: must be {domain[0]}, got {v!r}")
+                if v == math.inf:
+                    raise ConfigError(f"{key}: must be finite, got {v!r}")
         whole_steps(self.t_end, self.dt, "numerics.t_end")
         if self.solver in SNAPSHOT_SOLVERS:
             # a snapshot is the state at the nearest step: off the step grid
@@ -114,15 +122,6 @@ class ScenarioConfig:
                         f"{t!r} both write to {name!r}; give times that "
                         f"differ in 6 significant digits")
                 seen[name] = t
-        if self.N < 8:
-            raise ConfigError(f"numerics.N: must be >= 8, got {self.N}")
-        if self.J < 0:
-            raise ConfigError(f"numerics.J: must be >= 0, got {self.J}")
-        # the planar field: dx = 2L / (n2d - 1) and a ring of width sigma
-        bounded("numerics.L", self.L)
-        bounded("numerics.sigma", self.sigma)
-        if self.n2d < 2:
-            raise ConfigError(f"numerics.n2d: must be >= 2, got {self.n2d}")
         return self
 
     def written_snapshot_times(self) -> list:
@@ -132,68 +131,47 @@ class ScenarioConfig:
                       | {self.t_end})
 
 
+_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 # dotted config name -> dataclass attribute
-KEY_MAP = {
-    "model.a": "a", "model.b0": "b0", "model.kappa": "kappa",
-    "model.gamma": "gamma", "model.R": "R", "model.D": "D",
-    "model.k0": "k0", "model.T": "T", "model.beta00": "beta00",
-    "solver": "solver",
-    "numerics.N": "N", "numerics.J": "J", "numerics.dt": "dt",
-    "numerics.t_end": "t_end", "numerics.scheme": "scheme",
-    "numerics.snapshot_times": "snapshot_times",
-    "numerics.L": "L", "numerics.n2d": "n2d", "numerics.sigma": "sigma",
-    "initial.kind": "initial_kind", "initial.width": "initial_width",
-    "initial.edge": "initial_edge",
-    "output.dir": "outdir", "output.label": "label",
-}
-
-_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+KEY_MAP = {key: f.name for key, f in _FIELDS.items()}
 
 
-def _coerce(attr: str, raw: str):
-    raw = raw.strip()
-    if attr == "snapshot_times":
-        if not raw:
-            return ()
-        return tuple(float(v) for v in raw.split())
-    kind = _TYPES[attr]
-    if kind in (int, "int"):
-        return int(raw)
-    if kind in (float, "float"):
-        return float(raw)
-    return raw
-
-
-def axis_value(key: str, value):
-    """value, a number or its text, as the type of the numeric key key: an
-    int for an integer key, which takes whole values only, else a float.
-    ConfigError names the key otherwise."""
-    attr = KEY_MAP.get(key.strip())
-    if attr is None:
+def _parse(key: str, value):
+    """value, a number or its text, as the type of the field of key: an int
+    for an integer key, which takes whole values only, a float, a tuple of
+    floats from space-separated text, or the text.  ConfigError names the
+    key otherwise."""
+    if key not in _FIELDS:
         raise ConfigError(f"{key}: unknown configuration key")
-    kind = _TYPES[attr]
-    if kind not in (int, "int", float, "float"):
-        raise ConfigError(f"{key}: a sweep axis must be a numeric key")
+    kind = _FIELDS[key].type
     try:
+        if kind is str:
+            return value
+        if kind is tuple:
+            return tuple(float(v) for v in value.split())
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
-    if kind in (float, "float"):
+    if kind is float:
         return number
     if not number.is_integer():
         raise ConfigError(f"{key}: expected a whole number, got {value!r}")
     return int(number)
 
 
+def axis_value(key: str, value):
+    """value, a number or its text, as the type of the numeric key key (see
+    _parse); ConfigError names the key otherwise."""
+    key = key.strip()
+    if key in _FIELDS and _FIELDS[key].type not in (int, float):
+        raise ConfigError(f"{key}: a sweep axis must be a numeric key")
+    return _parse(key, value)
+
+
 def apply_assignment(cfg: ScenarioConfig, key: str, value: str) -> None:
     key = key.strip()
-    if key not in KEY_MAP:
-        raise ConfigError(f"{key}: unknown configuration key")
-    attr = KEY_MAP[key]
-    try:
-        setattr(cfg, attr, _coerce(attr, value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+    value = _parse(key, value.strip())
+    setattr(cfg, KEY_MAP[key], value)
 
 
 def parse_config_text(text: str, base: ScenarioConfig = None) -> ScenarioConfig:
@@ -227,10 +205,4 @@ def load_config(path, overrides=()) -> ScenarioConfig:
 
 def resolved_items(cfg: ScenarioConfig) -> dict:
     """Dotted-key view of the full resolved configuration (for manifests)."""
-    out = {}
-    for key, attr in KEY_MAP.items():
-        value = getattr(cfg, attr)
-        if attr == "snapshot_times":
-            value = list(value)
-        out[key] = value
-    return out
+    return {key: getattr(cfg, attr) for key, attr in KEY_MAP.items()}

@@ -16,6 +16,19 @@ from nlfkpp.kernel import CircleKernelParams
 
 from conftest import series_oracle
 
+FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ScenarioConfig)}
+NUMERIC_KEYS = [key for key, f in FIELDS.items() if f.type is not str]
+
+
+def outside(domain) -> str:
+    """A value just outside domain, read from its wording."""
+    wording = domain[0]
+    if wording == "positive":
+        return "0"
+    if wording == "nonnegative":
+        return "-1"
+    return str(int(wording.removeprefix(">= ")) - 1)
+
 
 class TestConfig:
     def test_parse_dotted_keys(self):
@@ -68,6 +81,18 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match="numerics.snapshot_times"):
                 cfg.validate()
+
+    @pytest.mark.parametrize("solver", config.SOLVERS)
+    @pytest.mark.parametrize("time, message", [
+        (math.nan, "must be >= 0, got nan"), (-1.0, "must be >= 0, got -1.0"),
+        (math.inf, "must be finite, got inf")])
+    def test_snapshot_time_entries_checked_for_every_solver(self, solver, time,
+                                                           message):
+        # manifest.json would hold a bare NaN or Infinity, which is not JSON
+        cfg = ScenarioConfig(solver=solver, snapshot_times=(0.5, time))
+        with pytest.raises(ConfigError,
+                           match=f"numerics.snapshot_times: {message}"):
+            cfg.validate()
 
     def test_resolved_items_cover_all_keys(self):
         # one dotted key per field, so no key outlives the field it sets
@@ -132,6 +157,37 @@ class TestCliEntry:
         rc = cli.main(["exact", "--set", "numerics.t_end=1",
                        "--outdir", str(tmp_path)])
         assert rc == 0
+
+    def test_numeric_keys_enumerated(self):
+        assert {"numerics.dt", "numerics.t_end",
+                "numerics.snapshot_times"} <= set(NUMERIC_KEYS)
+
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "outside"])
+    def test_every_numeric_key_checks_its_domain(self, tmp_path, capsys, key,
+                                                 bad):
+        # a key declared without a domain fails here
+        domain = FIELDS[key].metadata["domain"]
+        assert domain is not None, f"{key} has no domain"
+        if bad == "outside":
+            bad = outside(domain)
+        outdir = tmp_path / "run"
+        rc = cli.main(["manifold", "--set", "numerics.N=16",
+                       "--set", "numerics.t_end=0.1", "--set", f"{key}={bad}",
+                       "--outdir", str(outdir)])
+        assert rc == 2
+        assert f"configuration error: {key}: " in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_empty_output_dir_rejected(self, tmp_path, capsys, monkeypatch):
+        # os.makedirs('') used to end the run in a FileNotFoundError
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["simulate", "--set", "output.dir=",
+                       "--set", "numerics.t_end=0.1"])
+        assert rc == 2
+        assert ("configuration error: output.dir: must be non-empty, got ''"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_exit_two_on_validation_error(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--set", "model.a=-1",
@@ -776,6 +832,35 @@ class TestIntegerSweepAxes:
         assert [config.axis_value("model.gamma", v)
                 for v in ("0.05", 1, "1e2")] == [0.05, 1.0, 100.0]
         assert config.axis_value("numerics.N", 64.0) == 64
+
+
+class TestTypedParser:
+    # a file line, --set and sweep --values read a key's text alike
+    def test_whole_numbers_of_an_integer_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("numerics.N = 1e2\n")
+        for overrides, want in (([], 100), (["--set", "numerics.N=64.0"], 64)):
+            outdir = tmp_path / f"run{want}"
+            assert cli.main(["exact", "--config", str(path), "--set",
+                             "numerics.t_end=1"] + overrides +
+                            ["--outdir", str(outdir)]) == 0
+            with open(outdir / "manifest.json") as fh:
+                value = json.load(fh)["config"]["numerics.N"]
+            assert type(value) is int and value == want
+
+    @pytest.mark.parametrize("text", ["64.5", "nan"])
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_other_values_of_an_integer_key(self, tmp_path, capsys, text,
+                                            source):
+        path, outdir = tmp_path / "c.cfg", tmp_path / "run"
+        path.write_text(f"numerics.N = {text}\n" if source == "file" else "")
+        args = ["exact", "--config", str(path), "--outdir", str(outdir)]
+        if source == "set":
+            args += ["--set", f"numerics.N={text}"]
+        assert cli.main(args) == 2
+        assert (f"configuration error: numerics.N: expected a whole number, "
+                f"got '{text}'") in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestImport:

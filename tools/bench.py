@@ -12,8 +12,11 @@ k is even and the change tree first when k is odd.  A workload run is
 the tree; its last line of standard output is JSON, of which the
 ``metrics`` are kept.  A preset run is one
 fresh ``python -m nlfkpp.cli preset NAME`` process whose CPU time (user +
-system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every process runs with
-``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread.
+system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every
+record also holds the process CPU time of ``import nlfkpp.cli``, read by
+``time.process_time`` inside a fresh interpreter, in IMPORT_PAIRS alternating
+pairs.  Every process runs with ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS
+thread.
 
 For each workload and side the record holds, per metric, the median, the
 interquartile range and the number of runs, every value in run order, and
@@ -36,6 +39,9 @@ from pathlib import Path
 METRICS = {"cpu_s": "lower", "setup_s": "lower", "steps_per_cpu_s": "higher",
            "peak_rss_mb": "lower", "pass_frac": "higher"}
 SIDES = ("base", "change")
+IMPORT_PAIRS = 10
+IMPORT_CLI = ("import time; start = time.process_time(); import nlfkpp.cli; "
+              "print(time.process_time() - start)")
 
 
 def child_env(tree: Path) -> dict:
@@ -64,6 +70,13 @@ def preset_cpu(tree: Path, name: str) -> float:
     return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
+def import_cpu(tree: Path) -> float:
+    out = subprocess.run([sys.executable, "-c", IMPORT_CLI], cwd=tree,
+                         env=child_env(tree), capture_output=True, text=True,
+                         check=True)
+    return float(out.stdout)
+
+
 def order(k: int) -> tuple:
     """The sides in the order pair k runs them."""
     return SIDES if k % 2 == 0 else SIDES[::-1]
@@ -85,9 +98,23 @@ def ahead(base: list, change: list, better: str) -> int:
 def machine() -> dict:
     import numpy
     import scipy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": {key: blas.get(key) for key in
+                     ("name", "version", "openblas configuration")},
             "platform": platform.platform(), "machine": platform.machine()}
+
+
+def paired_cpu(n: int, run) -> dict:
+    """run(side), a CPU time, over n alternating pairs, summarised per side."""
+    cpu = {side: [] for side in SIDES}
+    for k in range(n):
+        for side in order(k):
+            cpu[side].append(run(side))
+    return {**{side: {"cpu_s": summary(cpu[side])} for side in SIDES},
+            "change_ahead": {"cpu_s": ahead(cpu["base"], cpu["change"], "lower")},
+            "pairs": n}
 
 
 def counts(items: list, what: str) -> dict:
@@ -135,14 +162,10 @@ def main(argv=None) -> int:
                              for key, better in METRICS.items()},
             "pairs": n}
     for name, n in counts(args.preset, "--preset").items():
-        cpu = {side: [] for side in SIDES}
-        for k in range(n):
-            for side in order(k):
-                cpu[side].append(preset_cpu(trees[side], name))
-        record["presets"][name] = {
-            **{side: {"cpu_s": summary(cpu[side])} for side in SIDES},
-            "change_ahead": {"cpu_s": ahead(cpu["base"], cpu["change"], "lower")},
-            "pairs": n}
+        record["presets"][name] = paired_cpu(
+            n, lambda side: preset_cpu(trees[side], name))
+    record["import_cli"] = paired_cpu(IMPORT_PAIRS,
+                                      lambda side: import_cpu(trees[side]))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
