@@ -441,31 +441,46 @@ def _column_errors(name: str, path_a: str, path_b: str) -> dict:
     return errors
 
 
-def _value_error(a, b) -> float:
-    """Relative error of a manifest value a against b: analysis.relative of
-    |a - b| for numbers, the largest elementwise error for lists of one
-    length, and otherwise 0 when a == b and inf when not.  Equal values
-    (two NaNs too) differ by 0."""
+# the rule(|a - b|, |b|) of a manifest diagnostic that is not judged by
+# analysis.relative (see _value_error): deviations and errors are round-off
+# themselves where two runs agree, so they are judged by their absolute
+# difference, and a count that differs at all is inf
+DIAGNOSTIC_RULES = {
+    **dict.fromkeys(("homogeneity_final", "rel_linf_vs_asymptotic",
+                     "reality_drift", "boundary_mass_fraction"),
+                    lambda err, scale: err),
+    **dict.fromkeys(("n_peaks_final", "clamped_nodes"),
+                    lambda err, scale: math.inf),
+}
+
+
+def _value_error(a, b, rule) -> float:
+    """Error of a manifest value a against b: rule(|a - b|, |b|) for
+    numbers, the largest elementwise error for lists of one length, and
+    otherwise 0 when a == b and inf when not.  Equal values (two NaNs too)
+    differ by 0."""
     if a == b or (a != a and b != b):
         return 0.0
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return max(_value_error(x, y) for x, y in zip(a, b))
+        return max(_value_error(x, y, rule) for x, y in zip(a, b))
     if all(isinstance(v, (int, float)) and not isinstance(v, bool)
            for v in (a, b)):
-        err = analysis.relative(abs(a - b), abs(b))
+        err = rule(abs(a - b), abs(b))
         return math.inf if math.isnan(err) else err
     return math.inf
 
 
 def _diagnostics_errors(path_a: str, path_b: str) -> dict:
     """{"diagnostics.<key>": error} of two manifests over the union of
-    their diagnostics keys (see _value_error; a key one lacks is None)."""
+    their diagnostics keys, each by its DIAGNOSTIC_RULES entry or else
+    relative (see _value_error; a key one lacks is None)."""
     diag = []
     for path in (path_a, path_b):
         with open(path) as fh:
             diag.append(json.load(fh).get("diagnostics", {}))
-    return {f"diagnostics.{key}": _value_error(diag[0].get(key),
-                                               diag[1].get(key))
+    return {f"diagnostics.{key}": _value_error(
+                diag[0].get(key), diag[1].get(key),
+                DIAGNOSTIC_RULES.get(key, analysis.relative))
             for key in sorted(diag[0].keys() | diag[1].keys())}
 
 
@@ -580,8 +595,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args, solver: str = None) -> ScenarioConfig:
     """The --config file, or the defaults, with the --set overrides and the
-    command's solver (None: the configured one), validated."""
-    overrides = args.set + ([f"solver={solver}"] if solver else [])
+    command's solver (None: the configured one), validated.  The command's
+    solver replaces the file's; a --set naming another one is a
+    ConfigError."""
+    overrides = list(args.set)
+    if solver:
+        for item in args.set:
+            key, _, value = item.partition("=")
+            if key.strip() == "solver" and value.strip() != solver:
+                raise ConfigError(f"--set {item!r}: this command runs the "
+                                  f"{solver!r} solver")
+        overrides.append(f"solver={solver}")
     if args.config:
         return load_config(args.config, overrides)
     return apply_overrides(ScenarioConfig(), overrides).validate()

@@ -6,7 +6,7 @@ its density rho(t,s):
 
 The parameter domain G is a closed curve, sampled uniformly, and the
 integrals over it use the rectangle rule.  Each model function is called
-once per right-hand side, broadcast over all nodes (see ConvectionSpec).
+once per right-hand side on the array of all nodes (see ConvectionSpec).
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ class ConvectionSpec:
     (N, n) array; a result of another shape raises ValueError:
 
     a(X, t) -> growth rate, a scalar or shape (N,);
-    b(X[:, None], X[None, :]) -> influence b(X_k, X_l), shape (N, N);
+    b(X) -> influence matrix b(X_k, X_l), shape (N, N);
     V_x(X, t) -> velocity, shape (N, n);
-    W_x(X[:, None], X[None, :], t) -> nonlocal velocity W_x(X_k, X_l, t),
-    shape (N, N, n), summed against rho(X_l).
+    W_x(X, t) -> nonlocal velocity W_x(X_k, X_l, t), shape (N, N, n),
+    summed against rho(X_l).
 
     V_x and W_x default to zero.
     """
@@ -91,42 +91,32 @@ def constant_rate(a: float) -> Callable:
 
 
 def gaussian_influence(b0: float, gamma: float) -> Callable:
-    """b(x, y) = b0 exp(-|x - y|^2 / (2 gamma^2)), y vectorized over rows.
+    """b(X) = B[k, l] = b0 exp(-|X_k - X_l|^2 / (2 gamma^2)), the (N, N)
+    influence matrix of the (N, n) node array X.
 
     The squared distance is summed one coordinate at a time, in the order
     np.sum(d * d, axis=-1) adds them, without an (..., n_dim) temporary.
     Every later operation works in place on that fresh sum; dividing by
     -(2 gamma^2) rounds exactly as negating and dividing by 2 gamma^2.
 
-    The self-pair b(X[:, None, :], X[None, :, :]) of one (N, n) array X,
-    the influence matrix, is built from its upper triangle: a block of at
-    most INFLUENCE_BLOCK rows k and the columns l >= the block's first row
-    at a time, and each block's transpose fills the columns below it.  The
-    entry (l, k) is the entry (k, l) to the bit: each coordinate's
-    difference only changes sign, (x - y)^2 == (y - x)^2 exactly, and the
-    coordinates are summed in the same order.  Any other pair of arguments
-    (rows, a point pair, two different arrays) is built as written.
+    B is built from its upper triangle: a block of at most INFLUENCE_BLOCK
+    rows k and the columns l >= the block's first row at a time, and each
+    block's transpose fills the columns below it.  The entry (l, k) is the
+    entry (k, l) to the bit: each coordinate's difference only changes
+    sign, (x - y)^2 == (y - x)^2 exactly, and the coordinates are summed in
+    the same order.
 
     The returned array is the only one a call allocates, and the caller
-    owns it.  Work arrays belong to the closure and are never returned: a
-    self-pair copies X's coordinates into one contiguous (n, N) array and
-    builds its blocks in two (INFLUENCE_BLOCK, N) slabs, all allocated
-    again only when N or n changes; any other call puts each later
-    coordinate's difference into a scratch array reallocated only when the
-    shape of the result changes.  So one closure serves calls of any shape
-    in turn, but not concurrent calls from several threads.  A point pair
-    gives a numpy scalar and uses no scratch.
+    owns it.  Work arrays belong to the closure and are never returned: X's
+    coordinates copied into one contiguous (n, N) array, and two
+    (INFLUENCE_BLOCK, N) slabs for the blocks, all allocated again only
+    when N or n changes.  So one closure serves several sizes in turn, but
+    not concurrent calls from several threads.
     """
-    scratch = cols = slabs = np.empty(0)
+    cols = slabs = np.empty(0)
     scale = -(2.0 * gamma**2)
 
-    def finish(sq):
-        sq /= scale
-        np.exp(sq, out=sq)
-        sq *= b0
-        return sq
-
-    def matrix(X):
+    def b(X):
         nonlocal cols, slabs
         N, n = X.shape
         if cols.shape != (n, N):
@@ -146,46 +136,13 @@ def gaussian_influence(b0: float, gamma: float) -> Callable:
                                 out=slabs[1, :size].reshape(block))
                 d *= d
                 sq += d
-            finish(sq)
+            sq /= scale
+            np.exp(sq, out=sq)
+            sq *= b0
             B[i:j, i:] = sq
             B[j:, i:j] = sq[:, j - i:].T
         return B
-
-    def b(x, y):
-        nonlocal scratch
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        X = _self_pair(x, y)
-        if X is not None:
-            return matrix(X)
-        sq = y[..., 0] - x[..., 0]
-        sq *= sq
-        pair = np.ndim(sq) == 0  # numpy scalars, not arrays
-        if not pair and y.shape[-1] > 1 and scratch.shape != sq.shape:
-            scratch = np.empty(sq.shape)
-        for k in range(1, y.shape[-1]):
-            if pair:
-                d = y[..., k] - x[..., k]
-            else:
-                d = np.subtract(y[..., k], x[..., k], out=scratch)
-            d *= d
-            sq += d
-        if pair:
-            return b0 * np.exp(sq / scale)
-        return finish(sq)
     return b
-
-
-def _self_pair(x: np.ndarray, y: np.ndarray):
-    """The (N, n) array X when x and y are its views X[:, None, :] and
-    X[None, :, :] (one data pointer, matching strides), else None."""
-    if (x.ndim == 3 and x.shape[1] == 1
-            and y.shape == (1, x.shape[0], x.shape[2])
-            and x.strides[::2] == y.strides[1:]
-            and x.__array_interface__["data"][0]
-            == y.__array_interface__["data"][0]):
-        return x[:, 0, :]
-    return None
 
 
 def linear_drag(k0: float) -> Callable:
@@ -210,8 +167,7 @@ def _evaluate(name: str, shapes, f: Callable, *args) -> np.ndarray:
 
 def _influence_matrix(spec: ConvectionSpec, X: np.ndarray) -> np.ndarray:
     """B[k, l] = b(X_k, X_l)."""
-    return _evaluate("b", [(len(X), len(X))], spec.b, X[:, None, :],
-                     X[None, :, :])
+    return _evaluate("b", [(len(X), len(X))], spec.b, X)
 
 
 def ee_rhs(state: ManifoldState, spec: ConvectionSpec):
@@ -239,8 +195,7 @@ def _rhs(spec: ConvectionSpec, w: np.ndarray, X: np.ndarray, rho: np.ndarray,
     if spec.V_x is not None:
         X_dot += _evaluate("V_x", [X.shape], spec.V_x, X, t)
     if spec.W_x is not None:
-        W = _evaluate("W_x", [(n,) + X.shape], spec.W_x, X[:, None, :],
-                      X[None, :, :], t)
+        W = _evaluate("W_x", [(n,) + X.shape], spec.W_x, X, t)
         X_dot += spec.kappa * np.einsum("l,kld->kd", mass, W)
     return y_dot
 

@@ -228,21 +228,19 @@ def run2d_oracle(field, kern, a: float, kappa: float, dt: float,
 
 
 def gaussian_influence_oracle(b0: float, gamma: float):
-    """manifold.gaussian_influence with a fresh array for each coordinate's
-    difference: the same operations in the same order, so its bits are the
-    reference for the closure's scratch array."""
-    def b(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    """manifold.gaussian_influence over the full broadcast X_l - X_k, with
+    a fresh array for each coordinate's difference: the same operations in
+    the same order, so its bits are the reference for the closure's
+    upper-triangle block build and its work arrays."""
+    def b(X):
+        x, y = X[:, None, :], X[None, :, :]
         sq = y[..., 0] - x[..., 0]
         sq *= sq
-        for k in range(1, y.shape[-1]):
+        for k in range(1, X.shape[-1]):
             d = y[..., k] - x[..., k]
             d *= d
             sq += d
         sq /= -(2.0 * gamma**2)
-        if np.ndim(sq) == 0:
-            return b0 * np.exp(sq)
         np.exp(sq, out=sq)
         sq *= b0
         return sq

@@ -189,6 +189,26 @@ class TestCliEntry:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_set_solver_conflicting_with_command_rejected(self, tmp_path,
+                                                          capsys):
+        # the command names the solver: a --set naming another one used to
+        # be overridden in silence, and the exact solver ran
+        out = tmp_path / "run"
+        rc = cli.main(["exact", "--set", "solver=grid",
+                       "--set", "numerics.t_end=1", "--outdir", str(out)])
+        assert rc == 2
+        assert ("configuration error: --set 'solver=grid': this command runs "
+                "the 'exact' solver" in capsys.readouterr().err)
+        assert not out.exists()
+        # a --config file's solver line still yields to the command
+        path = tmp_path / "run.cfg"
+        path.write_text("solver = grid\n")
+        assert cli.main(["exact", "--config", str(path),
+                         "--set", " solver = exact", "--set", "numerics.t_end=1",
+                         "--outdir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["solver"] == "exact"
+
     def test_exit_two_on_validation_error(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--set", "model.a=-1",
                        "--outdir", str(tmp_path)])
@@ -402,11 +422,17 @@ class TestCliEntry:
         assert 0 < mass < 1e-15
 
     def test_compare_diffs_manifest_diagnostics(self, tmp_path, capsys):
+        # fig5b's round-off deviations read 0.96 and 0.12 relative to
+        # themselves; they and the counts are judged by their difference
         diagnostics = [
             {"mass": 2.0, "moment": [1.0, -4.0], "limit": None, "kind": "x",
-             "steady": math.nan, "only_a": 1.0},
+             "steady": math.nan, "only_a": 1.0, "homogeneity_final": 6.2e-15,
+             "rel_linf_vs_asymptotic": 1.079e-14, "n_peaks_final": 2,
+             "clamped_nodes": 3},
             {"mass": 2.0 + 1e-6, "moment": [1.0, -4.0 + 2e-2], "limit": None,
-             "kind": "y", "steady": math.nan},
+             "kind": "y", "steady": math.nan, "homogeneity_final": 2.6e-16,
+             "rel_linf_vs_asymptotic": 9.487e-15, "n_peaks_final": 3,
+             "clamped_nodes": 3},
         ]
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d, diag in zip(dirs, diagnostics):
@@ -421,17 +447,26 @@ class TestCliEntry:
                 "diagnostics.kind": math.inf, "diagnostics.limit": 0.0,
                 "diagnostics.mass": pytest.approx(1e-6 / (2.0 + 1e-6)),
                 "diagnostics.moment": pytest.approx(2e-2 / (4.0 - 2e-2)),
-                "diagnostics.only_a": math.inf, "diagnostics.steady": 0.0}
-        capsys.readouterr()
-        assert cli.main(["compare", *map(str, dirs), "--tol-linf",
-                         "1e-3"]) == 1
-        out = capsys.readouterr().out.splitlines()
-        failed = sorted(line.split(":")[0] + ":" + line.split(":")[1]
-                        for line in out if line.endswith("FAIL"))
-        assert failed == sorted(
-            f"{name}:diagnostics.{key}"
-            for name in ("manifest.json", os.path.join("D_0", "manifest.json"))
-            for key in ("kind", "moment", "only_a"))
+                "diagnostics.only_a": math.inf, "diagnostics.steady": 0.0,
+                "diagnostics.homogeneity_final": pytest.approx(5.94e-15),
+                "diagnostics.rel_linf_vs_asymptotic":
+                    pytest.approx(1.303e-15),
+                "diagnostics.n_peaks_final": math.inf,
+                "diagnostics.clamped_nodes": 0.0}
+        # a count that differs fails any tolerance
+        for tol, keys in (("1e-3", ("kind", "moment", "only_a",
+                                    "n_peaks_final")),
+                          ("1e300", ("kind", "only_a", "n_peaks_final"))):
+            capsys.readouterr()
+            assert cli.main(["compare", *map(str, dirs), "--tol-linf",
+                             tol]) == 1
+            out = capsys.readouterr().out.splitlines()
+            failed = sorted(line.split(":")[0] + ":" + line.split(":")[1]
+                            for line in out if line.endswith("FAIL"))
+            assert failed == sorted(
+                f"{name}:diagnostics.{key}" for name in
+                ("manifest.json", os.path.join("D_0", "manifest.json"))
+                for key in keys)
         assert "manifest.json:diagnostics.mass: rel_linf=5.000e-07  PASS" \
             in out
 

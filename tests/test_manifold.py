@@ -16,8 +16,8 @@ def bump(s):
     return 1.0 / SQRT_TWO_PI + 0.1 * np.exp(-np.asarray(s) ** 2 / 0.6)
 
 
-def zero_influence(x, y):
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])
+def zero_influence(X):
+    return np.zeros((len(X), len(X)))
 
 
 def history(rec, n=64):
@@ -60,13 +60,13 @@ class TestEeRhs:
         np.testing.assert_allclose(X_dot, -0.03 * circle.X, rtol=1e-14)
 
     def test_nonlocal_velocity_contracts_uniform_circle(self):
-        # W_x(x, y) = y - x sums to m (xbar - X_k); the uniform circle's
-        # centroid xbar is 0 to rounding, so X_dot = -kappa m X
+        # W_x(X_k, X_l) = X_l - X_k sums to m (xbar - X_k); the uniform
+        # circle's centroid xbar is 0 to rounding, so X_dot = -kappa m X
         state = manifold.circle_state(1.3, 64, lambda s: np.full_like(s, 0.7))
         spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
                                        b=manifold.gaussian_influence(1.0, 1.0),
                                        kappa=0.2,
-                                       W_x=lambda x, y, t: y - x)
+                                       W_x=lambda X, t: X - X[:, None])
         _, X_dot = manifold.ee_rhs(state, spec)
         m = float(np.sum(state.weights() * state.rho))
         assert m == pytest.approx(2.0 * math.pi * 0.7, rel=1e-14)
@@ -80,12 +80,11 @@ class TestEeRhs:
             manifold.ee_rhs(circle, spec)
 
 
-def nonlocal_velocity_by_node(spec, state):
+def nonlocal_velocity_by_node(w, kappa, state):
     """Oracle for the W_x term of ee_rhs: kappa sum_l w_l rho_l
-    W_x(X_k, X_l, t), one node k at a time."""
+    w(X_k, X_l, t), one node k at a time, of the pairwise velocity w."""
     mass = state.weights() * state.rho
-    return np.array([spec.kappa * mass @ spec.W_x(x, state.X, state.t)
-                     for x in state.X])
+    return np.array([kappa * mass @ w(x, state.X, state.t) for x in state.X])
 
 
 class TestModelFunctionContract:
@@ -96,24 +95,25 @@ class TestModelFunctionContract:
         X += 0.02 * rng.standard_normal(X.shape)
         state = manifold.ManifoldState(s, X, rng.random(48), 0.3)
 
-        def W_x(x, y, t):
+        def w(x, y, t):
             d = y - x
             return (1.0 + t) * d * np.exp(-np.sum(d * d, axis=-1))[..., None]
 
         spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
-                                       b=zero_influence, kappa=0.2, W_x=W_x)
+                                       b=zero_influence, kappa=0.2,
+                                       W_x=lambda X, t: w(X[:, None], X, t))
         _, X_dot = manifold.ee_rhs(state, spec)
-        expected = nonlocal_velocity_by_node(spec, state)
+        expected = nonlocal_velocity_by_node(w, 0.2, state)
         assert np.max(np.abs(X_dot - expected)) <= \
             1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("name, model", [
         ("a", dict(a=lambda x, t: np.ones((len(x), 1)))),
-        # b written for one node against all: a row, not the (N, N) matrix
-        ("b", dict(b=lambda x, y: np.exp(-np.sum((y - x) ** 2, axis=1)))),
+        # b written for one node at a time: shape (N,), not the matrix
+        ("b", dict(b=lambda X: np.exp(-np.sum(X ** 2, axis=1)))),
         ("V_x", dict(V_x=lambda x, t: -x[:, :1])),
         # W_x summed over the source nodes already
-        ("W_x", dict(W_x=lambda x, y, t: np.sum(y - x, axis=1))),
+        ("W_x", dict(W_x=lambda X, t: np.sum(X - X[:, None], axis=1))),
     ])
     def test_wrong_shape_rejected(self, circle, static_spec, name, model):
         spec = dataclasses.replace(static_spec, **model)
@@ -131,10 +131,7 @@ class TestGaussianInfluence:
         b = manifold.gaussian_influence(b0, gamma)
         d = X[None, :, :] - X[:, None, :]
         expected = b0 * np.exp(-np.sum(d * d, axis=-1) / (2.0 * gamma**2))
-        assert np.array_equal(b(X[:, None, :], X[None, :, :]), expected)
-        assert np.array_equal(b(X[5], X), expected[5])
-        pair = b(X[5], X[7])  # a point pair gives a scalar
-        assert np.ndim(pair) == 0 and pair == expected[5, 7]
+        assert np.array_equal(b(X), expected)
 
     def test_drag_run_matches_allocating_oracle(self, circle):
         # linear drag moves X in every RK4 stage, so B is rebuilt each time
@@ -148,54 +145,31 @@ class TestGaussianInfluence:
         assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("n_dim", [2, 3])
-    def test_results_never_alias_the_scratch(self, n_dim):
+    def test_results_never_alias_each_other(self, n_dim):
         rng = np.random.default_rng(41 + n_dim)
         b = manifold.gaussian_influence(1.3, 0.7)
         oracle = gaussian_influence_oracle(1.3, 0.7)
         X, Y = rng.standard_normal((2, 64, n_dim))
-        first = b(X[:, None, :], X[None, :, :])
+        first = b(X)
         kept = first.copy()
-        second = b(Y[:, None, :], Y[None, :, :])
+        second = b(Y)
         assert np.array_equal(bits(first), bits(kept))  # not overwritten
         assert not np.shares_memory(first, second)
-        assert np.array_equal(bits(second),
-                              bits(oracle(Y[:, None, :], Y[None, :, :])))
-        pair = b(X[5], X[7])
-        assert np.ndim(pair) == 0
-        assert bits(pair) == bits(oracle(X[5], X[7]))
+        assert np.array_equal(bits(second), bits(oracle(Y)))
 
     @pytest.mark.parametrize("block", [64, 7, 1])
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [5, 64, 100, 257])
     def test_upper_triangle_build_equals_full_build(self, monkeypatch, n,
                                                     n_dim, block):
-        # the self-pair is built from row blocks of its upper triangle; other
-        # pairs of arrays, overlapping views among them, take the general path
+        # B is built from row blocks of its upper triangle
         monkeypatch.setattr(manifold, "INFLUENCE_BLOCK", block)
         rng = np.random.default_rng(100 * n + n_dim)
-        X, Y = rng.standard_normal((2, n, n_dim))
-        b = manifold.gaussian_influence(1.3, 0.7)
-        oracle = gaussian_influence_oracle(1.3, 0.7)
-        for x, y in [(X[:, None, :], X[None, :, :]),
-                     (X[:, None, :], Y[None, :, :]),
-                     (X[1:, None, :], X[None, :-1, :]),
-                     (X[::-1, None, :], X[None, ::-1, :])]:
-            got = b(x, y)
-            assert np.array_equal(bits(got), bits(oracle(x, y)))
-        B = b(X[:, None, :], X[None, :, :])
+        X = rng.standard_normal((n, n_dim))
+        B = manifold.gaussian_influence(1.3, 0.7)(X)
+        assert np.array_equal(bits(B),
+                              bits(gaussian_influence_oracle(1.3, 0.7)(X)))
         assert np.array_equal(bits(B), bits(B.T))
-
-    def test_self_pair_recognised_by_pointer_and_strides(self):
-        X = np.random.default_rng(47).standard_normal((6, 2))
-        assert manifold._self_pair(X[:, None, :], X[None, :, :]) is not None
-        assert np.array_equal(manifold._self_pair(X[::2, None, :],
-                                                  X[None, ::2, :]), X[::2])
-        for x, y in [(X[:, None, :], X.copy()[None, :, :]),
-                     (X[1:, None, :], X[None, :-1, :]),
-                     (X[:-1, None, :], X[None, 1:, :]),
-                     (X[:, None, :], X[None, ::-1, :]),
-                     (X[5], X)]:
-            assert manifold._self_pair(x, y) is None
 
     def test_one_closure_serves_two_sizes(self):
         rng = np.random.default_rng(43)
@@ -203,10 +177,9 @@ class TestGaussianInfluence:
         oracle = gaussian_influence_oracle(1.3, 0.7)
         for n in (64, 32, 64, 5):
             X = rng.standard_normal((n, 2))
-            got = b(X[:, None, :], X[None, :, :])
+            got = b(X)
             assert got.shape == (n, n)
-            assert np.array_equal(bits(got),
-                                  bits(oracle(X[:, None, :], X[None, :, :])))
+            assert np.array_equal(bits(got), bits(oracle(X)))
 
 
 class TestIntegrate:
@@ -330,9 +303,9 @@ class TestInfluenceReuse:
         inner = manifold.gaussian_influence(1.0, 1.0)
         calls = []
 
-        def b(x, y):
+        def b(X):
             calls.append(1)
-            return inner(x, y)
+            return inner(X)
 
         manifold.integrate(circle, self.spec(drag, b), 0.5, 0.05)
         assert len(calls) == calls_per_run

@@ -15,7 +15,8 @@ fresh ``python -m nlfkpp.cli preset NAME`` process whose CPU time (user +
 system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every
 record also holds the process CPU time of ``import nlfkpp.cli``, read by
 ``time.process_time`` inside a fresh interpreter, in IMPORT_PAIRS alternating
-pairs.  Every process runs with ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS
+pairs, and ``src_lines``, the line count of ``src/nlfkpp/**/*.py`` in each
+tree.  Every process runs with ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS
 thread.
 
 For each workload and side the record holds, per metric, the median, the
@@ -75,6 +76,11 @@ def import_cpu(tree: Path) -> float:
                          env=child_env(tree), capture_output=True, text=True,
                          check=True)
     return float(out.stdout)
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in (tree / "src" / "nlfkpp").rglob("*.py"))
 
 
 def order(k: int) -> tuple:
@@ -144,7 +150,9 @@ def main(argv=None) -> int:
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     record = {"labels": {"base": args.base_label, "change": args.change_label},
               "machine": machine(), "seconds": args.seconds, "seed": args.seed,
-              "better": METRICS, "workloads": {}, "presets": {}}
+              "better": METRICS,
+              "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+              "workloads": {}, "presets": {}}
     for name, n in counts(args.pairs, "--pairs").items():
         runs = {side: [] for side in SIDES}
         for k in range(n):
