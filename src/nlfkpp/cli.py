@@ -230,6 +230,7 @@ def run_manifold(cfg: ScenarioConfig, path) -> dict:
     rho, X = manifold.unpack(rec.y, cfg.N)
     diag = _final_diagnostics(analysis.diagnose(rho, state0.s[1] - state0.s[0]))
     diag["radius_final"] = float(np.mean(np.linalg.norm(X, axis=1)))
+    diag["clamped_nodes"] = int(rec.clamped[0])
     return {"csv": ["trajectory.csv"], "diagnostics": diag}
 
 
@@ -245,7 +246,8 @@ def run_planar2d(cfg: ScenarioConfig, path) -> dict:
     write_csv(path("extraction.csv"), ["s", "rho"], [s, rho])
     m, xbar = planar.moments(field)
     diag = {"mass": m, "first_moment": list(xbar),
-            "boundary_mass_fraction": planar.boundary_mass_fraction(field)}
+            "boundary_mass_fraction": planar.boundary_mass_fraction(field),
+            "clamped_nodes": int(rec.clamped[0])}
     return {"csv": ["field.csv", "extraction.csv"], "diagnostics": diag}
 
 

@@ -34,6 +34,8 @@ _DIGIT = [4 * (p // 3) + p % 3 for p in range(1, 18)]
 _ZERO, _NUL, _EXP, _POINT, _E, _END, _SIGN = 0, 3, 24, 28, 29, 30, 31
 # the longest word: 17 digits, ".", "e-308" and the end byte
 _WIDTH = 24
+# rows per block of write_csv, to bound its buffers
+BLOCK = 4096
 
 
 def fmt(value) -> str:
@@ -132,65 +134,72 @@ def _digit_words(a, end):
     index = layout[17 * cls + k - 1]
     index += 32 * np.arange(n)[:, None]
     out = rows.view(np.uint8).reshape(-1)[index]
-    return out.view(f"S{_WIDTH}").ravel().tolist(), np.flatnonzero(~ok)
+    return out.view(f"S{_WIDTH}").ravel(), np.flatnonzero(~ok)
 
 
 def _float_words(values, end):
     """The %.17g word plus end of each sorted distinct magnitude of a
-    float column: from _digit_words when there are at least VECTOR_MIN,
-    with format for 0, inf, NaN and every undecided value; else from
-    format alone."""
+    float column, one NUL-padded bytes array: from _digit_words when there
+    are at least VECTOR_MIN, with format for 0, inf, NaN and every
+    undecided value; else from format alone (b"%.17g" % v, as format)."""
+    tpl = b"%.17g" + end.encode()
     if len(values) < VECTOR_MIN:
-        return [(format(v, ".17g") + end).encode() for v in values.tolist()]
+        return np.array([tpl % v for v in values.tolist()], dtype="S")
     lo = int(np.searchsorted(values, 0.0, side="right"))
     hi = int(np.searchsorted(values, np.inf))
     undecided = [*range(lo), *range(hi, len(values))]
-    words = [None] * len(values)
+    words = np.empty(len(values), dtype=f"S{_WIDTH}")
     for c in range(lo, hi, CHUNK):
         stop = min(c + CHUNK, hi)
         words[c:stop], left = _digit_words(values[c:stop], end)
         undecided += (left + c).tolist()
-    for i in undecided:
-        words[i] = (format(float(values[i]), ".17g") + end).encode()
+    words[undecided] = [tpl % v for v in values[undecided].tolist()]
     return words
 
 
 def _words(col, end=""):
-    """(words, index): the fmt bytes of each distinct value of a column
-    once, followed by end, and the index array of each cell's word.  A
-    float's word is its magnitude's, with "-" for a set sign bit (not on a
-    NaN, as fmt)."""
+    """(words, index, negative): the fmt bytes plus end of each distinct
+    magnitude of a column once, one NUL-padded bytes array; each cell's
+    word index; and whether each cell takes "-", None when none does: a
+    float with a set sign bit does (not a NaN, as fmt)."""
     col = np.asarray(col)
     if col.dtype.kind != "f":
         values, index = np.unique(col, return_inverse=True)
-        return [(fmt(v) + end).encode() for v in values], index
+        tpl = b"%d" + end.encode()
+        return (np.array([tpl % v for v in values.tolist()], dtype="S"),
+                index, None)
     values, index = np.unique(np.abs(col), return_inverse=True)
     words = _float_words(values.astype(np.float64, copy=False), end)
     negative = np.signbit(col) & ~np.isnan(col)
-    if negative.any():
-        index = index + len(words) * negative
-        words += [b"-" + w for w in words]
-    return words, index
+    return words, index, negative if negative.any() else None
 
 
 def write_csv(path, header, columns) -> None:
-    """Columns of numbers, written by fmt, 1024 rows per write: no
-    whole-file string."""
+    """Columns of numbers, written by fmt from one (rows, width) byte
+    block per BLOCK rows, no Python object per cell: each column's slice is
+    a sign byte ("-" or NUL) if it has a negative cell, then its words by
+    np.take; the block is written without its NUL bytes."""
     ends = [","] * (len(columns) - 1) + ["\n"]
     parts = [_words(c, end) for c, end in zip(columns, ends)]
     n = len(parts[0][1])
-    if any(len(index) != n for _, index in parts):
+    if any(len(index) != n for _, index, _ in parts):
         raise ValueError("all columns must have equal length")
-    # one table of all columns' words; cells[r, k] is row r's entry of col k
-    table, cells = [], np.empty((n, len(parts)), dtype=np.intp)
-    for k, (words, index) in enumerate(parts):
-        np.add(index, len(table), out=cells[:, k])
-        table += words
+    width = sum(w.itemsize + (neg is not None) for w, _, neg in parts)
+    block = np.empty((min(n, BLOCK), width), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for r in range(0, n, 1024):
-            rows = cells[r:r + 1024].ravel().tolist()
-            fh.write(b"".join([table[i] for i in rows]))
+        for r in range(0, n, BLOCK):
+            rows, k = block[:n - r], 0
+            for words, index, negative in parts:
+                if negative is not None:
+                    np.multiply(negative[r:r + BLOCK], ord("-"),
+                                out=rows[:, k], dtype=np.uint8)
+                    k += 1
+                w = words.itemsize
+                np.take(words.view((np.uint8, w)), index[r:r + BLOCK], 0,
+                        rows[:, k:k + w], "clip")
+                k += w
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def read_csv(path):

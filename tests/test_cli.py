@@ -138,6 +138,24 @@ class TestRunners:
         assert header == ["t", "j", "re_beta", "im_beta"]
         assert set(np.unique(cols[1])) == set(range(-6, 7))
 
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(solver="manifold", N=32, t_end=0.1, dt=0.05),
+        ScenarioConfig(solver="planar2d", n2d=32, N=32, t_end=0.01,
+                       dt=0.002, D=0.001)], ids=["manifold", "planar2d"])
+    def test_density_runners_report_clamped_nodes(self, tmp_path,
+                                                  monkeypatch, cfg):
+        # the manifest holds the record's clamp count of the one run
+        march = stepping.march
+
+        def clamping(*args, **kwargs):
+            rec = march(*args, **kwargs)
+            return dataclasses.replace(rec, clamped=rec.clamped + 4)
+
+        monkeypatch.setattr(stepping, "march", clamping)
+        cli.run_scenario(cfg, str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["diagnostics"]["clamped_nodes"] == 4
+
     def test_csv_floats_roundtrip(self, tmp_path):
         cfg = ScenarioConfig(solver="exact", t_end=1.0, dt=0.1)
         cli.run_scenario(cfg, str(tmp_path))

@@ -48,12 +48,17 @@ def test_words_are_per_cell_fmt_formatted_once(col):
     for cutoff in (csvio.VECTOR_MIN, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "VECTOR_MIN", cutoff)
-            words, index = csvio._words(col)
-        text = [words[i] for i in index.tolist()]
+            words, index, negative = csvio._words(col)
+        assert words.dtype.kind == "S"
+        signs = [False] * len(col) if negative is None else negative.tolist()
+        assert negative is None or any(signs)
+        text = [b"-" * sign + words[i]
+                for sign, i in zip(signs, index.tolist())]
         assert text == [csvio.fmt(v).encode() for v in col]
-        # equal cells share one bytes object: each distinct value was
-        # formatted once
-        assert len({id(word) for word in text}) == len(set(text))
+        # one word per distinct magnitude, so each was formatted once; a
+        # word holds no NUL byte, which pads it alone
+        assert len(set(words.tolist())) == len(words)
+        assert all(b"\0" not in word for word in words.tolist())
 
 
 @settings(max_examples=50, deadline=None)
@@ -154,3 +159,30 @@ def test_write_csv_rows_past_one_block(tmp_path):
         f"{i},{csvio.fmt(cols[1][i])},{csvio.fmt(cols[2][i])}\n"
         for i in range(n))
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("n", [csvio.BLOCK + 1, 2 * csvio.BLOCK,
+                               2 * csvio.BLOCK + 3])
+def test_write_csv_block_seams(tmp_path, n):
+    # rows across the seams of BLOCK-row blocks, with words of three widths
+    # in one file (integers, format words, digit-path words) and negatives
+    # only in the second block or only in the last rows (an integer's sign
+    # is part of its word)
+    rng = np.random.default_rng(n)
+    block = np.arange(n) // csvio.BLOCK
+    cols = [np.arange(n) - 3 * (block == 1),
+            np.where(block == 1, -1.0, 1.0) * rng.integers(0, 50, n) / 8,
+            rng.random(n) * np.where(np.arange(n) >= n - 2, -1e-7, 1e5)]
+    assert len({csvio._words(c)[0].itemsize for c in cols}) == 3
+    assert [csvio._words(c)[2] is None for c in cols] == [True, False, False]
+    path = tmp_path / "seams.csv"
+    csvio.write_csv(path, ["i", "x", "y"], cols)
+    expected = "i,x,y\n" + "".join(
+        ",".join(csvio.fmt(c[i]) for c in cols) + "\n" for i in range(n))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_zero_rows_write_the_header_alone(tmp_path):
+    path = tmp_path / "empty.csv"
+    csvio.write_csv(path, ["i", "x"], [np.array([], dtype=np.int64), []])
+    assert path.read_bytes() == b"i,x\n"

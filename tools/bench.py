@@ -3,7 +3,7 @@ process CPU, measured on a base tree and a change tree in alternating pairs.
 
     python tools/bench.py --base BASE_DIR --change CHANGE_DIR \\
         --pairs manifold_drag=10 --pairs circle_grid=3 --seconds 30 \\
-        --preset fig7=3 --out BENCH_21.json
+        --preset fig7=3 --tier1 3 --out BENCH_24.json
 
 BASE_DIR and CHANGE_DIR are checkouts (copies made with ``git archive`` keep
 stale ``__pycache__`` out).  Pair k runs both trees, the base tree first when
@@ -16,8 +16,10 @@ system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every
 record also holds the process CPU time of ``import nlfkpp.cli``, read by
 ``time.process_time`` inside a fresh interpreter, in IMPORT_PAIRS alternating
 pairs, and ``src_lines``, the line count of ``src/nlfkpp/**/*.py`` in each
-tree.  Every process runs with ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS
-thread.
+tree.  ``--tier1 PAIRS`` also records the wall time of the tier-1 test
+command (TIER1, run from the tree's root with its ``src`` on the path) in
+PAIRS alternating pairs, with each run's exit code.  Every process runs with
+``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread.
 
 For each workload and side the record holds, per metric, the median, the
 interquartile range and the number of runs, every value in run order, and
@@ -35,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 METRICS = {"cpu_s": "lower", "setup_s": "lower", "steps_per_cpu_s": "higher",
@@ -43,6 +46,7 @@ SIDES = ("base", "change")
 IMPORT_PAIRS = 10
 IMPORT_CLI = ("import time; start = time.process_time(); import nlfkpp.cli; "
               "print(time.process_time() - start)")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def child_env(tree: Path) -> dict:
@@ -76,6 +80,16 @@ def import_cpu(tree: Path) -> float:
                          env=child_env(tree), capture_output=True, text=True,
                          check=True)
     return float(out.stdout)
+
+
+def tier1_wall(tree: Path, codes: list) -> float:
+    """Wall time of one tier-1 run; its exit code is appended to codes."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree,
+                          env=child_env(tree), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    codes.append(done.returncode)
+    return time.perf_counter() - start
 
 
 def src_lines(tree: Path) -> int:
@@ -112,14 +126,15 @@ def machine() -> dict:
             "platform": platform.platform(), "machine": platform.machine()}
 
 
-def paired_cpu(n: int, run) -> dict:
-    """run(side), a CPU time, over n alternating pairs, summarised per side."""
-    cpu = {side: [] for side in SIDES}
+def paired(n: int, run, key: str = "cpu_s") -> dict:
+    """run(side), a time named key, over n alternating pairs, summarised
+    per side."""
+    times = {side: [] for side in SIDES}
     for k in range(n):
         for side in order(k):
-            cpu[side].append(run(side))
-    return {**{side: {"cpu_s": summary(cpu[side])} for side in SIDES},
-            "change_ahead": {"cpu_s": ahead(cpu["base"], cpu["change"], "lower")},
+            times[side].append(run(side))
+    return {**{side: {key: summary(times[side])} for side in SIDES},
+            "change_ahead": {key: ahead(times["base"], times["change"], "lower")},
             "pairs": n}
 
 
@@ -143,6 +158,8 @@ def main(argv=None) -> int:
                         help="WORKLOAD=PAIRS, repeatable")
     parser.add_argument("--preset", action="append", default=[],
                         help="PRESET=PAIRS, repeatable")
+    parser.add_argument("--tier1", type=int, default=0, metavar="PAIRS",
+                        help="pairs of tier-1 test runs (0: none)")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
@@ -170,10 +187,17 @@ def main(argv=None) -> int:
                              for key, better in METRICS.items()},
             "pairs": n}
     for name, n in counts(args.preset, "--preset").items():
-        record["presets"][name] = paired_cpu(
+        record["presets"][name] = paired(
             n, lambda side: preset_cpu(trees[side], name))
-    record["import_cli"] = paired_cpu(IMPORT_PAIRS,
-                                      lambda side: import_cpu(trees[side]))
+    record["import_cli"] = paired(IMPORT_PAIRS,
+                                  lambda side: import_cpu(trees[side]))
+    if args.tier1 > 0:
+        codes = {side: [] for side in SIDES}
+        record["tier1"] = paired(
+            args.tier1, lambda side: tier1_wall(trees[side], codes[side]),
+            "wall_s")
+        for side in SIDES:
+            record["tier1"][side]["exit_codes"] = codes[side]
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
