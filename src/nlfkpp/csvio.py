@@ -195,6 +195,7 @@ def write_csv(path, header, columns) -> None:
                     np.multiply(negative[r:r + BLOCK], ord("-"),
                                 out=rows[:, k], dtype=np.uint8)
                     k += 1
+                # "clip": the indices are in range, and "raise" buffers out
                 w = words.itemsize
                 np.take(words.view((np.uint8, w)), index[r:r + BLOCK], 0,
                         rows[:, k:k + w], "clip")
