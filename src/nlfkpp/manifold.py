@@ -49,9 +49,11 @@ class ManifoldState:
             raise ValueError("parameter sampling s must be increasing and "
                              "uniform: the rectangle rule gives every node "
                              "the first spacing")
-        # the closing gap X[-1] -> X[0] included
+        # the closing gap X[-1] -> X[0] included; np.median's value for
+        # finite gaps, without its first call's import of numpy.ma
         gaps = np.linalg.norm(self.X - np.roll(self.X, 1, axis=0), axis=1)
-        med = float(np.median(gaps))
+        g = np.sort(gaps)
+        med = float(0.5 * (g[(n - 1) // 2] + g[n // 2]))
         if med > 0 and float(np.max(gaps)) > 4.0 * med:
             raise ValueError(
                 "manifold sampling is discontinuous: largest adjacent gap "

@@ -92,7 +92,8 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
     """Advance y by steps of dt from time t0 to t_end.
 
     dt <= 0, t_end < t0 and a span t_end - t0 that is not a whole number of
-    steps raise ConfigError.
+    steps raise ConfigError.  An initial y holding a NaN or an infinity
+    raises ValueError.
 
     euler is y + dt rhs(y, t); rk4 the classical four stages at t, t + dt/2,
     t + dt/2 and t + dt; imex is the solver's whole step step(y, t,
@@ -131,6 +132,9 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     n_steps = whole_steps(t_end, dt, "t_end - t0", t0)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state is not finite: "
+                         f"max|y| = {np.max(np.abs(y))}")
     top, clamped, partial = None, 0, True
     if density is not None:
         d = density(y)

@@ -916,22 +916,64 @@ class TestTypedParser:
         assert not outdir.exists()
 
 
+def fresh_python(code: str, *args: str) -> str:
+    """The standard output of code run with args in a fresh interpreter
+    that imports this nlfkpp: pytest itself may have loaded what code looks
+    for."""
+    import nlfkpp
+
+    src = os.path.dirname(os.path.dirname(nlfkpp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# every solver command, each at a short t_end
+SOLVER_RUNS = [
+    ["exact", "--set", "numerics.t_end=0.1"],
+    ["spectral", "--set", "numerics.t_end=0.1"],
+    ["sweep", "--set", "solver=grid", "--set", "numerics.scheme=imex",
+     "--set", "numerics.t_end=0.1", "--axis", "model.D",
+     "--values", "0.01,0.1"],
+    ["asymptotic", "--set", "initial.kind=gaussian_bump",
+     "--set", "numerics.t_end=0.1"],
+    ["preset", "fig7", "--set", "numerics.t_end=0.1"],
+    ["planar2d", "--set", "numerics.n2d=32", "--set", "numerics.t_end=0.02"],
+]
+
+# runs the commands of argv[1] (JSON) into argv[2]; prints their exit codes
+# and the numpy.ma and scipy modules loaded by then
+RUN_AND_LIST_MODULES = """
+import json, os, sys
+from nlfkpp import cli
+runs, outdir = json.loads(sys.argv[1]), sys.argv[2]
+codes = [cli.main(argv + ["--outdir", os.path.join(outdir, str(i))])
+         for i, argv in enumerate(runs)]
+print(json.dumps([codes, sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] == ["numpy", "ma"] or m.split(".")[0] == "scipy")]))
+"""
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy_signal(self):
         import nlfkpp
 
-        src = os.path.dirname(os.path.dirname(nlfkpp.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, nlfkpp.cli; print(nlfkpp.cli.__file__); "
-             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
-            env=env, capture_output=True, text=True, check=True)
-        path, loaded = out.stdout.split()
+        path, loaded = fresh_python(
+            "import sys, nlfkpp.cli; print(nlfkpp.cli.__file__); "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        ).split()
         assert os.path.dirname(path) == os.path.dirname(nlfkpp.__file__)
         assert loaded == "False"
+
+    def test_solver_commands_load_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # np.median, for one, imports numpy.ma on its first call
+        codes, loaded = json.loads(fresh_python(
+            RUN_AND_LIST_MODULES, json.dumps(SOLVER_RUNS), str(tmp_path)))
+        assert codes == [0] * len(SOLVER_RUNS)
+        assert loaded == []
 
 
 class TestCsvWriting:

@@ -493,3 +493,36 @@ class TestMovingManifoldReference:
         orders = [richardson_order(coarse, fine, 2.0)
                   for coarse, fine in zip(errors, errors[1:])]
         assert all(3.8 <= p <= 4.2 for p in orders), (errors, orders)
+
+
+class TestRk4Modes:
+    """On a static circle (no velocity) the influence matrix B is
+    circulant, so about the uniform steady state
+    rho* = a / (kappa sum_l B[0, l] w) a small mode cos(j s) relaxes at
+    sigma_j = -kappa rho* w Re rfft(B[0])[j]: the rectangle-rule coupling's
+    eigenvalue, with the reaction a cancelled by the l = 0 sum.  Each RK4
+    step multiplies its amplitude by R(sigma_j dt), R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24."""
+
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    def test_mode_amplitude_ratio(self, j):
+        # gamma = 0.3 keeps mode 8's relaxation visible over the run, and
+        # dt = 0.25 tells R^k from exp(k z) by up to 9e-5 relative
+        N, a, kappa, dt, k = 64, 1.0, 0.5, 0.25, 12
+        spec = manifold.ConvectionSpec(a=manifold.constant_rate(a),
+                                       b=manifold.gaussian_influence(1.0, 0.3),
+                                       kappa=kappa)
+        circle = manifold.circle_state(1.0, N, np.ones_like)
+        w = circle.weights()[0]
+        B0 = spec.b(circle.X)[0]
+        rho_star = a / (kappa * np.sum(B0) * w)
+        state = manifold.circle_state(
+            1.0, N, lambda s: rho_star * (1.0 + 1e-7 * np.cos(j * s)))
+        rho, X = manifold.unpack(manifold.integrate(state, spec, k * dt,
+                                                    dt).y, N)
+        z = -kappa * rho_star * w * np.fft.rfft(B0)[j].real * dt
+        R = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        ratio = np.fft.rfft(rho)[j].real / np.fft.rfft(state.rho)[j].real
+        assert np.array_equal(X, state.X)
+        assert ratio == pytest.approx(R**k, rel=1e-6)
+        assert R**k < 0.9  # the mode decays visibly over the k steps

@@ -87,6 +87,52 @@ def test_single_step_late_in_a_run():
     assert grid.t == field.t == t + dt
 
 
+def with_value(shape, index, value):
+    y = np.ones(shape)
+    y[index] = value
+    return y
+
+
+CIRCLE = manifold.circle_state(1.0, 16, np.ones_like)
+
+
+def manifold_run(value, part):
+    """A static 16-node circle run from a state whose part, "rho" or "X",
+    holds value at node 3."""
+    spec = manifold.ConvectionSpec(a=manifold.constant_rate(1.0),
+                                   b=manifold.gaussian_influence(1.0, 1.0),
+                                   kappa=0.2)
+    X, rho = CIRCLE.X.copy(), CIRCLE.rho.copy()
+    (rho if part == "rho" else X)[3] = value
+    return manifold.integrate(manifold.ManifoldState(CIRCLE.s, X, rho), spec,
+                              0.1, 0.01)
+
+
+NONFINITE_RUNS = {
+    "grid": lambda v: gridsim.integrate(
+        gridsim.GridState(16, with_value(16, 3, v)), KERNEL, 1.0, 0.2, 0.0,
+        0.01, 0.1, "euler"),
+    "spectral": lambda v: spectral.integrate(
+        with_value(3, 1, v) + 0j, KERNEL, 1.0, 0.2, 0.0, 0.01, 0.1),
+    "manifold_rho": lambda v: manifold_run(v, "rho"),
+    "manifold_X": lambda v: manifold_run(v, "X"),
+    "planar": lambda v: planar.run2d(
+        planar.Field2D(3.0, 16, with_value((16, 16), (4, 5), v)),
+        planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, 0.01, 0.1),
+}
+
+
+# an infinite position is already a discontinuous manifold sampling
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in NONFINITE_RUNS for value in (np.nan, np.inf)
+    if (name, value) != ("manifold_X", np.inf)])
+def test_nonfinite_initial_state_rejected(name, value):
+    # a NaN passes the hard-negative and discontinuity checks, so the driver
+    # rejects it before the first step instead of reporting a blow-up
+    with pytest.raises(ValueError, match="initial state is not finite"):
+        NONFINITE_RUNS[name](value)
+
+
 def clamp_step(y, density=lambda y: y):
     """One euler step of dt = 1 from max(y, 0) to y itself: only the clamp
     acts, on the negatives of y, which the step makes."""

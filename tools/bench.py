@@ -23,7 +23,12 @@ PAIRS alternating pairs, with each run's exit code.  Every process runs with
 
 For each workload and side the record holds, per metric, the median, the
 interquartile range and the number of runs, every value in run order, and
-how many pairs the change tree won on that metric.
+how many pairs the change tree won on that metric.  The metrics, the
+direction in which each is better and its bound are the ``end_to_end``
+entries of the repository's ``BENCHMARK.json``.  ``past_bound`` lists each
+workload metric whose change-side median is worse than the base-side median
+by more than its bound, relative to the base-side median; the list is also
+printed to standard error.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ import tempfile
 import time
 from pathlib import Path
 
-METRICS = {"cpu_s": "lower", "setup_s": "lower", "steps_per_cpu_s": "higher",
-           "peak_rss_mb": "lower", "pass_frac": "higher"}
+END_TO_END = json.loads((Path(__file__).resolve().parent.parent
+                         / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = {m["name"]: m["better"] for m in END_TO_END}
+BOUNDS = {m["name"]: m["bound"] for m in END_TO_END}
 SIDES = ("base", "change")
 IMPORT_PAIRS = 10
 IMPORT_CLI = ("import time; start = time.process_time(); import nlfkpp.cli; "
@@ -115,6 +122,35 @@ def ahead(base: list, change: list, better: str) -> int:
     return sum(sign * (c - b) > 0 for b, c in zip(base, change))
 
 
+def workload_record(runs: dict) -> dict:
+    """The record of one workload from runs[side], the metrics of each of
+    its runs in pair order."""
+    values = {side: {key: [r[key] for r in runs[side]] for key in METRICS}
+              for side in SIDES}
+    return {**{side: {key: summary(values[side][key]) for key in METRICS}
+               for side in SIDES},
+            "change_ahead": {key: ahead(values["base"][key],
+                                        values["change"][key], better)
+                             for key, better in METRICS.items()},
+            "pairs": len(runs["base"])}
+
+
+def past_bound(workloads: dict) -> list:
+    """Each metric of each workload record whose change-side median is
+    worse than the base-side median by more than BOUNDS[metric] times the
+    base-side median's size."""
+    past = []
+    for name, entry in workloads.items():
+        for key, better in METRICS.items():
+            base = entry["base"][key]["median"]
+            change = entry["change"][key]["median"]
+            worse = change - base if better == "lower" else base - change
+            if worse > BOUNDS[key] * abs(base):
+                past.append({"workload": name, "metric": key, "base": base,
+                             "change": change, "bound": BOUNDS[key]})
+    return past
+
+
 def machine() -> dict:
     import numpy
     import scipy
@@ -179,13 +215,11 @@ def main(argv=None) -> int:
             print(f"{name} pair {k + 1}/{n}: " + ", ".join(
                 f"{side} {runs[side][-1]['steps_per_cpu_s']:.4g}"
                 for side in SIDES), file=sys.stderr)
-        record["workloads"][name] = {
-            **{side: {key: summary([r[key] for r in runs[side]])
-                      for key in METRICS} for side in SIDES},
-            "change_ahead": {key: ahead([r[key] for r in runs["base"]],
-                                        [r[key] for r in runs["change"]], better)
-                             for key, better in METRICS.items()},
-            "pairs": n}
+        record["workloads"][name] = workload_record(runs)
+    record["past_bound"] = past_bound(record["workloads"])
+    for item in record["past_bound"]:
+        print("past bound: {workload} {metric} {base:.4g} -> {change:.4g} "
+              "(bound {bound})".format(**item), file=sys.stderr)
     for name, n in counts(args.preset, "--preset").items():
         record["presets"][name] = paired(
             n, lambda side: preset_cpu(trees[side], name))
