@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -20,13 +21,12 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, analysis, asymptotics, exact, gridsim, manifold, planar
-from . import spectral
+from . import __version__, analysis, gridsim
 from .config import (SNAPSHOT_SOLVERS, ConfigError, ScenarioConfig,
                      apply_assignment, apply_overrides, axis_value,
                      load_config, parse_config_text, resolved_items,
                      snapshot_name)
-from .csvio import write_csv, read_csv
+from .csvio import write_csv
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                      grid_nodes)
 
@@ -124,6 +124,8 @@ def _emit_plot_script(path, csv_names, title):
 
 
 def run_exact(cfg: ScenarioConfig, path) -> dict:
+    from . import exact
+
     model = exact.HomogeneousModel(cfg.a, cfg.kappa,
                                    eigenvalue(0, _kernel(cfg)), cfg.beta00)
     t = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
@@ -143,6 +145,8 @@ def run_exact(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_spectral(cfg: ScenarioConfig, path) -> dict:
+    from . import spectral
+
     beta0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
     rec = spectral.integrate(beta0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
                              cfg.dt, cfg.t_end,
@@ -196,7 +200,10 @@ def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
     return {"csv": names + ["series.csv"], "diagnostics": diag, "record": rec}
 
 
-def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
+def _expansion(cfg: ScenarioConfig):
+    """The asymptotics.AsymptoticExpansion of cfg's gaussian_bump data."""
+    from . import asymptotics
+
     if cfg.initial_kind != "gaussian_bump":
         raise ConfigError(
             "initial.kind: the asymptotic solver needs gaussian_bump data "
@@ -208,6 +215,8 @@ def _expansion(cfg: ScenarioConfig) -> asymptotics.AsymptoticExpansion:
 
 
 def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
+    from . import asymptotics
+
     expn = _expansion(cfg)
     s = grid_nodes(cfg.N)
     snapshots = {t: asymptotics.composite_density(t, s, expn)
@@ -217,6 +226,8 @@ def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_manifold(cfg: ScenarioConfig, path) -> dict:
+    from . import manifold
+
     spec = manifold.ConvectionSpec(
         a=manifold.constant_rate(cfg.a),
         b=manifold.gaussian_influence(cfg.b0, cfg.gamma),
@@ -235,6 +246,8 @@ def run_manifold(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_planar2d(cfg: ScenarioConfig, path) -> dict:
+    from . import planar
+
     kern2d = planar.GaussianKernel2D(cfg.b0, cfg.gamma)
     amplitude = 1.0 / (cfg.sigma * math.sqrt(TWO_PI) * cfg.R * SQRT_TWO_PI)
     field = planar.gaussian_ring(cfg.L, cfg.n2d, cfg.R, cfg.sigma,
@@ -259,6 +272,16 @@ RUNNERS = {
     "manifold": run_manifold,
     "planar2d": run_planar2d,
 }
+# the module of each solver, which its runner imports; main imports it
+# before the scenario call, so a command compiles no other solver's module
+SOLVER_MODULES = {
+    "exact": "exact", "spectral": "spectral", "grid": "gridsim",
+    "asymptotic": "asymptotics", "manifold": "manifold", "planar2d": "planar",
+}
+
+
+def _import_solver(cfg: ScenarioConfig) -> None:
+    importlib.import_module(f"{__package__}.{SOLVER_MODULES[cfg.solver]}")
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
@@ -293,6 +316,8 @@ def run_scenario(cfg: ScenarioConfig, outdir: str = None,
 
 
 def _compare_with_asymptotic(cfg, path, result):
+    from . import asymptotics
+
     expn = _expansion(cfg)
     rec, s = result["record"], grid_nodes(cfg.N)
     rho_asym = asymptotics.composite_density(rec.t, s, expn)
@@ -396,146 +421,6 @@ def _step_batch(jobs, group) -> dict:
     return {i: (rec, share) for i, rec in zip(group, recs)}
 
 
-def _file_names(root: str) -> set:
-    """The paths of the files under root, relative to it."""
-    return {os.path.relpath(os.path.join(d, n), root)
-            for d, _, names in os.walk(root) for n in names}
-
-
-def _snapshot_errors(path_a: str, path_b: str) -> dict:
-    """Relative L-inf and L2 errors of snapshot a against snapshot b, b
-    resampled periodically onto a's nodes when they differ."""
-    _, (s_a, rho_a) = read_csv(path_a)
-    _, (s_b, rho_b) = read_csv(path_b)
-    if len(s_a) != len(s_b) or not np.allclose(s_a, s_b):
-        # periodic resample of b onto a's grid
-        order = np.argsort(s_b)
-        sb, rb = s_b[order], rho_b[order]
-        sb = np.concatenate([sb, [sb[0] + TWO_PI]])
-        rb = np.concatenate([rb, [rb[0]]])
-        rho_b = np.interp(np.mod(s_a - sb[0], TWO_PI) + sb[0], sb, rb)
-    diff = rho_a - rho_b
-    return {"rel_linf": analysis.relative(np.max(np.abs(diff)),
-                                          np.max(np.abs(rho_b))),
-            "rel_l2": analysis.relative(np.linalg.norm(diff),
-                                        np.linalg.norm(rho_b))}
-
-
-def _column_errors(name: str, path_a: str, path_b: str) -> dict:
-    """{column: max|a - b| / max|b|} of two CSVs with one header and row
-    count, by the zero-reference rule of analysis.relative; equal cells
-    (two NaNs, two equal infinities) differ by 0.  ConfigError naming the
-    file when the header or row count differ."""
-    head_a, cols_a = read_csv(path_a)
-    head_b, cols_b = read_csv(path_b)
-    rows_a, rows_b = len(cols_a[0]), len(cols_b[0])
-    if head_a != head_b or rows_a != rows_b:
-        raise ConfigError(f"{name}: the bundles' files differ in header or "
-                          f"row count: {head_a} with {rows_a} rows against "
-                          f"{head_b} with {rows_b}")
-    errors = {}
-    for column, a, b in zip(head_a, cols_a, cols_b):
-        same = (a == b) | (np.isnan(a) & np.isnan(b))
-        diff = np.where(same, 0.0, np.abs(a - b))
-        scale = np.abs(b[~np.isnan(b)])
-        errors[column] = analysis.relative(np.max(diff, initial=0.0),
-                                           np.max(scale, initial=0.0))
-    return errors
-
-
-# the rule(|a - b|, |b|) of a manifest diagnostic that is not judged by
-# analysis.relative (see _value_error): deviations and errors are round-off
-# themselves where two runs agree, so they are judged by their absolute
-# difference, and a count that differs at all is inf
-DIAGNOSTIC_RULES = {
-    **dict.fromkeys(("homogeneity_final", "rel_linf_vs_asymptotic",
-                     "reality_drift", "boundary_mass_fraction"),
-                    lambda err, scale: err),
-    **dict.fromkeys(("n_peaks_final", "clamped_nodes"),
-                    lambda err, scale: math.inf),
-}
-
-
-def _value_error(a, b, rule) -> float:
-    """Error of a manifest value a against b: rule(|a - b|, |b|) for
-    numbers, the largest elementwise error for lists of one length, and
-    otherwise 0 when a == b and inf when not.  Equal values (two NaNs too)
-    differ by 0."""
-    if a == b or (a != a and b != b):
-        return 0.0
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return max(_value_error(x, y, rule) for x, y in zip(a, b))
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-           for v in (a, b)):
-        err = rule(abs(a - b), abs(b))
-        return math.inf if math.isnan(err) else err
-    return math.inf
-
-
-def _diagnostics_errors(path_a: str, path_b: str) -> dict:
-    """{"diagnostics.<key>": error} of two manifests over the union of
-    their diagnostics keys, each by its DIAGNOSTIC_RULES entry or else
-    relative (see _value_error; a key one lacks is None)."""
-    diag = []
-    for path in (path_a, path_b):
-        with open(path) as fh:
-            diag.append(json.load(fh).get("diagnostics", {}))
-    return {f"diagnostics.{key}": _value_error(
-                diag[0].get(key), diag[1].get(key),
-                DIAGNOSTIC_RULES.get(key, analysis.relative))
-            for key in sorted(diag[0].keys() | diag[1].keys())}
-
-
-def compare_bundles(dir_a: str, dir_b: str, outdir: str = None,
-                    tol_linf: float = None) -> dict:
-    """Relative errors of bundle a against bundle b over every CSV file the
-    two share, subdirectories (the entries of a sweep) included: rel_linf
-    and rel_l2 of each snapshot (see _snapshot_errors), listed in
-    outdir/compare.csv, and {column: rel_linf} of every other file (see
-    _column_errors); and {"diagnostics.<key>": error} of every manifest.json
-    the two share (see _diagnostics_errors).  tol_linf judges every rel_linf
-    and every diagnostics error."""
-    shared = sorted(_file_names(dir_a) & _file_names(dir_b))
-    common = [name for name in shared if name.endswith(".csv")]
-    if not common:
-        raise ConfigError("bundles share no CSV files")
-    report, lines = {}, []
-    for name in common:
-        paths = os.path.join(dir_a, name), os.path.join(dir_b, name)
-        if os.path.basename(name).startswith("snapshot"):
-            entry = report[name] = _snapshot_errors(*paths)
-            lines.append((name, entry["rel_linf"],
-                          f" rel_l2={entry['rel_l2']:.3e}"))
-        else:
-            report[name] = _column_errors(name, *paths)
-            lines += [(f"{name}:{column}", err, "")
-                      for column, err in report[name].items()]
-    for name in (n for n in shared
-                 if os.path.basename(n) == "manifest.json"):
-        report[name] = _diagnostics_errors(os.path.join(dir_a, name),
-                                           os.path.join(dir_b, name))
-        lines += [(f"{name}:{key}", err, "")
-                  for key, err in report[name].items()]
-    if outdir:
-        names = [n for n in common
-                 if os.path.basename(n).startswith("snapshot")]
-        write_csv(_artifact_path(outdir)("compare.csv"),
-                  ["snapshot_index", "rel_linf", "rel_l2"],
-                  [np.arange(len(names)),
-                   [report[n]["rel_linf"] for n in names],
-                   [report[n]["rel_l2"] for n in names]])
-    passed = True
-    for label, rel_linf, rest in lines:
-        verdict = ""
-        if tol_linf is not None:
-            ok = rel_linf <= tol_linf
-            passed = passed and ok
-            verdict = "  PASS" if ok else "  FAIL"
-        print(f"{label}: rel_linf={rel_linf:.3e}{rest}{verdict}")
-    report["_passed"] = passed
-    return report
-
-
 def preset_text(name: str) -> str:
     ref = resources.files("nlfkpp").joinpath(f"presets/{name}.cfg")
     if not ref.is_file():
@@ -618,14 +503,18 @@ def main(argv=None) -> int:
     try:
         if args.command in SOLVER_COMMANDS:
             cfg = _load_cfg(args, SOLVER_COMMANDS[args.command])
+            _import_solver(cfg)
             run_scenario(cfg, args.outdir, args.plot_script)
             return 0
         if args.command == "compare":
+            from .compare import compare_bundles
+
             report = compare_bundles(args.dir_a, args.dir_b, args.outdir,
                                      args.tol_linf)
             return 0 if report["_passed"] else 1
         if args.command == "sweep":
             cfg = _load_cfg(args)
+            _import_solver(cfg)
             run_sweep(cfg, args.axis, args.values.split(","),
                       args.outdir or cfg.outdir, args.plot_script)
             return 0
@@ -641,6 +530,7 @@ def main(argv=None) -> int:
             cfg.label = args.name
             cfg.validate()
             outdir = args.outdir or os.path.join(cfg.outdir, args.name)
+            _import_solver(cfg)
             if args.name in PRESET_SWEEPS:
                 axis, values = PRESET_SWEEPS[args.name]
                 run_sweep(cfg, axis, values, outdir, args.plot_script)

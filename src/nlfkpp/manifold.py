@@ -40,6 +40,12 @@ class ManifoldState:
             raise ValueError(f"X must be (n_samples, n_dim), got {self.X.shape}")
         if self.rho.shape != (n,):
             raise ValueError(f"rho must have {n} samples, got {self.rho.shape}")
+        # before the gap check, which a NaN gap passes and an infinite
+        # one fails as a discontinuity
+        for name, part in (("s", self.s), ("X", self.X), ("rho", self.rho)):
+            if not np.all(np.isfinite(part)):
+                raise ValueError(f"initial state is not finite: {name} "
+                                 f"holds {part[~np.isfinite(part)][0]}")
         if stepping.hard_negative(self.rho[None]):
             raise ValueError(f"density is negative: min rho = {np.min(self.rho)}")
         # weights() gives every node the first spacing

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,59 @@ def test_bound_edge(metric, base, change, past):
     record = bench.workload_record({"base": runs(**{metric: [base] * 3}),
                                     "change": runs(**{metric: [change] * 3})})
     assert bool(bench.past_bound({"w": record})) == past
+
+
+def bundle(root, files: dict):
+    """Write {relative path: text} under root; returns root."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def manifest(wall: float, n_peaks: int = 2) -> str:
+    return json.dumps({"wall_time_s": wall, "mode": "reference",
+                       "diagnostics": {"n_peaks_final": n_peaks}})
+
+
+BUNDLE = {"summary.csv": "value,n_peaks\n0,2\n",
+          "k0_0/trajectory.csv": "t,rho\n0,1\n0.05,0.5\n",
+          "k0_0/manifest.json": manifest(1.25)}
+
+
+def test_identical_bundles(tmp_path):
+    out = bench.bundle_outputs(bundle(tmp_path / "a", BUNDLE),
+                               bundle(tmp_path / "b", {
+                                   **BUNDLE,
+                                   "k0_0/manifest.json": manifest(7.5)}))
+    assert out == {"csv_identical": ["k0_0/trajectory.csv", "summary.csv"],
+                   "csv_differ": [],
+                   "manifests_identical": ["k0_0/manifest.json"],
+                   "manifests_differ": [], "only_base": [],
+                   "only_change": [], "identical": True}
+
+
+def test_last_bit_moved(tmp_path):
+    # 0.5 with its last bit set
+    moved = {**BUNDLE,
+             "k0_0/trajectory.csv": "t,rho\n0,1\n0.05,0.5000000000000001\n",
+             "k0_0/manifest.json": manifest(1.25, n_peaks=3)}
+    out = bench.bundle_outputs(bundle(tmp_path / "a", BUNDLE),
+                               bundle(tmp_path / "b", moved))
+    assert out["csv_differ"] == ["k0_0/trajectory.csv"]
+    assert out["csv_identical"] == ["summary.csv"]
+    assert out["manifests_differ"] == ["k0_0/manifest.json"]
+    assert not out["identical"]
+
+
+@pytest.mark.parametrize("missing_on", ["base", "change"])
+def test_file_only_one_side_wrote(tmp_path, missing_on):
+    short = {k: v for k, v in BUNDLE.items() if k != "summary.csv"}
+    trees = {"base": BUNDLE, "change": BUNDLE, missing_on: short}
+    out = bench.bundle_outputs(bundle(tmp_path / "a", trees["base"]),
+                               bundle(tmp_path / "b", trees["change"]))
+    other = "change" if missing_on == "base" else "base"
+    assert out[f"only_{other}"] == ["summary.csv"]
+    assert out[f"only_{missing_on}"] == []
+    assert out["csv_identical"] == ["k0_0/trajectory.csv"]
+    assert not out["identical"]

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from nlfkpp import cli, config, csvio, gridsim, manifold, spectral, stepping
+from nlfkpp import (cli, compare, config, csvio, gridsim, manifold, spectral,
+                    stepping)
 from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
                            parse_config_text, resolved_items)
 from nlfkpp.csvio import read_csv, write_csv
@@ -416,7 +417,7 @@ class TestCliEntry:
         for out in runs:
             assert cli.main(["preset", "fig8", "--set", "numerics.t_end=0.2",
                              "--outdir", str(out)]) == 0
-        report = cli.compare_bundles(*map(str, runs))
+        report = compare.compare_bundles(*map(str, runs))
         assert report.pop("_passed")
         assert len(report) == 13
         assert report["summary.csv"] == {"value": 0.0, "n_peaks": 0.0,
@@ -435,7 +436,7 @@ class TestCliEntry:
         assert len(failed) == 1
         assert failed[0].startswith(os.path.join("D_0.005", "series.csv")
                                     + ":mass: rel_linf=")
-        report = cli.compare_bundles(*map(str, runs))
+        report = compare.compare_bundles(*map(str, runs))
         mass = report[os.path.join("D_0.005", "series.csv")]["mass"]
         assert 0 < mass < 1e-15
 
@@ -459,7 +460,7 @@ class TestCliEntry:
                 write_csv(sub / "series.csv", ["t"], [np.arange(3.0)])
                 (sub / "manifest.json").write_text(
                     json.dumps({"diagnostics": diag}))
-        report = cli.compare_bundles(*map(str, dirs))
+        report = compare.compare_bundles(*map(str, dirs))
         for name in ("manifest.json", os.path.join("D_0", "manifest.json")):
             assert report[name] == {
                 "diagnostics.kind": math.inf, "diagnostics.limit": 0.0,
@@ -500,7 +501,7 @@ class TestCliEntry:
         write_csv(dirs[1] / "series.csv", ["t", "n_peaks"],
                   [np.arange(3), np.ones(3)])
         with pytest.raises(ConfigError, match="series.csv"):
-            cli.compare_bundles(*map(str, dirs))
+            compare.compare_bundles(*map(str, dirs))
 
     def test_compare_all_zero_snapshots(self, tmp_path, capsys):
         s = np.linspace(-math.pi, math.pi, 16, endpoint=False)
@@ -510,9 +511,9 @@ class TestCliEntry:
             dirs[tag] = tmp_path / tag
             dirs[tag].mkdir()
             write_csv(dirs[tag] / "snapshot_t1.csv", ["s", "rho"], [s, rho])
-        report = cli.compare_bundles(str(dirs["zero"]), str(dirs["zero2"]))
+        report = compare.compare_bundles(str(dirs["zero"]), str(dirs["zero2"]))
         assert report["snapshot_t1.csv"] == {"rel_linf": 0.0, "rel_l2": 0.0}
-        report = cli.compare_bundles(str(dirs["flat"]), str(dirs["zero"]))
+        report = compare.compare_bundles(str(dirs["flat"]), str(dirs["zero"]))
         assert report["snapshot_t1.csv"] == {"rel_linf": math.inf,
                                              "rel_l2": math.inf}
         assert cli.main(["compare", str(dirs["zero"]), str(dirs["zero2"]),
@@ -957,7 +958,68 @@ print(json.dumps([codes, sorted(
 """
 
 
+# runs the command argv[1] (JSON); prints, on its last line, its exit code
+# and the nlfkpp modules loaded by then
+RUN_AND_LIST_PACKAGE = """
+import json, sys
+from nlfkpp import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
+                               if m.startswith("nlfkpp."))]))
+"""
+
+# what `import nlfkpp.cli` loads; every command loads these
+CLI_MODULES = {"cli", "config", "csvio", "kernel", "analysis", "gridsim",
+               "stepping"}
+
+
+def solver_run(*command: str) -> list:
+    """The SOLVER_RUNS entry whose argv starts with command."""
+    return next(run for run in SOLVER_RUNS
+                if run[:len(command)] == list(command))
+
+
 class TestImport:
+    def test_cli_import_loads_no_solver_module(self):
+        loaded = fresh_python(
+            "import sys, nlfkpp.cli; print(' '.join(m.split('.', 1)[1] "
+            "for m in sys.modules if m.startswith('nlfkpp.')))").split()
+        assert set(loaded) == CLI_MODULES
+
+    @pytest.mark.parametrize("command, loads, leaves_out", [
+        (("sweep",), {"gridsim"},
+         {"spectral", "backends", "manifold", "planar", "asymptotics",
+          "exact"}),
+        (("spectral",), {"spectral"}, {"manifold", "planar", "asymptotics"}),
+        (("preset", "fig7"), {"manifold"},
+         {"spectral", "planar", "asymptotics"}),
+        (("compare",), {"compare"},
+         {"spectral", "manifold", "planar", "asymptotics", "exact"}),
+    ], ids=["grid_sweep", "spectral", "fig7", "compare"])
+    def test_command_loads_only_its_solver(self, tmp_path, command, loads,
+                                           leaves_out):
+        if command == ("compare",):
+            # bundles written here, so the fresh interpreter only compares
+            dirs = [str(tmp_path / name) for name in ("a", "b")]
+            for outdir in dirs:
+                assert cli.main(solver_run("exact") + ["--outdir", outdir]) == 0
+            argv = ["compare", *dirs]
+        else:
+            argv = solver_run(*command) + ["--outdir", str(tmp_path / "run")]
+        out = fresh_python(RUN_AND_LIST_PACKAGE, json.dumps(argv))
+        code, loaded = json.loads(out.splitlines()[-1])
+        assert code == 0
+        assert CLI_MODULES | loads <= set(loaded)
+        assert not leaves_out & set(loaded)
+
+    def test_package_names_from_exact_load_it_on_first_use(self):
+        out = fresh_python(
+            "import sys, nlfkpp; print('nlfkpp.exact' in sys.modules); "
+            "from nlfkpp import beta0, rho_lim; from nlfkpp import exact; "
+            "print(beta0 is exact.beta0 and rho_lim is exact.rho_lim); "
+            "print(hasattr(nlfkpp, 'no_such_name'))")
+        assert out.split() == ["False", "True", "False"]
+
     def test_cli_import_leaves_out_scipy_signal(self):
         import nlfkpp
 

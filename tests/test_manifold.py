@@ -389,6 +389,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="uniform"):
             manifold.ManifoldState(s, X, np.ones(64))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["s", "X", "rho"])
+    def test_nonfinite_state_rejected(self, monkeypatch, part, value):
+        # a NaN gap passes the discontinuity check and an infinite one
+        # fails it; either is rejected as non-finite before the state exists
+        circle = manifold.circle_state(1.0, 64, bump)
+        parts = {"s": circle.s.copy(), "X": circle.X.copy(),
+                 "rho": circle.rho.copy()}
+        parts[part][10] = value
+        reached = []
+        monkeypatch.setattr(manifold, "initial_correspondence", reached.append)
+        with pytest.raises(ValueError, match="initial state is not finite"):
+            manifold.initial_correspondence(manifold.ManifoldState(**parts))
+        assert reached == []
+
     def test_compression_reduces_or_keeps_peaks(self):
         # k0 > 0 shrinks the circle, lowering the effective interaction
         # ratio mu; peak counts cannot increase under compression here

@@ -122,10 +122,8 @@ NONFINITE_RUNS = {
 }
 
 
-# an infinite position is already a discontinuous manifold sampling
 @pytest.mark.parametrize("name, value", [
-    (name, value) for name in NONFINITE_RUNS for value in (np.nan, np.inf)
-    if (name, value) != ("manifold_X", np.inf)])
+    (name, value) for name in NONFINITE_RUNS for value in (np.nan, np.inf)])
 def test_nonfinite_initial_state_rejected(name, value):
     # a NaN passes the hard-negative and discontinuity checks, so the driver
     # rejects it before the first step instead of reporting a blow-up

@@ -12,7 +12,10 @@ k is even and the change tree first when k is odd.  A workload run is
 the tree; its last line of standard output is JSON, of which the
 ``metrics`` are kept.  A preset run is one
 fresh ``python -m nlfkpp.cli preset NAME`` process whose CPU time (user +
-system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  Every
+system, the growth of ``RUSAGE_CHILDREN`` across it) is recorded.  The
+first bundle of each preset and side is kept until the preset's pairs are
+done, and the preset's ``outputs`` record which of its files the two trees
+wrote alike (see bundle_outputs).  Every
 record also holds the process CPU time of ``import nlfkpp.cli``, read by
 ``time.process_time`` inside a fresh interpreter, in IMPORT_PAIRS alternating
 pairs, and ``src_lines``, the line count of ``src/nlfkpp/**/*.py`` in each
@@ -34,6 +37,7 @@ printed to standard error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -72,14 +76,56 @@ def workload_run(tree: Path, name: str, seed: int, seconds: float) -> dict:
     return {key: result["metrics"][key]["value"] for key in METRICS}
 
 
-def preset_cpu(tree: Path, name: str) -> float:
+def preset_cpu(tree: Path, name: str, keep: Path) -> float:
+    """CPU time of one preset run, which writes its bundle to keep if keep
+    does not exist yet, and otherwise to a temporary directory."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    with tempfile.TemporaryDirectory() as outdir:
+    with tempfile.TemporaryDirectory() as scratch:
+        outdir = scratch if keep.exists() else keep
         subprocess.run([sys.executable, "-m", "nlfkpp.cli", "preset", name,
                         "--outdir", outdir], cwd=tree, env=child_env(tree),
                        stdout=subprocess.DEVNULL, check=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def manifest_without_wall_time(path: Path) -> dict:
+    manifest = json.loads(path.read_text())
+    manifest.pop("wall_time_s", None)
+    return manifest
+
+
+def bundle_outputs(base: Path, change: Path) -> dict:
+    """Which files of two bundles of one preset agree, each list holding
+    paths relative to the bundle, sorted: ``csv_identical`` and
+    ``csv_differ``, the CSV files both wrote, by sha256;
+    ``manifests_identical`` and ``manifests_differ``, the manifest.json
+    files both wrote, compared with ``wall_time_s`` left out; and
+    ``only_base`` and ``only_change``, the files one side alone wrote.
+    ``identical`` is true when no list but the two identical ones holds a
+    file."""
+    files = [{path.relative_to(root).as_posix() for path in root.rglob("*")
+              if path.is_file()} for root in (base, change)]
+    out = {key: [] for key in ("csv_identical", "csv_differ",
+                               "manifests_identical", "manifests_differ")}
+    for name in sorted(files[0] & files[1]):
+        if name.endswith(".csv"):
+            same = sha256(base / name) == sha256(change / name)
+            out["csv_identical" if same else "csv_differ"].append(name)
+        elif Path(name).name == "manifest.json":
+            same = (manifest_without_wall_time(base / name)
+                    == manifest_without_wall_time(change / name))
+            out["manifests_identical" if same else "manifests_differ"].append(
+                name)
+    out["only_base"] = sorted(files[0] - files[1])
+    out["only_change"] = sorted(files[1] - files[0])
+    out["identical"] = not any(out[key] for key in (
+        "csv_differ", "manifests_differ", "only_base", "only_change"))
+    return out
 
 
 def import_cpu(tree: Path) -> float:
@@ -220,9 +266,13 @@ def main(argv=None) -> int:
     for item in record["past_bound"]:
         print("past bound: {workload} {metric} {base:.4g} -> {change:.4g} "
               "(bound {bound})".format(**item), file=sys.stderr)
-    for name, n in counts(args.preset, "--preset").items():
-        record["presets"][name] = paired(
-            n, lambda side: preset_cpu(trees[side], name))
+    with tempfile.TemporaryDirectory() as kept:
+        for name, n in counts(args.preset, "--preset").items():
+            bundles = {side: Path(kept) / side / name for side in SIDES}
+            record["presets"][name] = paired(
+                n, lambda side: preset_cpu(trees[side], name, bundles[side]))
+            record["presets"][name]["outputs"] = bundle_outputs(
+                bundles["base"], bundles["change"])
     record["import_cli"] = paired(IMPORT_PAIRS,
                                   lambda side: import_cpu(trees[side]))
     if args.tier1 > 0:
