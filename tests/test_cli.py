@@ -980,7 +980,7 @@ def solver_run(*command: str) -> list:
 
 
 class TestImport:
-    def test_cli_import_loads_no_solver_module(self):
+    def test_cli_import_loads_only_the_shared_modules(self):
         loaded = fresh_python(
             "import sys, nlfkpp.cli; print(' '.join(m.split('.', 1)[1] "
             "for m in sys.modules if m.startswith('nlfkpp.')))").split()
