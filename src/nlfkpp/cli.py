@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -29,6 +29,33 @@ from .config import (SNAPSHOT_SOLVERS, ConfigError, ScenarioConfig,
 from .csvio import write_csv
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
                      grid_nodes)
+
+
+def _lazy(name: str):
+    """The package module ``name``, registered in sys.modules now and run on
+    the first access to one of its attributes (importlib.util.LazyLoader);
+    a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The solver modules and compare, registered here but run only by a command
+# that uses them: without bytecode caches every process compiles what it
+# runs.  backends is spectral's; it is registered with the others so that
+# `import nlfkpp.cli` still leaves every package module in sys.modules, as
+# tools that patch the package's functions after that import expect
+# (perfbench/child.py).
+exact, spectral, backends, asymptotics, manifold, planar, compare = map(
+    _lazy, ("exact", "spectral", "backends", "asymptotics", "manifold",
+            "planar", "compare"))
 
 PRESET_SWEEPS = {
     # composite presets: one bundle per value of the named axis
@@ -124,8 +151,6 @@ def _emit_plot_script(path, csv_names, title):
 
 
 def run_exact(cfg: ScenarioConfig, path) -> dict:
-    from . import exact
-
     model = exact.HomogeneousModel(cfg.a, cfg.kappa,
                                    eigenvalue(0, _kernel(cfg)), cfg.beta00)
     t = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
@@ -145,8 +170,6 @@ def run_exact(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_spectral(cfg: ScenarioConfig, path) -> dict:
-    from . import spectral
-
     beta0 = spectral.project_initial(scenario_initial(cfg), cfg.J)
     rec = spectral.integrate(beta0, _kernel(cfg), cfg.a, cfg.kappa, cfg.D,
                              cfg.dt, cfg.t_end,
@@ -202,8 +225,6 @@ def run_grid(cfg: ScenarioConfig, path, rec=None) -> dict:
 
 def _expansion(cfg: ScenarioConfig):
     """The asymptotics.AsymptoticExpansion of cfg's gaussian_bump data."""
-    from . import asymptotics
-
     if cfg.initial_kind != "gaussian_bump":
         raise ConfigError(
             "initial.kind: the asymptotic solver needs gaussian_bump data "
@@ -215,8 +236,6 @@ def _expansion(cfg: ScenarioConfig):
 
 
 def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
-    from . import asymptotics
-
     expn = _expansion(cfg)
     s = grid_nodes(cfg.N)
     snapshots = {t: asymptotics.composite_density(t, s, expn)
@@ -226,8 +245,6 @@ def run_asymptotic(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_manifold(cfg: ScenarioConfig, path) -> dict:
-    from . import manifold
-
     spec = manifold.ConvectionSpec(
         a=manifold.constant_rate(cfg.a),
         b=manifold.gaussian_influence(cfg.b0, cfg.gamma),
@@ -246,8 +263,6 @@ def run_manifold(cfg: ScenarioConfig, path) -> dict:
 
 
 def run_planar2d(cfg: ScenarioConfig, path) -> dict:
-    from . import planar
-
     kern2d = planar.GaussianKernel2D(cfg.b0, cfg.gamma)
     amplitude = 1.0 / (cfg.sigma * math.sqrt(TWO_PI) * cfg.R * SQRT_TWO_PI)
     field = planar.gaussian_ring(cfg.L, cfg.n2d, cfg.R, cfg.sigma,
@@ -272,16 +287,20 @@ RUNNERS = {
     "manifold": run_manifold,
     "planar2d": run_planar2d,
 }
-# the module of each solver, which its runner imports; main imports it
-# before the scenario call, so a command compiles no other solver's module
+# the lazily registered modules that each solver's runner and each preset
+# extra use, with those they use in turn; main runs them before the scenario
+# call, so that their compile time counts as start-up
 SOLVER_MODULES = {
-    "exact": "exact", "spectral": "spectral", "grid": "gridsim",
-    "asymptotic": "asymptotics", "manifold": "manifold", "planar2d": "planar",
+    "exact": (exact,), "spectral": (spectral, backends), "grid": (),
+    "asymptotic": (asymptotics,), "manifold": (manifold,),
+    "planar2d": (planar,),
 }
+EXTRA_MODULES = {"compare_asymptotic": (asymptotics,)}
 
 
-def _import_solver(cfg: ScenarioConfig) -> None:
-    importlib.import_module(f"{__package__}.{SOLVER_MODULES[cfg.solver]}")
+def _load_modules(cfg: ScenarioConfig, extra: str = None) -> None:
+    for module in SOLVER_MODULES[cfg.solver] + EXTRA_MODULES.get(extra, ()):
+        getattr(module, "__name__")  # runs a lazily registered module
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: str = None,
@@ -316,8 +335,6 @@ def run_scenario(cfg: ScenarioConfig, outdir: str = None,
 
 
 def _compare_with_asymptotic(cfg, path, result):
-    from . import asymptotics
-
     expn = _expansion(cfg)
     rec, s = result["record"], grid_nodes(cfg.N)
     rho_asym = asymptotics.composite_density(rec.t, s, expn)
@@ -503,18 +520,16 @@ def main(argv=None) -> int:
     try:
         if args.command in SOLVER_COMMANDS:
             cfg = _load_cfg(args, SOLVER_COMMANDS[args.command])
-            _import_solver(cfg)
+            _load_modules(cfg)
             run_scenario(cfg, args.outdir, args.plot_script)
             return 0
         if args.command == "compare":
-            from .compare import compare_bundles
-
-            report = compare_bundles(args.dir_a, args.dir_b, args.outdir,
-                                     args.tol_linf)
+            report = compare.compare_bundles(args.dir_a, args.dir_b,
+                                             args.outdir, args.tol_linf)
             return 0 if report["_passed"] else 1
         if args.command == "sweep":
             cfg = _load_cfg(args)
-            _import_solver(cfg)
+            _load_modules(cfg)
             run_sweep(cfg, args.axis, args.values.split(","),
                       args.outdir or cfg.outdir, args.plot_script)
             return 0
@@ -530,7 +545,7 @@ def main(argv=None) -> int:
             cfg.label = args.name
             cfg.validate()
             outdir = args.outdir or os.path.join(cfg.outdir, args.name)
-            _import_solver(cfg)
+            _load_modules(cfg, PRESET_EXTRAS.get(args.name))
             if args.name in PRESET_SWEEPS:
                 axis, values = PRESET_SWEEPS[args.name]
                 run_sweep(cfg, axis, values, outdir, args.plot_script)

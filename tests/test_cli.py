@@ -958,46 +958,114 @@ print(json.dumps([codes, sorted(
 """
 
 
-# runs the command argv[1] (JSON); prints, on its last line, its exit code
-# and the nlfkpp modules loaded by then
+# runs the command argv[1] (JSON); prints, on its last line, its exit code,
+# the nlfkpp modules run by the time the scenario call (run_scenario or
+# run_sweep) started, None for a command without one, and those run by the
+# end.  A lazily registered module that has not run yet is not a
+# types.ModuleType but a subclass of it.
 RUN_AND_LIST_PACKAGE = """
-import json, sys
+import json, sys, types
 from nlfkpp import cli
+
+def executed():
+    return sorted(n.split(".", 1)[1] for n, m in list(sys.modules.items())
+                  if n.startswith("nlfkpp.") and type(m) is types.ModuleType)
+
+at_start = []
+def marked(fn):
+    def call(*args, **kwargs):
+        at_start.append(executed())
+        return fn(*args, **kwargs)
+    return call
+
+cli.run_scenario, cli.run_sweep = marked(cli.run_scenario), marked(cli.run_sweep)
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
-                               if m.startswith("nlfkpp."))]))
+print(json.dumps([code, at_start[0] if at_start else None, executed()]))
 """
 
-# what `import nlfkpp.cli` loads; every command loads these
+# after `import nlfkpp.cli`, wraps the functions named in argv[1] (JSON,
+# "module.name") in every package module that holds them, then runs the
+# commands of argv[2] (JSON) into argv[3]; prints their exit codes and the
+# calls of each wrapped function
+PATCH_AND_COUNT = """
+import json, os, sys
+from nlfkpp import cli
+
+modules = [m for n, m in list(sys.modules.items()) if n.startswith("nlfkpp")]
+counts = {}
+for target in json.loads(sys.argv[1]):
+    module, name = target.split(".")
+    original = getattr(sys.modules["nlfkpp." + module], name)
+    def counted(*args, _target=target, _original=original, **kwargs):
+        counts[_target] = counts.get(_target, 0) + 1
+        return _original(*args, **kwargs)
+    for m in modules:
+        for key, value in list(vars(m).items()):
+            if value is original:
+                setattr(m, key, counted)
+runs, outdir = json.loads(sys.argv[2]), sys.argv[3]
+codes = [cli.main(argv + ["--outdir", os.path.join(outdir, str(i))])
+         for i, argv in enumerate(runs)]
+print(json.dumps([codes, counts]))
+"""
+
+# what `import nlfkpp.cli` runs; every command runs these
 CLI_MODULES = {"cli", "config", "csvio", "kernel", "analysis", "gridsim",
                "stepping"}
+# every module of the package, which `import nlfkpp.cli` registers
+PACKAGE_MODULES = CLI_MODULES | {"exact", "spectral", "backends",
+                                 "asymptotics", "manifold", "planar",
+                                 "compare"}
+FIG5B_RUN = ["preset", "fig5b", "--set", "numerics.t_end=0.1", "--set",
+             "numerics.snapshot_times=0 0.1"]
 
 
 def solver_run(*command: str) -> list:
     """The SOLVER_RUNS entry whose argv starts with command."""
-    return next(run for run in SOLVER_RUNS
+    return next(run for run in SOLVER_RUNS + [FIG5B_RUN]
                 if run[:len(command)] == list(command))
 
 
-class TestImport:
-    def test_cli_import_loads_only_the_shared_modules(self):
-        loaded = fresh_python(
-            "import sys, nlfkpp.cli; print(' '.join(m.split('.', 1)[1] "
-            "for m in sys.modules if m.startswith('nlfkpp.')))").split()
-        assert set(loaded) == CLI_MODULES
+def run_and_list_package(argv) -> tuple:
+    """(exit code, modules run at the scenario call, modules run at the
+    end) of argv in a fresh interpreter."""
+    out = fresh_python(RUN_AND_LIST_PACKAGE, json.dumps(argv))
+    code, at_start, at_end = json.loads(out.splitlines()[-1])
+    return code, at_start, set(at_end)
 
-    @pytest.mark.parametrize("command, loads, leaves_out", [
+
+class TestImport:
+    def test_cli_import_runs_only_the_shared_modules(self):
+        out = fresh_python(
+            "import json, sys, types, nlfkpp.cli; print(json.dumps("
+            "{n.split('.', 1)[1]: type(m) is types.ModuleType "
+            "for n, m in sys.modules.items() if n.startswith('nlfkpp.')}))")
+        ran = json.loads(out)
+        assert set(ran) == PACKAGE_MODULES
+        assert {name for name, done in ran.items() if done} == CLI_MODULES
+
+    def test_package_modules_cover_the_package(self):
+        import nlfkpp
+
+        files = os.listdir(os.path.dirname(nlfkpp.__file__))
+        assert {f[:-3] for f in files
+                if f.endswith(".py") and f != "__init__.py"} == PACKAGE_MODULES
+
+    @pytest.mark.parametrize("command, runs, leaves_out", [
         (("sweep",), {"gridsim"},
          {"spectral", "backends", "manifold", "planar", "asymptotics",
           "exact"}),
-        (("spectral",), {"spectral"}, {"manifold", "planar", "asymptotics"}),
+        (("spectral",), {"spectral", "backends"},
+         {"manifold", "planar", "asymptotics"}),
         (("preset", "fig7"), {"manifold"},
          {"spectral", "planar", "asymptotics"}),
+        (("preset", "fig5b"), {"asymptotics", "exact"},
+         {"spectral", "manifold", "planar"}),
         (("compare",), {"compare"},
          {"spectral", "manifold", "planar", "asymptotics", "exact"}),
-    ], ids=["grid_sweep", "spectral", "fig7", "compare"])
-    def test_command_loads_only_its_solver(self, tmp_path, command, loads,
-                                           leaves_out):
+    ], ids=["grid_sweep", "spectral", "fig7", "fig5b", "compare"])
+    def test_command_runs_only_its_solver(self, tmp_path, command, runs,
+                                          leaves_out):
         if command == ("compare",):
             # bundles written here, so the fresh interpreter only compares
             dirs = [str(tmp_path / name) for name in ("a", "b")]
@@ -1006,11 +1074,32 @@ class TestImport:
             argv = ["compare", *dirs]
         else:
             argv = solver_run(*command) + ["--outdir", str(tmp_path / "run")]
-        out = fresh_python(RUN_AND_LIST_PACKAGE, json.dumps(argv))
-        code, loaded = json.loads(out.splitlines()[-1])
+        code, _, ran = run_and_list_package(argv)
         assert code == 0
-        assert CLI_MODULES | loads <= set(loaded)
-        assert not leaves_out & set(loaded)
+        assert CLI_MODULES | runs <= ran
+        assert not leaves_out & ran
+
+    @pytest.mark.parametrize("argv", SOLVER_RUNS + [FIG5B_RUN],
+                             ids=lambda argv: argv[argv[0] == "preset"])
+    def test_no_module_runs_inside_the_scenario_call(self, tmp_path, argv):
+        # main runs what the solver and the preset extra need before the
+        # call, so that their compile time stays out of the timed phase
+        code, at_start, at_end = run_and_list_package(
+            argv + ["--outdir", str(tmp_path / "run")])
+        assert code == 0
+        assert set(at_start) == at_end
+
+    def test_functions_patched_after_cli_import_are_the_ones_called(
+            self, tmp_path):
+        targets = ["exact.beta0", "spectral.integrate",
+                   "backends.quadratic_coupling", "gridsim.integrate_batch",
+                   "asymptotics.composite_density", "manifold.integrate",
+                   "planar.extract_sld"]
+        codes, counts = json.loads(fresh_python(
+            PATCH_AND_COUNT, json.dumps(targets), json.dumps(SOLVER_RUNS),
+            str(tmp_path)))
+        assert codes == [0] * len(SOLVER_RUNS)
+        assert sorted(counts) == sorted(targets)
 
     def test_package_names_from_exact_load_it_on_first_use(self):
         out = fresh_python(
