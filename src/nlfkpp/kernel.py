@@ -58,14 +58,34 @@ def fourier_coefficients(f, J: int) -> np.ndarray:
     if vals.shape != s.shape or not np.all(np.isfinite(vals)):
         raise ValueError("f returned non-finite or misshaped samples")
     ds = TWO_PI / N_QUAD
-    js = np.arange(-J, J + 1)
-    return ds * (np.exp(-1j * np.outer(js, s)) @ vals) / SQRT_TWO_PI
+    return ds * (_projection_table(J, s) @ vals) / SQRT_TWO_PI
+
+
+def _projection_table(J: int, s) -> np.ndarray:
+    """e^{-ijs_k} for j = -J..J, shape (2J+1, len(s))."""
+    # bit for bit np.exp(-1j * np.outer(js, s)), built for j = 0..J only:
+    # its phase is the float negation of j s, and the rows j < 0 are the
+    # conjugates of the rows -j
+    phi = -np.outer(np.arange(J + 1), s)
+    table = np.empty((2 * J + 1, phi.shape[1]), dtype=complex)
+    np.cos(phi, out=table.real[J:])
+    np.sin(phi, out=table.imag[J:])
+    np.conjugate(table[:J:-1], out=table[:J])
+    return table
 
 
 def fourier_modes(J: int, s) -> np.ndarray:
     """e^{ijs_k} for j = -J..J, shape (len(s), 2J+1); v_j is this / sqrt(2 pi)."""
-    js = np.arange(-J, J + 1)
-    return np.exp(1j * np.outer(np.asarray(s, dtype=float), js))
+    # bit for bit np.exp(1j * np.outer(s, js)), built for j = 0..J only: its
+    # phase is s j with a zero product's -0.0 turned to +0.0, and the
+    # columns j < 0 are (cos, 0.0 - sin) of the columns -j
+    phi = np.outer(np.asarray(s, dtype=float), np.arange(J + 1)) + 0.0
+    table = np.empty((len(phi), 2 * J + 1), dtype=complex)
+    np.cos(phi, out=table.real[:, J:])
+    np.sin(phi, out=table.imag[:, J:])
+    table.real[:, :J] = table.real[:, :J:-1]
+    np.subtract(0.0, table.imag[:, :J:-1], out=table.imag[:, :J])
+    return table
 
 
 def real_part(vals, what: str) -> np.ndarray:

@@ -211,7 +211,6 @@ def boundary_mass_fraction(field: Field2D) -> float:
 
 
 def _bilinear(field: Field2D, x, y):
-    ax = field.axis
     fx = np.clip((np.asarray(x) + field.L) / field.dx, 0, field.n - 1)
     fy = np.clip((np.asarray(y) + field.L) / field.dx, 0, field.n - 1)
     i0 = np.minimum(fx.astype(int), field.n - 2)

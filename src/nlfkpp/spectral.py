@@ -61,15 +61,21 @@ def rhs(beta, kern: CircleKernelParams, a: float, kappa: float,
         D: float) -> np.ndarray:
     """Half-spectrum derivatives of the band-truncated mode system."""
     beta, J = _modes(beta)
-    return _mode_rhs(beta, _band(a, D, J), eigenvalues(J, kern), kappa)
+    return _mode_rhs(beta, _band(a, D, J), eigenvalues(J, kern),
+                     kappa / SQRT_TWO_PI, np.empty(2 * J + 1, dtype=complex))
 
 
-def _mode_rhs(beta, band, lam, kappa):
-    """(a - D j^2) beta_j - kappa/sqrt(2 pi) sum_l lambda_l beta_{j-l} beta_l,
-    j = 0..J, for a precomputed rate band and kernel spectrum (j = -J..J);
-    the j = 0 term is taken real."""
-    coupling = backends.quadratic_coupling(_full(beta), lam)[len(beta) - 1:]
-    out = band * beta - (kappa / SQRT_TWO_PI) * coupling
+def _mode_rhs(beta, band, lam, c, full):
+    """(a - D j^2) beta_j - c sum_l lambda_l beta_{j-l} beta_l, j = 0..J, for
+    a precomputed rate band, kernel spectrum (j = -J..J) and c =
+    kappa/sqrt(2 pi); the j = 0 term is taken real.  full, a (2J+1,)
+    complex work array, receives the band of beta (as _full builds it) and
+    is overwritten on every call; the result shares no memory with it."""
+    J = len(beta) - 1
+    np.conjugate(beta[:0:-1], out=full[:J])
+    full[J:] = beta
+    coupling = backends.quadratic_coupling(full, lam)[J:]
+    out = band * beta - c * coupling
     out[0] = out[0].real
     return out
 
@@ -80,12 +86,15 @@ def integrate(beta0, kern: CircleKernelParams, a: float, kappa: float,
     """Fixed-step RK4 of the half spectrum beta0 from t0 to t_end; the
     record's frames and snapshots are half spectra (see stepping.march)."""
     beta0, J = _modes(beta0)
-    # the rate band and the kernel spectrum are fixed for the whole run
+    # the rate band, the kernel spectrum, the coupling's factor and the
+    # band's work array are fixed for the whole run
     band = _band(a, D, J)
     lam = eigenvalues(J, kern)
+    c = kappa / SQRT_TWO_PI
+    full = np.empty(2 * J + 1, dtype=complex)
 
     def rhs(beta, t):
-        return _mode_rhs(beta, band, lam, kappa)
+        return _mode_rhs(beta, band, lam, c, full)
 
     return stepping.march(beta0, float(t0), t_end, dt, rhs, "rk4",
                           store_every=store_every, at=snapshot_times)

@@ -196,7 +196,7 @@ def march(y, t0, t_end, dt, rhs, scheme, *, step=None, limit=None,
             top, low = d.max(axis=1), d.min()
             bounded = top.max() <= BLOWUP_LIMIT and -low <= BLOWUP_LIMIT
         if bounded and partial:
-            bounded = np.max(np.abs(y)) <= BLOWUP_LIMIT
+            bounded = np.abs(y).max() <= BLOWUP_LIMIT
         if not bounded:
             raise RuntimeError(f"solution blew up at t={t}: "
                                f"max|y| = {np.max(np.abs(y)):.3e}")

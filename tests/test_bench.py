@@ -103,3 +103,25 @@ def test_file_only_one_side_wrote(tmp_path, missing_on):
     assert out[f"only_{missing_on}"] == []
     assert out["csv_identical"] == ["k0_0/trajectory.csv"]
     assert not out["identical"]
+
+
+def test_paths_of_different_length_are_refused(tmp_path, capsys):
+    out = tmp_path / "record.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--base", str(tmp_path / "base"),
+                    "--change", str(tmp_path / "change"), "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "differ in length" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_both_paths_are_recorded(tmp_path, monkeypatch):
+    # trees without a package: no pairs run, and the import timing is stubbed
+    monkeypatch.setattr(bench, "import_cpu", lambda tree: 0.1)
+    out = tmp_path / "record.json"
+    assert bench.main(["--base", str(tmp_path / "base"),
+                       "--change", str(tmp_path / "chng"),
+                       "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["paths"] == {"base": str(tmp_path / "base"),
+                               "change": str(tmp_path / "chng")}

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfkpp.kernel import (TWO_PI, CircleKernelParams, bessel_i, bessel_i_scaled,
-                           eigenvalue, eigenvalues,
+from nlfkpp import kernel
+from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, bessel_i,
+                           bessel_i_scaled, eigenvalue, eigenvalues,
+                           fourier_coefficients, fourier_modes, grid_nodes,
                            kernel_value, wrap_angle)
 from conftest import (bessel_quadrature, eigenvalue_quadrature,
                       spectral_reconstruction)
@@ -124,3 +126,46 @@ class TestEigenvalues:
         approx = spectral_reconstruction(s, 0.0, J, unit_kernel)
         np.testing.assert_allclose(approx, kernel_value(s, 0.0, unit_kernel),
                                    atol=1e-10)
+
+
+# both zeros, a subnormal of each sign and two ordinary angles: the half-band
+# tables must give each zero product the sign that np.exp gives it
+NODE_SETS = {"grid2048": grid_nodes(2048), "grid512": grid_nodes(512),
+             "signed_zeros": np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5])}
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same doubles, the sign of every zero included."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+class TestFourierTables:
+    """The tables built from the half band j = 0..J equal the
+    complex-exponential definitions bit for bit."""
+
+    @pytest.mark.parametrize("nodes", list(NODE_SETS))
+    @pytest.mark.parametrize("J", [0, 1, 40, 160])
+    def test_projection_table(self, J, nodes):
+        s = NODE_SETS[nodes]
+        js = np.arange(-J, J + 1)
+        assert same_bits(kernel._projection_table(J, s),
+                         np.exp(-1j * np.outer(js, s)))
+
+    @pytest.mark.parametrize("nodes", list(NODE_SETS))
+    @pytest.mark.parametrize("J", [0, 1, 40, 160])
+    def test_synthesis_table(self, J, nodes):
+        s = NODE_SETS[nodes]
+        js = np.arange(-J, J + 1)
+        assert same_bits(fourier_modes(J, s), np.exp(1j * np.outer(s, js)))
+
+    def test_coefficients_are_the_exponential_projection(self):
+        def f(s):
+            return 1.0 + 0.3 * np.exp(np.sin(s) - np.cos(2 * s))
+
+        s = grid_nodes(kernel.N_QUAD)
+        js = np.arange(-40, 41)
+        expect = (TWO_PI / kernel.N_QUAD) * (
+            np.exp(-1j * np.outer(js, s)) @ f(s)) / SQRT_TWO_PI
+        assert same_bits(fourier_coefficients(f, 40), expect)

@@ -181,6 +181,32 @@ class TestIntegrate:
                                    spectral._full(rec.frames[0]).real, rtol=0)
 
 
+class TestModeRhsBuffer:
+    """_mode_rhs writes the band into integrate's per-run work array instead
+    of building it with _full on every call."""
+
+    def test_matches_the_full_band_bits_on_successive_calls(self,
+                                                             unit_kernel):
+        J, kappa = 6, 0.7
+        band = spectral._band(1.0, 0.1, J)
+        lam = kernel.eigenvalues(J, unit_kernel)
+        c = kappa / SQRT_TWO_PI
+        full = np.empty(2 * J + 1, dtype=complex)
+        rng = np.random.default_rng(5)
+        got, want = [], []
+        for _ in range(3):
+            beta = rng.normal(size=J + 1) + 1j * rng.normal(size=J + 1)
+            beta[0] = beta[0].real
+            b = spectral._full(beta)
+            ref = band * beta - c * np.convolve(b, lam * b, "same")[J:]
+            ref[0] = ref[0].real
+            want.append(ref)
+            got.append(spectral._mode_rhs(beta, band, lam, c, full))
+            # a later call does not overwrite an earlier result
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 class TestRk4Modes:
     """About the steady state beta_0* = sqrt(2 pi) a / (kappa lambda_0), a
     small mode j relaxes at sigma_j = -(a lambda_j / lambda_0 + D j^2): the

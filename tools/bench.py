@@ -1,12 +1,12 @@
 """Write a BENCH_*.json record: perfbench's end-to-end metrics and preset
 process CPU, measured on a base tree and a change tree in alternating pairs.
 
-    python tools/bench.py --base BASE_DIR --change CHANGE_DIR \\
+    python tools/bench.py --base /tmp/parent --change /tmp/change \\
         --pairs manifold_drag=10 --pairs circle_grid=3 --seconds 30 \\
         --preset fig7=3 --tier1 3 --out BENCH_24.json
 
-BASE_DIR and CHANGE_DIR are checkouts (copies made with ``git archive`` keep
-stale ``__pycache__`` out).  Pair k runs both trees, the base tree first when
+The --base and --change trees are checkouts (copies made with ``git
+archive`` keep stale ``__pycache__`` out).  Pair k runs both trees, the base tree first when
 k is even and the change tree first when k is odd.  A workload run is
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 the tree; its last line of standard output is JSON, of which the
@@ -23,6 +23,11 @@ tree.  ``--tier1 PAIRS`` also records the wall time of the tier-1 test
 command (TIER1, run from the tree's root with its ``src`` on the path) in
 PAIRS alternating pairs, with each run's exit code.  Every process runs with
 ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread.
+
+The absolute paths of the two trees must be equally long, or the tool
+exits with status 2 before it runs anything: the name of the checkout
+directory alone has moved manifold_drag's ``steps_per_cpu_s`` by 8-10 %.
+Both paths are recorded under ``paths``.
 
 For each workload and side the record holds, per metric, the median, the
 interquartile range and the number of runs, every value in run order, and
@@ -247,7 +252,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    if len(str(trees["base"])) != len(str(trees["change"])):
+        parser.error(f"the paths of --base ({trees['base']}) and --change "
+                     f"({trees['change']}) differ in length")
     record = {"labels": {"base": args.base_label, "change": args.change_label},
+              "paths": {side: str(trees[side]) for side in SIDES},
               "machine": machine(), "seconds": args.seconds, "seed": args.seed,
               "better": METRICS,
               "src_lines": {side: src_lines(trees[side]) for side in SIDES},
