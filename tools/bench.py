@@ -6,8 +6,9 @@ process CPU, measured on a base tree and a change tree in alternating pairs.
         --preset fig7=3 --tier1 3 --out BENCH_24.json
 
 The --base and --change trees are checkouts (copies made with ``git
-archive`` keep stale ``__pycache__`` out).  Pair k runs both trees, the base tree first when
-k is even and the change tree first when k is odd.  A workload run is
+archive`` keep stale ``__pycache__`` out).  Pair k runs both trees, the
+base tree first when k is even and the change tree first when k is odd.  A
+workload run is
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 the tree; its last line of standard output is JSON, of which the
 ``metrics`` are kept.  A preset run is one
