@@ -3,8 +3,9 @@ command-line overrides, dispatches to a solver, and writes CSV artifacts,
 a JSON manifest, and optional gnuplot scripts.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver abort.
-The environment variable NLFKPP_MODE selects ``reference`` (sequential,
-byte-reproducible, the default) or ``parallel`` sweep execution.
+NLFKPP_MODE picks only how the units of a sweep run: ``reference`` (the
+default) in order, ``parallel`` in a process pool; the units are the same,
+so the bytes are too (see run_sweep).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -357,7 +359,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
     """Run cfg once per value of the dotted key axis, each value a number or
     its text, typed by the key (see config.axis_value), in
     outdir/<key>_<value:g>, and tabulate the final diagnostics in
-    outdir/summary.csv; returns [(value, diagnostics)]."""
+    outdir/summary.csv; returns [(value, diagnostics)].  The entries run
+    in units (_batch_key, _run_unit), the same in both modes."""
     if cfg.solver not in ("grid", "manifold"):
         raise ConfigError(
             f"solver: a sweep tabulates final peaks, homogeneity and mass, "
@@ -375,16 +378,17 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
         sub.validate()
         jobs.append((value, sub, os.path.join(outdir, name)))
     _note_late_snapshots(sub for _, sub, _ in jobs)
+    units = [[job for _, job in unit] for _, unit in
+             itertools.groupby(enumerate(jobs), _batch_key)]
     if _mode() == "parallel":
         from concurrent.futures import ProcessPoolExecutor
-        # one worker per entry, at most one per CPU
-        workers = max(1, min(len(jobs), os.cpu_count() or 1))
+        # one worker per unit, at most one per CPU
+        workers = max(1, min(len(units), os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_entry, jobs))
-    elif cfg.solver == "grid":
-        results = _run_grid_batches(jobs)
+            done = list(pool.map(_run_unit, units))
     else:
-        results = [_sweep_entry(job) for job in jobs]
+        done = map(_run_unit, units)
+    results = [entry for unit in done for entry in unit]
     rows = list(zip(*[(v, d["n_peaks_final"], d["homogeneity_final"],
                        d["mass_final"]) for v, d in results])) if results else []
     path = _artifact_path(outdir)
@@ -395,47 +399,38 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values, outdir: str,
     return results
 
 
-def _sweep_entry(job, stepped=None):
-    value, sub, subdir = job
-    return value, run_scenario(sub, subdir, stepped=stepped,
-                               note=False)["diagnostics"]
+def _batch_key(item):
+    """groupby key of the sweep plan for (index, job): a grid job's N, dt,
+    t_end, scheme, snapshot times and whether D > 0, so that consecutive
+    grid jobs that share them make one unit; any other job's own index."""
+    i, (_, sub, _) = item
+    if sub.solver != "grid":
+        return i
+    return sub.N, sub.dt, sub.t_end, sub.scheme, sub.snapshot_times, sub.D > 0
 
 
-def _run_grid_batches(jobs) -> list:
-    """_sweep_entry of each grid job, in order.  Jobs that share N, dt,
-    t_end, scheme, snapshot times and whether D > 0 step as one batch when
-    the first of them comes up; their series stride follows from t_end and
-    dt."""
-    groups = {}
-    for i, (_, sub, _) in enumerate(jobs):
-        key = (sub.N, sub.dt, sub.t_end, sub.scheme, sub.snapshot_times,
-               sub.D > 0)
-        groups.setdefault(key, []).append(i)
-    firsts = {group[0]: group for group in groups.values() if len(group) > 1}
-    results, stepped = [], {}
-    for i, job in enumerate(jobs):
-        if i in firsts:
-            stepped.update(_step_batch(jobs, firsts[i]))
-        results.append(_sweep_entry(job, stepped.pop(i, None)))
-    return results
-
-
-def _step_batch(jobs, group) -> dict:
-    """{index: (record, share of the batch's wall time)} for the grid jobs
-    of the group, stepped as one batch.  If the batch raises what a job can
-    raise alone (a ConfigError or other ValueError, a RuntimeError or an
-    OverflowError), {}: each job then runs alone, and writes, fails and
-    exits as it does without it.  Anything else is a fault of the batch
-    path and propagates."""
-    cfgs = [jobs[i][1] for i in group]
-    start = time.perf_counter()
-    try:
-        recs = _step_grid(cfgs, cfgs[0].written_snapshot_times())
-    except (ValueError, RuntimeError, OverflowError):
-        # a job raises it again when it runs alone
-        return {}
-    share = (time.perf_counter() - start) / len(group)
-    return {i: (rec, share) for i, rec in zip(group, recs)}
+def _run_unit(unit) -> list:
+    """[(value, final diagnostics)] of the sweep jobs of one unit, written
+    in order.  A unit of several grid jobs steps them as one batch first;
+    if the batch raises what a job can raise alone (a ConfigError or other
+    ValueError, a RuntimeError or an OverflowError), each job runs alone,
+    and writes, fails and exits as it does without it.  Anything else is a
+    fault of the batch path and propagates."""
+    stepped = [None] * len(unit)
+    if len(unit) > 1:
+        cfgs = [sub for _, sub, _ in unit]
+        start = time.perf_counter()
+        try:
+            recs = _step_grid(cfgs, cfgs[0].written_snapshot_times())
+        except (ValueError, RuntimeError, OverflowError):
+            pass  # a job raises it again when it runs alone
+        else:
+            # each job's share of the batch's wall time
+            share = (time.perf_counter() - start) / len(unit)
+            stepped = [(rec, share) for rec in recs]
+    return [(value, run_scenario(sub, subdir, stepped=batched,
+                                 note=False)["diagnostics"])
+            for (value, sub, subdir), batched in zip(unit, stepped)]
 
 
 def preset_text(name: str) -> str:
@@ -472,7 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a gnuplot script next to the CSVs")
 
     for name in SOLVER_COMMANDS:
-        common(sub.add_parser(name, help=f"run the {name} solver"))
+        text = f"run the {name} solver"
+        if name == "asymptotic":
+            text += " (needs --set initial.kind=gaussian_bump)"
+        common(sub.add_parser(name, help=text, description=text))
 
     p_cmp = sub.add_parser("compare", help="compare two artifact bundles")
     p_cmp.add_argument("dir_a")

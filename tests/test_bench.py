@@ -125,3 +125,11 @@ def test_both_paths_are_recorded(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     assert record["paths"] == {"base": str(tmp_path / "base"),
                                "change": str(tmp_path / "chng")}
+
+
+def test_children_run_in_reference_mode(tmp_path, monkeypatch):
+    # a caller's parallel mode does not reach the timed runs
+    monkeypatch.setenv("NLFKPP_MODE", "parallel")
+    env = bench.child_env(tmp_path)
+    assert env["NLFKPP_MODE"] == "reference"
+    assert env["PYTHONPATH"] == str(tmp_path / "src")

@@ -634,26 +634,28 @@ FIG5A = os.path.join(os.path.dirname(cli.__file__), "presets", "fig5a.cfg")
 
 
 class TestParallelMode:
-    def test_parallel_sweep_byte_identical_to_reference(self, tmp_path,
-                                                        monkeypatch):
+    @pytest.mark.parametrize("argv, n_csv, n_manifests", [
         # summary; series, t = 0 and t = 1 per D
-        assert_modes_agree(tmp_path, monkeypatch,
-                           ["preset", "fig8", "--set", "numerics.t_end=1"],
-                           n_csv=10, n_manifests=3)
+        (["preset", "fig8", "--set", "numerics.t_end=1"], 10, 3),
+        # the four gammas are one unit; summary; series, t = 0 and 0.5 per
+        # gamma
+        (["sweep", "--config", FIG5A, "--axis", "model.gamma",
+          "--values", "0.05,1,1.5,50", "--set", "numerics.t_end=0.5"], 13, 4),
+        # manifold entries are a unit each; summary; trajectory per k0
+        (["preset", "fig7", "--set", "numerics.t_end=0.2"], 3, 2),
+    ], ids=["fig8", "fig5a_gamma", "fig7"])
+    def test_parallel_sweep_byte_identical_to_reference(
+            self, tmp_path, monkeypatch, argv, n_csv, n_manifests):
+        assert_modes_agree(tmp_path, monkeypatch, argv, n_csv, n_manifests)
 
-    def test_parallel_gamma_sweep_byte_identical_to_reference(self, tmp_path,
-                                                              monkeypatch):
-        # reference mode steps the four gammas as one batch, parallel mode
-        # each in its own process; summary; series, t = 0 and 0.5 per gamma
-        assert_modes_agree(tmp_path, monkeypatch,
-                           ["sweep", "--config", FIG5A, "--axis", "model.gamma",
-                            "--values", "0.05,1,1.5,50",
-                            "--set", "numerics.t_end=0.5"],
-                           n_csv=13, n_manifests=4)
-
-    @pytest.mark.parametrize("cpus, workers", [(2, 2), (8, 3), (None, 1)])
+    @pytest.mark.parametrize("values, cpus, workers", [
+        # D = 0 is a unit alone, the two D > 0 entries one unit
+        ("0,0.1,0.2", 2, 2), ("0,0.1,0.2", 8, 2), ("0,0.1,0.2", None, 1),
+        # one unit of four entries on eight CPUs
+        ("0.05,0.1,0.2,0.4", 8, 1),
+    ])
     def test_pool_capped_at_entries_and_cpus(self, tmp_path, monkeypatch,
-                                             cpus, workers):
+                                             values, cpus, workers):
         # a stand-in pool records its size and maps in this process
         import concurrent.futures
 
@@ -676,13 +678,14 @@ class TestParallelMode:
                             SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("NLFKPP_MODE", "parallel")
-        rc = cli.main(["sweep", "--axis", "model.D", "--values", "0,0.1,0.2",
+        rc = cli.main(["sweep", "--axis", "model.D", "--values", values,
                        "--set", "numerics.N=64", "--set", "numerics.t_end=0.5",
                        "--set", "numerics.scheme=imex",
                        "--outdir", str(tmp_path)])
         assert rc == 0
         assert sizes == [workers]
-        assert len(read_csv(tmp_path / "summary.csv")[1][0]) == 3
+        assert len(read_csv(tmp_path / "summary.csv")[1][0]) == \
+            len(values.split(","))
 
 
 def count_batches(monkeypatch) -> list:
@@ -738,17 +741,22 @@ class TestSweepBatches:
                                     (1.0, 1.0), (0.2, 0.2), D, 0.01, 0.1,
                                     "imex")
 
+    @pytest.mark.parametrize("values, batches", [
+        # D = 0 runs alone; the two D > 0 entries step as one batch
+        ("0,0.05,0.1", [1, 2]),
+        # only consecutive entries share a batch: D = 0 parts the other two
+        ("0.1,0,0.2", [1, 1, 1]),
+    ])
     def test_mixed_diffusion_sweep_equals_entries_run_alone(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, values, batches):
         monkeypatch.setenv("NLFKPP_MODE", "reference")
         sizes = count_batches(monkeypatch)
         common = SMALL_GRID + ["--set", "numerics.scheme=imex"]
         assert cli.main(["sweep", "--axis", "model.D", "--values",
-                         "0,0.05,0.1", "--outdir", str(tmp_path / "sweep")]
+                         values, "--outdir", str(tmp_path / "sweep")]
                         + common) == 0
-        # D = 0 runs alone; the two D > 0 entries step as one batch
-        assert sizes == [1, 2]
-        for value in ("0", "0.05", "0.1"):
+        assert sizes == batches
+        for value in values.split(","):
             alone = tmp_path / f"alone_{value}"
             assert cli.main(["simulate", "--set", f"model.D={value}",
                              "--outdir", str(alone)] + common) == 0
@@ -761,10 +769,11 @@ class TestSweepBatches:
                             open(files[name], "rb") as b:
                         assert a.read() == b.read(), name
 
+    @pytest.mark.parametrize("mode", ["reference", "parallel"])
     def test_unstable_middle_entry_fails_as_if_run_alone(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, mode):
         # D = 50 breaks the explicit bound ds^2 / (2 D) on the first step
-        monkeypatch.setenv("NLFKPP_MODE", "reference")
+        monkeypatch.setenv("NLFKPP_MODE", mode)
         common = SMALL_GRID + ["--set", "numerics.scheme=rk4"]
         assert cli.main(["simulate", "--set", "model.D=50", "--outdir",
                          str(tmp_path / "alone")] + common) == 2
@@ -778,7 +787,9 @@ class TestSweepBatches:
                          "0.1,50,0.2", "--outdir", str(out)] + common) == 2
         assert capsys.readouterr().err == alone_err
         # the batch raised; the entries then ran alone, the first to the end
-        assert sizes == [3, 1, 1]
+        # (in parallel mode in a worker, whose calls this process does not
+        # count); D_0.2 never ran
+        assert sizes == ([3, 1, 1] if mode == "reference" else [])
         assert sorted(os.listdir(out)) == ["D_0.1"]
         assert sorted(os.listdir(out / "D_0.1")) == [
             "manifest.json", "series.csv", "snapshot_t0.5.csv"]

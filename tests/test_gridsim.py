@@ -196,6 +196,37 @@ class TestImexModes:
         assert g**k < 0.99  # the mode decays visibly over the k steps
 
 
+class TestExplicitModes:
+    """About the flat steady state rho* = a / (kappa L_0), a small mode
+    cos(j s) of the explicit grid schemes grows at the rate
+    sigma_j = -kappa rho* L_j - 4 D sin^2(j ds / 2) / ds^2 of the linearized
+    right-hand side, with L_j = ds Re rfft(kernel_row)[j], so each step
+    multiplies its amplitude by the scheme's stability function R(dt sigma_j)."""
+
+    R = {"euler": lambda z: 1.0 + z,
+         "rk4": lambda z: 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24}
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("j", [1, 3, 8])
+    def test_mode_amplitude_ratio(self, unit_kernel, scheme, j):
+        N, a, kappa, D, dt, k = 64, 1.0, 0.5, 0.1, 0.01, 50
+        ds = TWO_PI / N
+        L = ds * np.fft.rfft(gridsim.kernel_row(unit_kernel, N)).real
+        rho_star = a / (kappa * L[0])
+        s = gridsim.grid_nodes(N)
+        state = gridsim.GridState(N, rho_star * (1.0 + 1e-7 * np.cos(j * s)))
+        rec = gridsim.integrate(state, unit_kernel, a, kappa, D, dt, k * dt,
+                                scheme)
+        sigma = -kappa * rho_star * L[j] \
+            - 4.0 * D * math.sin(j * ds / 2.0) ** 2 / ds**2
+        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(state.rho)[j].real
+        # the 1e-7 seed keeps the nonlinear terms below 1e-7 relative, which
+        # tells rk4's R from exp(dt sigma_j) at j = 8 (3.7e-7 apart)
+        assert ratio == pytest.approx(self.R[scheme](dt * sigma) ** k,
+                                      rel=1e-7)
+        assert ratio < 0.99  # the mode decays visibly over the k steps
+
+
 class TestImexClampRefresh:
     """The imex step carries rfft(rho) and the interaction; a step the
     clamp changed is transformed again, per run."""

@@ -117,6 +117,29 @@ class TestStep2D:
             planar.run2d(field, kernel2d, 1.0, 0.2, dt, field.t + dt)
 
 
+class TestEulerModes:
+    """At kappa = 0 the planar right-hand side is a u + D lap u.  Its
+    zero-flux Laplacian has the eigenvectors cos(pi k (i + 1/2) / n) along
+    each axis, with eigenvalues lambda_k = -4 sin^2(pi k / 2n) / dx^2, so
+    each Euler step multiplies the amplitude of the product mode (k, l) by
+    1 + dt (a + D (lambda_k + lambda_l))."""
+
+    @pytest.mark.parametrize("k, l", [(1, 0), (3, 2), (8, 5)])
+    def test_mode_amplitude_ratio(self, kernel2d, k, l):
+        n, L, a, D, dt, m = 32, 1.0, 1.0, 0.01, 0.01, 50
+        i = np.arange(n) + 0.5
+        mode = np.outer(np.cos(np.pi * k * i / n), np.cos(np.pi * l * i / n))
+        field = planar.Field2D(L, n, 1.0 + 1e-3 * mode, D=D)
+        rec = planar.run2d(field, kernel2d, a, 0.0, dt, m * dt)
+        lam = [-4.0 * math.sin(math.pi * q / (2 * n)) ** 2 / field.dx**2
+               for q in (k, l)]
+        ratio = np.sum(rec.y * mode) / np.sum(field.u * mode)
+        assert ratio == pytest.approx((1.0 + dt * (a + D * sum(lam))) ** m,
+                                      rel=1e-9)
+        # diffusion moves the mode away from the mean's growth (1 + dt a)^m
+        assert abs(ratio / (1.0 + dt * a) ** m - 1.0) > 1e-3
+
+
 class TestWorkArrays:
     """run2d writes every step into its own work arrays; the bits are those
     of the allocating expressions (conftest.run2d_oracle)."""

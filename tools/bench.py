@@ -67,8 +67,11 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def child_env(tree: Path) -> dict:
+    """The caller's environment with one BLAS thread, no bytecode cache and
+    reference mode, so a shell that sets NLFKPP_MODE times no other mode."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               NLFKPP_MODE="reference")
     env["PYTHONPATH"] = str(tree / "src")
     return env
 
