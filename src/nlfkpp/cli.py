@@ -6,12 +6,17 @@ Exit codes: 0 success, 2 configuration/validation error, 3 solver abort.
 NLFKPP_MODE picks only how the units of a sweep run: ``reference`` (the
 default) in order, ``parallel`` in a process pool; the units are the same,
 so the bytes are too (see run_sweep).
+
+Importing this module freezes the objects of its imports (gc.freeze), so
+the collector and the interpreter's exit skip them; a run's own objects
+stay collectable, and ``import nlfkpp`` alone freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import json
@@ -58,6 +63,9 @@ def _lazy(name: str):
 exact, spectral, backends, asymptotics, manifold, planar, compare = map(
     _lazy, ("exact", "spectral", "backends", "asymptotics", "manifold",
             "planar", "compare"))
+# The objects made by these imports live until the process exits, so neither
+# the collector nor the interpreter's exit-time teardown needs to walk them.
+gc.freeze()
 
 PRESET_SWEEPS = {
     # composite presets: one bundle per value of the named axis

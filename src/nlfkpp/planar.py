@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepping
-from .analysis import trapezoid
 from .csvio import write_csv
 from .kernel import grid_nodes
 
@@ -230,6 +229,10 @@ def extract_sld(field: Field2D, n_angles: int):
     N_RADIAL points with the polar Jacobian r.  Returns (s, rho).
     Extraction is flagged with a warning when more than 1% of the mass sits
     within one cell of the border.
+
+    All rays are sampled in one (n_angles, N_RADIAL) array; each row's
+    trapezoid summands are summed by a 1-D ``sum``, since a 2-D reduction
+    adds them in another order than ``trapezoid`` on one ray does.
     """
     frac = boundary_mass_fraction(field)
     if frac > 0.01:
@@ -237,13 +240,15 @@ def extract_sld(field: Field2D, n_angles: int):
             f"{100 * frac:.2f}% of the mass lies at the domain border; "
             "the radial extraction is untrusted", RuntimeWarning)
     s = grid_nodes(n_angles)
-    rho = np.empty(n_angles)
-    for k, angle in enumerate(s):
-        r_max = field.L / max(abs(math.cos(angle)), abs(math.sin(angle)))
-        r = np.linspace(0.0, r_max, N_RADIAL)
-        vals = _bilinear(field, r * math.cos(angle), r * math.sin(angle))
-        rho[k] = trapezoid(vals * r, r)
-    return s, rho
+    # libm's cos and sin per angle, as a single ray takes them: numpy's own
+    # may round otherwise on some CPUs
+    cos = np.array([math.cos(angle) for angle in s])
+    sin = np.array([math.sin(angle) for angle in s])
+    r_max = field.L / np.maximum(np.abs(cos), np.abs(sin))
+    r = np.linspace(0.0, r_max, N_RADIAL, axis=-1)
+    v = _bilinear(field, r * cos[:, None], r * sin[:, None]) * r
+    terms = np.diff(r, axis=-1) * (v[:, 1:] + v[:, :-1]) / 2.0
+    return s, np.array([row.sum() for row in terms])
 
 
 def field_to_csv(path, field: Field2D) -> None:

@@ -194,6 +194,20 @@ def laplacian_pad_oracle(u: np.ndarray, dx: float) -> np.ndarray:
             - 4.0 * u) / dx**2
 
 
+def extract_sld_oracle(field, n_angles: int):
+    """planar.extract_sld one ray at a time: linspace, bilinear values and
+    analysis.trapezoid per angle, the reference for the all-rays array."""
+    s = grid_nodes(n_angles)
+    rho = np.empty(n_angles)
+    for k, angle in enumerate(s):
+        r_max = field.L / max(abs(math.cos(angle)), abs(math.sin(angle)))
+        r = np.linspace(0.0, r_max, planar.N_RADIAL)
+        vals = planar._bilinear(field, r * math.cos(angle),
+                                r * math.sin(angle))
+        rho[k] = analysis.trapezoid(vals * r, r)
+    return s, rho
+
+
 def run2d_oracle(field, kern, a: float, kappa: float, dt: float,
                  t_end: float) -> stepping.Record:
     """planar.run2d with a fresh array for every operation: the same

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+REPO = Path(__file__).resolve().parent.parent
+TOOL = REPO / "tools" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench", TOOL)
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
@@ -71,12 +72,13 @@ def test_identical_bundles(tmp_path):
     out = bench.bundle_outputs(bundle(tmp_path / "a", BUNDLE),
                                bundle(tmp_path / "b", {
                                    **BUNDLE,
-                                   "k0_0/manifest.json": manifest(7.5)}))
+                                   "k0_0/manifest.json": manifest(7.5)}),
+                               REPO)
     assert out == {"csv_identical": ["k0_0/trajectory.csv", "summary.csv"],
                    "csv_differ": [],
                    "manifests_identical": ["k0_0/manifest.json"],
-                   "manifests_differ": [], "only_base": [],
-                   "only_change": [], "identical": True}
+                   "manifests_differ": [], "csv_rel_linf": {},
+                   "only_base": [], "only_change": [], "identical": True}
 
 
 def test_last_bit_moved(tmp_path):
@@ -85,8 +87,14 @@ def test_last_bit_moved(tmp_path):
              "k0_0/trajectory.csv": "t,rho\n0,1\n0.05,0.5000000000000001\n",
              "k0_0/manifest.json": manifest(1.25, n_peaks=3)}
     out = bench.bundle_outputs(bundle(tmp_path / "a", BUNDLE),
-                               bundle(tmp_path / "b", moved))
+                               bundle(tmp_path / "b", moved), REPO)
     assert out["csv_differ"] == ["k0_0/trajectory.csv"]
+    # compare's per-column rel_linf: the moved column by one ulp of 0.5
+    # against max|rho| = 1, the other column not at all
+    errors = out["csv_rel_linf"]["k0_0/trajectory.csv"]
+    assert errors["t"] == 0.0
+    assert 0.0 < errors["rho"] < 1e-15
+    assert list(out["csv_rel_linf"]) == ["k0_0/trajectory.csv"]
     assert out["csv_identical"] == ["summary.csv"]
     assert out["manifests_differ"] == ["k0_0/manifest.json"]
     assert not out["identical"]
@@ -97,12 +105,20 @@ def test_file_only_one_side_wrote(tmp_path, missing_on):
     short = {k: v for k, v in BUNDLE.items() if k != "summary.csv"}
     trees = {"base": BUNDLE, "change": BUNDLE, missing_on: short}
     out = bench.bundle_outputs(bundle(tmp_path / "a", trees["base"]),
-                               bundle(tmp_path / "b", trees["change"]))
+                               bundle(tmp_path / "b", trees["change"]), REPO)
     other = "change" if missing_on == "base" else "base"
     assert out[f"only_{other}"] == ["summary.csv"]
     assert out[f"only_{missing_on}"] == []
     assert out["csv_identical"] == ["k0_0/trajectory.csv"]
     assert not out["identical"]
+
+
+def test_csv_that_compare_refuses_records_its_reason(tmp_path):
+    grown = {**BUNDLE, "k0_0/trajectory.csv": "t,rho\n0,1\n0.05,0.5\n0.1,0.2\n"}
+    out = bench.bundle_outputs(bundle(tmp_path / "a", BUNDLE),
+                               bundle(tmp_path / "b", grown), REPO)
+    assert "differ in header or row count" in out["csv_rel_linf"][
+        "k0_0/trajectory.csv"]
 
 
 def test_paths_of_different_length_are_refused(tmp_path, capsys):
@@ -117,7 +133,8 @@ def test_paths_of_different_length_are_refused(tmp_path, capsys):
 
 def test_both_paths_are_recorded(tmp_path, monkeypatch):
     # trees without a package: no pairs run, and the import timing is stubbed
-    monkeypatch.setattr(bench, "import_cpu", lambda tree: 0.1)
+    monkeypatch.setattr(bench, "import_cpu",
+                        lambda tree: {"cpu_s": 0.1, "exit_cpu_s": 0.01})
     out = tmp_path / "record.json"
     assert bench.main(["--base", str(tmp_path / "base"),
                        "--change", str(tmp_path / "chng"),
@@ -125,6 +142,20 @@ def test_both_paths_are_recorded(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     assert record["paths"] == {"base": str(tmp_path / "base"),
                                "change": str(tmp_path / "chng")}
+
+
+def test_import_probe_records_the_exit_cost(tmp_path, monkeypatch):
+    # one pair of real `import nlfkpp.cli` processes of this tree
+    monkeypatch.setattr(bench, "IMPORT_PAIRS", 1)
+    out = tmp_path / "record.json"
+    assert bench.main(["--base", str(REPO), "--change", str(REPO),
+                       "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["import_cli"]
+    for side in bench.SIDES:
+        assert record[side]["cpu_s"]["n"] == 1
+        assert record[side]["exit_cpu_s"]["n"] == 1
+        assert record[side]["exit_cpu_s"]["median"] >= 0.0
+    assert set(record["change_ahead"]) == {"cpu_s", "exit_cpu_s"}
 
 
 def test_children_run_in_reference_mode(tmp_path, monkeypatch):

@@ -1128,6 +1128,30 @@ class TestImport:
         assert loaded == []
 
 
+class TestGcFreeze:
+    """`import nlfkpp.cli` moves the objects of its imports out of the
+    cyclic collector (gc.freeze); a library import does not."""
+
+    def test_cli_import_freezes_its_objects(self):
+        frozen, tracked = fresh_python(
+            "import gc, nlfkpp.cli; "
+            "print(gc.get_freeze_count(), len(gc.get_objects()))").split()
+        assert int(frozen) > int(tracked)
+
+    def test_cycles_made_after_the_import_are_collected(self):
+        out = fresh_python(
+            "import gc, weakref, nlfkpp.cli\n"
+            "class Node: pass\n"
+            "node = Node(); node.self = node; ref = weakref.ref(node)\n"
+            "del node; gc.collect(); print(ref() is None)")
+        assert out.split() == ["True"]
+
+    def test_library_import_freezes_nothing(self):
+        out = fresh_python(
+            "import gc, nlfkpp, nlfkpp.gridsim; print(gc.get_freeze_count())")
+        assert out.split() == ["0"]
+
+
 class TestCsvWriting:
     def test_bulk_formatting_matches_per_cell_fmt(self, tmp_path):
         rng = np.random.default_rng(31)

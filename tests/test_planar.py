@@ -6,8 +6,8 @@ import pytest
 from nlfkpp import manifold, planar, stepping
 from nlfkpp.kernel import SQRT_TWO_PI
 
-from conftest import (bits, concentration_check, laplacian_pad_oracle,
-                      run2d_oracle)
+from conftest import (bits, concentration_check, extract_sld_oracle,
+                      laplacian_pad_oracle, run2d_oracle)
 
 
 @pytest.fixture
@@ -248,6 +248,24 @@ class TestExtractSld:
         mass_polar = 2.0 * math.pi / len(s) * np.sum(rho)
         m, _ = planar.moments(field)
         assert mass_polar == pytest.approx(m, rel=1e-3)
+
+    @pytest.mark.parametrize("n_angles", [1, 2, 3, 100, 128, 512])
+    @pytest.mark.parametrize("kind", ["ring", "perturbed", "stepped"])
+    def test_all_rays_give_the_bits_of_one_ray_at_a_time(self, kind,
+                                                          n_angles):
+        angular = lambda s: 1.0 / SQRT_TWO_PI + 0.1 * np.cos(3 * s)
+        field = planar.gaussian_ring(3.0, 128, 1.0, 0.2, 1.0, angular=angular)
+        if kind == "perturbed":
+            noise = np.random.default_rng(7).uniform(0.0, 1e-3, field.u.shape)
+            field = planar.Field2D(3.0, 128, field.u + noise)
+        elif kind == "stepped":
+            rec = planar.run2d(field, planar.GaussianKernel2D(1.0, 1.0), 1.0,
+                               1.0, 0.002, 0.1)
+            field = planar.Field2D(3.0, 128, rec.y, rec.t)
+        s, rho = planar.extract_sld(field, n_angles)
+        s_ref, rho_ref = extract_sld_oracle(field, n_angles)
+        np.testing.assert_array_equal(bits(s), bits(s_ref))
+        np.testing.assert_array_equal(bits(rho), bits(rho_ref))
 
     def test_boundary_mass_warning(self):
         field = planar.Field2D(3.0, 64, np.ones((64, 64)))

@@ -18,9 +18,9 @@ first bundle of each preset and side is kept until the preset's pairs are
 done, and the preset's ``outputs`` record which of its files the two trees
 wrote alike (see bundle_outputs).  Every
 record also holds the process CPU time of ``import nlfkpp.cli``, read by
-``time.process_time`` inside a fresh interpreter, in IMPORT_PAIRS alternating
-pairs, and ``src_lines``, the line count of ``src/nlfkpp/**/*.py`` in each
-tree.  ``--tier1 PAIRS`` also records the wall time of the tier-1 test
+``time.process_time`` inside a fresh interpreter, and that process's exit
+cost (see import_cpu), in IMPORT_PAIRS alternating pairs, and
+``src_lines``, the line count of ``src/nlfkpp/**/*.py`` in each tree.  ``--tier1 PAIRS`` also records the wall time of the tier-1 test
 command (TIER1, run from the tree's root with its ``src`` on the path) in
 PAIRS alternating pairs, with each run's exit code.  Every process runs with
 ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread.
@@ -62,7 +62,22 @@ BOUNDS = {m["name"]: m["bound"] for m in END_TO_END}
 SIDES = ("base", "change")
 IMPORT_PAIRS = 10
 IMPORT_CLI = ("import time; start = time.process_time(); import nlfkpp.cli; "
-              "print(time.process_time() - start)")
+              "print(time.process_time() - start, time.process_time())")
+# argv: base bundle, change bundle, then the CSVs that differ; prints, as
+# its last line, {csv: what compare.compare_bundles reports for it}, or the
+# ConfigError by which it refuses the pair
+COMPARE = """
+import contextlib, json, sys
+from nlfkpp import compare
+from nlfkpp.config import ConfigError
+base, change, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+with contextlib.redirect_stdout(sys.stderr):
+    try:
+        report = compare.compare_bundles(change, base)
+    except ConfigError as err:
+        report = dict.fromkeys(names, str(err))
+print(json.dumps({name: report[name] for name in names}))
+"""
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
@@ -85,17 +100,22 @@ def workload_run(tree: Path, name: str, seed: int, seconds: float) -> dict:
     return {key: result["metrics"][key]["value"] for key in METRICS}
 
 
-def preset_cpu(tree: Path, name: str, keep: Path) -> float:
+def children_cpu() -> float:
+    """User + system CPU time of the waited-for child processes so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def preset_cpu(tree: Path, name: str, keep: Path) -> dict:
     """CPU time of one preset run, which writes its bundle to keep if keep
     does not exist yet, and otherwise to a temporary directory."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    before = children_cpu()
     with tempfile.TemporaryDirectory() as scratch:
         outdir = scratch if keep.exists() else keep
         subprocess.run([sys.executable, "-m", "nlfkpp.cli", "preset", name,
                         "--outdir", outdir], cwd=tree, env=child_env(tree),
                        stdout=subprocess.DEVNULL, check=True)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"cpu_s": children_cpu() - before}
 
 
 def sha256(path: Path) -> str:
@@ -108,7 +128,7 @@ def manifest_without_wall_time(path: Path) -> dict:
     return manifest
 
 
-def bundle_outputs(base: Path, change: Path) -> dict:
+def bundle_outputs(base: Path, change: Path, tree: Path) -> dict:
     """Which files of two bundles of one preset agree, each list holding
     paths relative to the bundle, sorted: ``csv_identical`` and
     ``csv_differ``, the CSV files both wrote, by sha256;
@@ -116,7 +136,11 @@ def bundle_outputs(base: Path, change: Path) -> dict:
     files both wrote, compared with ``wall_time_s`` left out; and
     ``only_base`` and ``only_change``, the files one side alone wrote.
     ``identical`` is true when no list but the two identical ones holds a
-    file."""
+    file.  ``csv_rel_linf`` maps each CSV of ``csv_differ`` to what
+    ``nlfkpp compare`` of the change bundle against the base bundle
+    reports for it (its ``{column: rel_linf}``, a snapshot's rel_linf and
+    rel_l2, or the error by which compare refuses the bundles), run by
+    the package of the change tree."""
     files = [{path.relative_to(root).as_posix() for path in root.rglob("*")
               if path.is_file()} for root in (base, change)]
     out = {key: [] for key in ("csv_identical", "csv_differ",
@@ -130,6 +154,7 @@ def bundle_outputs(base: Path, change: Path) -> dict:
                     == manifest_without_wall_time(change / name))
             out["manifests_identical" if same else "manifests_differ"].append(
                 name)
+    out["csv_rel_linf"] = csv_rel_linf(tree, base, change, out["csv_differ"])
     out["only_base"] = sorted(files[0] - files[1])
     out["only_change"] = sorted(files[1] - files[0])
     out["identical"] = not any(out[key] for key in (
@@ -137,21 +162,39 @@ def bundle_outputs(base: Path, change: Path) -> dict:
     return out
 
 
-def import_cpu(tree: Path) -> float:
+def csv_rel_linf(tree: Path, base: Path, change: Path, names: list) -> dict:
+    """{csv: compare's report} of the named CSVs of change against base,
+    from one process of tree's package; {} when names is empty."""
+    if not names:
+        return {}
+    out = subprocess.run([sys.executable, "-c", COMPARE, str(base),
+                          str(change), *names], cwd=tree, env=child_env(tree),
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def import_cpu(tree: Path) -> dict:
+    """CPU times of one fresh ``import nlfkpp.cli`` process: ``cpu_s``, the
+    import's own, read inside it; and ``exit_cpu_s``, the process's whole
+    CPU time (the growth of RUSAGE_CHILDREN) less the process time it read
+    after its last statement, which is the interpreter's exit."""
+    before = children_cpu()
     out = subprocess.run([sys.executable, "-c", IMPORT_CLI], cwd=tree,
                          env=child_env(tree), capture_output=True, text=True,
                          check=True)
-    return float(out.stdout)
+    total = children_cpu() - before
+    cpu, last = map(float, out.stdout.split())
+    return {"cpu_s": cpu, "exit_cpu_s": total - last}
 
 
-def tier1_wall(tree: Path, codes: list) -> float:
+def tier1_wall(tree: Path, codes: list) -> dict:
     """Wall time of one tier-1 run; its exit code is appended to codes."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, *TIER1], cwd=tree,
                           env=child_env(tree), stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
     codes.append(done.returncode)
-    return time.perf_counter() - start
+    return {"wall_s": time.perf_counter() - start}
 
 
 def src_lines(tree: Path) -> int:
@@ -177,16 +220,18 @@ def ahead(base: list, change: list, better: str) -> int:
     return sum(sign * (c - b) > 0 for b, c in zip(base, change))
 
 
-def workload_record(runs: dict) -> dict:
-    """The record of one workload from runs[side], the metrics of each of
-    its runs in pair order."""
-    values = {side: {key: [r[key] for r in runs[side]] for key in METRICS}
+def workload_record(runs: dict, better: dict = METRICS) -> dict:
+    """The record of runs[side], the values of each run (a dict with the
+    keys of better) in pair order: per side and key their summary, and per
+    key the pairs the change won, better[key] being the direction that
+    wins."""
+    values = {side: {key: [r[key] for r in runs[side]] for key in better}
               for side in SIDES}
-    return {**{side: {key: summary(values[side][key]) for key in METRICS}
+    return {**{side: {key: summary(values[side][key]) for key in better}
                for side in SIDES},
             "change_ahead": {key: ahead(values["base"][key],
-                                        values["change"][key], better)
-                             for key, better in METRICS.items()},
+                                        values["change"][key], direction)
+                             for key, direction in better.items()},
             "pairs": len(runs["base"])}
 
 
@@ -217,16 +262,14 @@ def machine() -> dict:
             "platform": platform.platform(), "machine": platform.machine()}
 
 
-def paired(n: int, run, key: str = "cpu_s") -> dict:
-    """run(side), a time named key, over n alternating pairs, summarised
-    per side."""
-    times = {side: [] for side in SIDES}
+def paired(n: int, run) -> dict:
+    """run(side), a dict of named times, over n alternating pairs,
+    summarised per side and name (see workload_record; less is better)."""
+    runs = {side: [] for side in SIDES}
     for k in range(n):
         for side in order(k):
-            times[side].append(run(side))
-    return {**{side: {key: summary(times[side])} for side in SIDES},
-            "change_ahead": {key: ahead(times["base"], times["change"], "lower")},
-            "pairs": n}
+            runs[side].append(run(side))
+    return workload_record(runs, dict.fromkeys(runs["base"][0], "lower"))
 
 
 def counts(items: list, what: str) -> dict:
@@ -285,14 +328,13 @@ def main(argv=None) -> int:
             record["presets"][name] = paired(
                 n, lambda side: preset_cpu(trees[side], name, bundles[side]))
             record["presets"][name]["outputs"] = bundle_outputs(
-                bundles["base"], bundles["change"])
+                bundles["base"], bundles["change"], trees["change"])
     record["import_cli"] = paired(IMPORT_PAIRS,
                                   lambda side: import_cpu(trees[side]))
     if args.tier1 > 0:
         codes = {side: [] for side in SIDES}
         record["tier1"] = paired(
-            args.tier1, lambda side: tier1_wall(trees[side], codes[side]),
-            "wall_s")
+            args.tier1, lambda side: tier1_wall(trees[side], codes[side]))
         for side in SIDES:
             record["tier1"][side]["exit_codes"] = codes[side]
     args.out.write_text(json.dumps(record, indent=1) + "\n")
