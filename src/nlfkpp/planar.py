@@ -231,8 +231,10 @@ def extract_sld(field: Field2D, n_angles: int):
     within one cell of the border.
 
     All rays are sampled in one (n_angles, N_RADIAL) array; each row's
-    trapezoid summands are summed by a 1-D ``sum``, since a 2-D reduction
-    adds them in another order than ``trapezoid`` on one ray does.
+    trapezoid summands are added by a 1-D ``sum``, pairwise, as
+    ``trapezoid`` adds those of one ray.  The array is column-major (as
+    ``linspace(..., axis=-1)`` returns it), and a 2-D reduction along its
+    rows would add their terms one after another.
     """
     frac = boundary_mass_fraction(field)
     if frac > 0.01:
