@@ -78,15 +78,8 @@ def _mode_factors(exp: AsymptoticExpansion, t):
 
 def beta1_evolution(j: int, t, exp: AsymptoticExpansion):
     """First-order coefficient beta1_j(t) in closed form."""
-    t = np.asarray(t, dtype=float)
-    c = exp.model.saturation
-    lam0 = eigenvalue(0, exp.kernel)
-    lam_j = eigenvalue(j, exp.kernel)
-    p = 1.0 + lam_j / lam0
-    a_j = exp.a - exp.D * float(j) ** 2
-    base = (1.0 - c) * np.exp(-exp.a * t) + c
-    beta1_j = exp.beta1[j + len(exp.beta1) // 2]
-    return beta1_j * np.exp((a_j - p * exp.a) * t) / base ** p
+    J = len(exp.beta1) // 2
+    return exp.beta1[j + J] * _mode_factors(exp, t)[..., j + J]
 
 
 def composite_density(t, s, exp: AsymptoticExpansion) -> np.ndarray:
@@ -142,18 +135,18 @@ def appendix_a_check(exp: AsymptoticExpansion, t_grid) -> float:
 
     flat = replace(exp, D=0.0)
     m = flat.model
-    v0 = m.v0
-    J = len(flat.beta1) // 2
+    # kappa v0 lambda_j beta00 for all modes j = -J..J
+    coupling = flat.beta00 * m.v0 * flat.kappa * eigenvalues(
+        len(flat.beta1) // 2, flat.kernel)
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
         if t < 0:
             raise ValueError("times must be nonnegative")
         tau = np.linspace(0.0, t, N_SIMPSON)
-        ratio = beta0(t, m) / flat.beta00
-        for j in range(-J, J + 1):
-            lam_j = eigenvalue(j, flat.kernel)
-            integral = simpson(beta1_evolution(j, tau, flat), x=tau) if t > 0 else 0.0
-            coeff = ratio * (flat.beta1[j + J]
-                             - flat.beta00 * v0 * flat.kappa * lam_j * integral)
-            worst = max(worst, abs(coeff - beta1_evolution(j, t, flat)))
+        # int_0^t beta1_j(t') dt' for every mode, one column per mode
+        integrals = simpson(flat.beta1 * _mode_factors(flat, tau), x=tau,
+                            axis=0) if t > 0 else 0.0
+        coeff = beta0(t, m) / flat.beta00 * (flat.beta1 - coupling * integrals)
+        worst = max(worst, float(np.max(np.abs(
+            coeff - flat.beta1 * _mode_factors(flat, t)))))
     return float(worst)

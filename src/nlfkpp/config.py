@@ -15,6 +15,9 @@ SCHEMES = ("euler", "rk4", "imex")
 INITIAL_KINDS = ("homogeneous", "gaussian_bump", "gaussian", "cutoff")
 # the solvers that write snapshot_t<time>.csv files
 SNAPSHOT_SOLVERS = ("spectral", "grid", "asymptotic")
+# the solvers whose initial state model.beta00 alone sets: they take only
+# the default initial.kind, homogeneous
+FIXED_INITIAL_SOLVERS = ("planar2d", "exact")
 
 
 def snapshot_name(t: float) -> str:
@@ -108,6 +111,11 @@ class ScenarioConfig:
                 if v == math.inf:
                     raise ConfigError(f"{key}: must be finite, got {v!r}")
         whole_steps(self.t_end, self.dt, "numerics.t_end")
+        if (self.solver in FIXED_INITIAL_SOLVERS
+                and self.initial_kind != "homogeneous"):
+            raise ConfigError(
+                f"initial.kind: the {self.solver} solver ignores it and takes "
+                f"only 'homogeneous', got {self.initial_kind!r}")
         if self.solver in SNAPSHOT_SOLVERS:
             # a snapshot is the state at the nearest step: off the step grid
             # it would be written under a time it does not hold

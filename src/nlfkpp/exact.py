@@ -92,10 +92,14 @@ def t_quasi_steady(alpha: float, m: HomogeneousModel) -> float:
 
     alpha in (0, 1) when the density approaches the limit from below
     (a > kappa lambda0 v0 beta00), alpha > 1 when it approaches from above.
+    A start already at or past alpha * rho_lim (c = rho0(0) / rho_lim
+    between alpha and 1, or c = 1, where rho0 stays at rho_lim) gives 0.
     """
     if m.kappa == 0:
         raise ValueError("kappa = 0: no steady state to approach")
     c = m.saturation
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         raise ValueError("alpha = 1 corresponds to the infinite-time limit")
     if c < 1.0 and not 0.0 < alpha < 1.0:
@@ -107,9 +111,7 @@ def t_quasi_steady(alpha: float, m: HomogeneousModel) -> float:
             f"approach from above (saturation {c} > 1) requires alpha > 1, got {alpha}"
         )
     arg = alpha / (1.0 - alpha) * (1.0 / c - 1.0)
-    if arg <= 0.0:
-        raise ValueError(f"logarithm argument must be positive, got {arg}")
-    return math.log(arg) / m.a
+    return math.log(arg) / m.a if arg > 1.0 else 0.0
 
 
 def _check_time(t):

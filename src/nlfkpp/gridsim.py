@@ -18,11 +18,15 @@ import numpy as np
 
 from . import stepping
 from .kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
-                     grid_nodes, kernel_value)
+                     kernel_value)
 
 
 @dataclass
 class GridState:
+    """A density on the N-point grid at time t.  It stays, with step and
+    nonlocal_term, only because perfbench/micro.py calls them; deleting the
+    three waits on ROADMAP item 19.  The solver takes the bare array (see
+    integrate)."""
     N: int
     rho: np.ndarray
     t: float = 0.0
@@ -36,10 +40,6 @@ class GridState:
                 f"density has a hard negative value {np.min(self.rho)} "
                 f"(max {np.max(self.rho)}); the scheme is unstable"
             )
-
-    @property
-    def s(self) -> np.ndarray:
-        return grid_nodes(self.N)
 
 
 def kernel_row(kern: CircleKernelParams, N: int) -> np.ndarray:
@@ -56,7 +56,8 @@ def _kernel_spectrum(kern: CircleKernelParams, N: int) -> np.ndarray:
 
 
 def nonlocal_term(state: GridState, kern: CircleKernelParams) -> np.ndarray:
-    """I_k = (2 pi / N) sum_l b(s_k, s_l) rho_l."""
+    """I_k = (2 pi / N) sum_l b(s_k, s_l) rho_l.  Stays for perfbench only
+    (see GridState)."""
     return _interaction(state.rho, _kernel_spectrum(kern, state.N),
                         TWO_PI / state.N)
 
@@ -129,28 +130,22 @@ def _imex_step(rho0, spectrum, symbol, grow, couple, ds):
 
 def step(state: GridState, kern: CircleKernelParams, a: float, kappa: float,
          D: float, dt: float, scheme: str = "rk4") -> GridState:
-    """Advance the density by one time step."""
-    rec = integrate(state, kern, a, kappa, D, dt, state.t + dt, scheme)
+    """Advance the density by one time step.  Stays for perfbench only (see
+    GridState)."""
+    rec = integrate(state.rho, kern, a, kappa, D, dt, state.t + dt, scheme,
+                    t0=state.t)
     return GridState(state.N, rec.y, rec.t)
 
 
-def integrate(state: GridState, kern: CircleKernelParams, a: float,
-              kappa: float, D: float, dt: float, t_end: float,
-              scheme: str = "rk4", snapshot_times=(),
-              store_every: int = 0) -> stepping.Record:
-    """Step from state.t to t_end with the shared driver: a batch of one
-    (see integrate_batch)."""
-    return integrate_batch(state.rho[None], [kern], [a], [kappa], [D], dt,
-                           t_end, scheme, snapshot_times, store_every,
-                           t0=state.t).row(0)
-
-
-def _per_run(c: np.ndarray):
-    """A coefficient with one value per run, as a column for a (runs, N)
-    batch, or as one float when all runs share its bits (the same
-    products)."""
-    return c[0].item() if c.tobytes() == c[:1].tobytes() * len(c) \
-        else c[:, None]
+def integrate(rho0, kern: CircleKernelParams, a: float, kappa: float,
+              D: float, dt: float, t_end: float, scheme: str = "rk4",
+              snapshot_times=(), store_every: int = 0,
+              t0: float = 0.0) -> stepping.Record:
+    """Step the (N,) density rho0 from t0 to t_end with the shared driver: a
+    batch of one (see integrate_batch)."""
+    return integrate_batch(np.asarray(rho0, dtype=float)[None], [kern], [a],
+                           [kappa], [D], dt, t_end, scheme, snapshot_times,
+                           store_every, t0).row(0)
 
 
 def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
@@ -194,8 +189,9 @@ def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,
                ds**2 / (2.0 * D_i) if explicit else math.inf)
               for a_i, kappa_i, D_i, k in zip(a.tolist(), kappa.tolist(),
                                               D.tolist(), kerns)]
-    a_run, kappa_run = _per_run(a), _per_run(kappa)
-    D_explicit = _per_run(D) if explicit else None
+    # one column per coefficient: row i of the batch takes run i's value
+    a_run, kappa_run = a[:, None], kappa[:, None]
+    D_explicit = D[:, None] if explicit else None
 
     def rhs(rho, t):
         return _rhs(rho, spectrum, a_run, kappa_run, D_explicit, ds)
@@ -244,8 +240,3 @@ def initial_profile(kind: str, beta00: float = 1.0, T: float = 10.0,
                             0.5, out)
         return rho_phi
     raise ValueError(f"unknown initial-condition kind {kind!r}")
-
-
-def make_initial(kind: str, N: int, **params) -> GridState:
-    """The named initial profile sampled on the grid (see initial_profile)."""
-    return GridState(N, initial_profile(kind, **params)(grid_nodes(N)))

@@ -14,6 +14,12 @@ def unit_kernel():
     return CircleKernelParams(1.0, 1.0, 1.0)
 
 
+def sampled(kind: str, N: int, **params) -> np.ndarray:
+    """The named initial profile (gridsim.initial_profile) on the N-point
+    grid."""
+    return gridsim.initial_profile(kind, **params)(grid_nodes(N))
+
+
 def circulant_term(rho, kern: CircleKernelParams) -> np.ndarray:
     """(2 pi / N) sum_l b(s_k, s_l) rho_l as the O(N^2) circulant sum, the
     reference for the grid's FFT interaction."""

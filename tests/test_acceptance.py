@@ -38,9 +38,9 @@ from nlfkpp import analysis, asymptotics, cli, exact, gridsim, manifold, planar
 from nlfkpp import spectral
 from nlfkpp.config import ScenarioConfig
 from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
-                           eigenvalues)
+                           eigenvalues, grid_nodes)
 from conftest import (circulant_term, concentration_check,
-                      eigenvalue_quadrature, richardson_order)
+                      eigenvalue_quadrature, richardson_order, sampled)
 
 KERNEL = CircleKernelParams(1.0, 1.0, 1.0)
 LAMBDA0 = eigenvalue(0, KERNEL)
@@ -56,24 +56,23 @@ def tilde_phi(s):
 
 def grid_snapshots(gamma, D, t_end, initial, N=512, dt=0.01, scheme="imex",
                    snapshot_times=(), **params):
-    """(final state, {time: density}) of one circle-grid run."""
+    """(final density, {time: density}) of one circle-grid run."""
     kern = CircleKernelParams(1.0, gamma, 1.0)
-    state = gridsim.make_initial(initial, N, **params)
-    rec = gridsim.integrate(state, kern, 1.0, 0.2, D, dt, t_end, scheme,
-                            snapshot_times=snapshot_times)
-    return gridsim.GridState(N, rec.y, rec.t), rec.snapshots
+    rec = gridsim.integrate(sampled(initial, N, **params), kern, 1.0, 0.2, D,
+                            dt, t_end, scheme, snapshot_times=snapshot_times)
+    return rec.y, rec.snapshots
 
 
 def grid_batch(gammas, D, t_end, initial, N=512, dt=0.01, scheme="imex",
                **params):
-    """{gamma: final state} of circle-grid runs that differ only in gamma,
+    """{gamma: final density} of circle-grid runs that differ only in gamma,
     stepped as one batch; each row has the bytes of its run alone."""
-    rho0 = gridsim.make_initial(initial, N, **params).rho
+    rho0 = sampled(initial, N, **params)
     rec = gridsim.integrate_batch(
         [rho0] * len(gammas), [CircleKernelParams(1.0, g, 1.0) for g in gammas],
         [1.0] * len(gammas), [0.2] * len(gammas), [D] * len(gammas), dt,
         t_end, scheme)
-    return {g: gridsim.GridState(N, rho, rec.t) for g, rho in zip(gammas, rec.y)}
+    return dict(zip(gammas, rec.y))
 
 
 def test_criterion_01_exact_vs_spectral():
@@ -114,12 +113,12 @@ def test_criterion_03_figure5_reproduction():
     beta1 = asymptotics.beta1_initial(tilde_phi, 10)
     expn = asymptotics.AsymptoticExpansion(10.0, 1.0, beta1, KERNEL,
                                            1.0, 0.2, 0.1)
-    rho_asym = asymptotics.composite_density(200.0, out.s, expn)
-    rel_linf = analysis.relative_linf(out.rho, rho_asym)
+    rho_asym = asymptotics.composite_density(200.0, grid_nodes(len(out)), expn)
+    rel_linf = analysis.relative_linf(out, rho_asym)
     # homogeneity of the extreme-range runs
-    hom = {g: analysis.homogeneity(runs[g].rho) for g in (0.05, 50.0)}
+    hom = {g: analysis.homogeneity(runs[g]) for g in (0.05, 50.0)}
     # peak ordering of the intermediate-range runs
-    peaks = {g: analysis.count_peaks(runs[g].rho) for g in (1.0, 1.5)}
+    peaks = {g: analysis.count_peaks(runs[g]) for g in (1.0, 1.5)}
     ok_linf = rel_linf <= 0.10
     ok_hom = all(h < 1e-2 for h in hom.values())
     ok_peaks = peaks[1.0] > peaks[1.5] >= 2
@@ -187,9 +186,9 @@ def test_criterion_05_appendix_b_route():
     assert ok
 
 
-def support_width(state):
-    mask = state.rho > 0.01 * np.max(state.rho)
-    return TWO_PI * np.count_nonzero(mask) / state.N
+def support_width(rho):
+    mask = rho > 0.01 * np.max(rho)
+    return TWO_PI * np.count_nonzero(mask) / len(rho)
 
 
 def test_criterion_06_diffusion_suppression():
@@ -202,7 +201,7 @@ def test_criterion_06_diffusion_suppression():
     for D in (0.0, 0.005, 0.5):
         runs[D], snaps[D] = grid_snapshots(1.0, D, 100.0, "cutoff", dt=0.002,
                                            snapshot_times=(50.0,), edge=2.0)
-    peaks = {D: analysis.count_peaks(runs[D].rho) for D in runs}
+    peaks = {D: analysis.count_peaks(runs[D]) for D in runs}
     peaks_d005_mid = analysis.count_peaks(snaps[0.005][50.0])
     width = support_width(runs[0.005])
     ok_d0 = peaks[0.0] >= 3

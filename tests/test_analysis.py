@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfkpp import analysis, exact, gridsim
-from conftest import richardson_order
+from conftest import richardson_order, sampled
 
 
 S512 = -math.pi + 2.0 * math.pi * np.arange(512) / 512
@@ -124,9 +124,9 @@ class TestCountPeaks:
 
     def test_matches_downhill_walk_on_grid_frames(self, unit_kernel):
         # frames of a circle-grid run with several real, unequal peaks
-        state = gridsim.make_initial("cutoff", 128, edge=2.0)
-        rec = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0, 0.05, 15.0,
-                                "rk4", store_every=10)
+        rec = gridsim.integrate(sampled("cutoff", 128, edge=2.0), unit_kernel,
+                                1.0, 0.2, 0.0, 0.05, 15.0, "rk4",
+                                store_every=10)
         for rho in rec.frames[1:]:  # every 0.5 in time
             for prominence in (0.0, 0.05):
                 assert analysis.count_peaks(rho, prominence) == \

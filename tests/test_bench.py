@@ -144,6 +144,37 @@ def test_both_paths_are_recorded(tmp_path, monkeypatch):
                                "change": str(tmp_path / "chng")}
 
 
+def test_workloads_run_in_alternating_pairs(tmp_path, monkeypatch, capsys):
+    # stubbed workload runs: the change is ahead on cpu_s (lower) and
+    # steps_per_cpu_s (higher) in pair 2 only, and behind on both in pair 1
+    calls = []
+
+    def workload_run(tree, name, seed, seconds):
+        calls.append(tree.name)
+        k = sum(c == tree.name for c in calls)
+        good = (tree.name == "chng") == (k == 2)
+        return dict.fromkeys(bench.METRICS, 1.0) | {
+            "cpu_s": 1.0 if good else 2.0,
+            "steps_per_cpu_s": 200.0 if good else 100.0}
+
+    monkeypatch.setattr(bench, "workload_run", workload_run)
+    monkeypatch.setattr(bench, "import_cpu",
+                        lambda tree: {"cpu_s": 0.1, "exit_cpu_s": 0.01})
+    out = tmp_path / "record.json"
+    assert bench.main(["--base", str(tmp_path / "base"),
+                       "--change", str(tmp_path / "chng"),
+                       "--pairs", "w=2", "--out", str(out)]) == 0
+    assert calls == ["base", "chng", "chng", "base"]
+    assert capsys.readouterr().err.splitlines() == [
+        "w pair 1/2: base 200, change 100", "w pair 2/2: base 100, change 200"]
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert record["pairs"] == 2
+    assert record["base"]["steps_per_cpu_s"]["values"] == [200.0, 100.0]
+    assert record["change"]["cpu_s"]["values"] == [2.0, 1.0]
+    assert record["change_ahead"] == dict.fromkeys(bench.METRICS, 0) | {
+        "cpu_s": 1, "steps_per_cpu_s": 1}
+
+
 def test_import_probe_records_the_exit_cost(tmp_path, monkeypatch):
     # one pair of real `import nlfkpp.cli` processes of this tree
     monkeypatch.setattr(bench, "IMPORT_PAIRS", 1)

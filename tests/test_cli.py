@@ -15,7 +15,7 @@ from nlfkpp.config import (KEY_MAP, ConfigError, ScenarioConfig, load_config,
 from nlfkpp.csvio import read_csv, write_csv
 from nlfkpp.kernel import CircleKernelParams
 
-from conftest import series_oracle
+from conftest import sampled, series_oracle
 
 FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ScenarioConfig)}
 NUMERIC_KEYS = [key for key, f in FIELDS.items() if f.type is not str]
@@ -227,6 +227,34 @@ class TestCliEntry:
                          "--outdir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["solver"] == "exact"
+
+    @pytest.mark.parametrize("beta00", [4.15, 4.4, 4.282705862607738],
+                             ids=["below", "above", "at_limit"])
+    def test_exact_start_near_the_limit_reports_zero_time(self, tmp_path,
+                                                          beta00):
+        # the start lies within 5 % of rho_lim (c = 0.969, 1.027 and 1):
+        # the quasi-steady time used to read -0.498 and -0.580, and at
+        # c = 1 the command ended in a traceback with no manifest
+        out = tmp_path / "run"
+        assert cli.main(["exact", "--set", f"model.beta00={beta00}",
+                         "--outdir", str(out)]) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert abs(diag["saturation"] - 1.0) < 0.05
+        assert diag["t_quasi_steady"] == 0.0
+
+    @pytest.mark.parametrize("solver", ["planar2d", "exact"])
+    @pytest.mark.parametrize("kind", ["gaussian_bump", "gaussian", "cutoff"])
+    def test_ignored_initial_kind_rejected(self, tmp_path, capsys, solver,
+                                           kind):
+        # these solvers start from model.beta00 alone: any other kind used
+        # to run and write the bytes of the default
+        out = tmp_path / "run"
+        rc = cli.main([solver, "--set", f"initial.kind={kind}",
+                       "--set", "numerics.t_end=1", "--outdir", str(out)])
+        assert rc == 2
+        assert (f"configuration error: initial.kind: the {solver} solver "
+                f"ignores it" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_exit_two_on_validation_error(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--set", "model.a=-1",
@@ -711,14 +739,12 @@ class TestSweepBatches:
     def test_batch_rows_equal_runs_alone(self, scheme, D):
         kerns = [CircleKernelParams(1.0, g, 1.0) for g in (0.3, 1.0, 5.0)]
         a, kappa = (1.0, 2.0, 1.0), (0.2, 0.2, 0.5)
-        states = [gridsim.make_initial("gaussian_bump", 64, T=T)
-                  for T in (10.0, 4.0, 10.0)]
+        rho0 = [sampled("gaussian_bump", 64, T=T) for T in (10.0, 4.0, 10.0)]
         times = (0.0, 0.3, 1.0)
-        batch = gridsim.integrate_batch(
-            [st.rho for st in states], kerns, a, kappa, D, 0.01, 1.0, scheme,
-            times, store_every=7)
-        for i, state in enumerate(states):
-            alone = gridsim.integrate(state, kerns[i], a[i], kappa[i], D[i],
+        batch = gridsim.integrate_batch(rho0, kerns, a, kappa, D, 0.01, 1.0,
+                                        scheme, times, store_every=7)
+        for i, rho in enumerate(rho0):
+            alone = gridsim.integrate(rho, kerns[i], a[i], kappa[i], D[i],
                                       0.01, 1.0, scheme, times, store_every=7)
             row = batch.row(i)
             assert (row.t, row.clamped, row.times) == \

@@ -125,6 +125,31 @@ class TestQuasiSteadyTime:
         with pytest.raises(ValueError):
             exact.t_quasi_steady(1.0, model)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_nonpositive_alpha_rejected(self, model, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            exact.t_quasi_steady(alpha, model)
+
+    @pytest.mark.parametrize("beta00, alpha", [
+        (4.15, 0.95), (4.4, 1.05), (4.282705862607738, 0.95),
+        (4.282705862607738, 1.05)], ids=["below", "above", "at_1_from_below",
+                                         "at_1_from_above"])
+    def test_start_within_the_band_is_already_there(self, beta00, alpha):
+        # c = rho0(0) / rho_lim lies between alpha and 1 (or is 1, where
+        # rho0 stays at rho_lim): the formula's time would be negative, or
+        # its logarithm's argument 0
+        m = HomogeneousModel(1.0, 0.2, LAMBDA0, beta00)
+        assert abs(m.saturation - 1.0) < 0.05
+        assert exact.t_quasi_steady(alpha, m) == 0.0
+
+    def test_start_at_the_target_is_continuous(self):
+        # c = alpha exactly is where the formula's time reaches 0
+        for alpha in (0.95, 1.05):
+            m = HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
+            m = HomogeneousModel(1.0, 0.2, LAMBDA0, alpha / m.saturation)
+            assert exact.t_quasi_steady(alpha, m) == pytest.approx(0.0,
+                                                                   abs=1e-12)
+
 
 class TestValidation:
     def test_rejects_bad_parameters(self):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nlfkpp import analysis, exact, gridsim, kernel, stepping
-from nlfkpp.kernel import SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue
+from nlfkpp.kernel import (SQRT_TWO_PI, TWO_PI, CircleKernelParams, eigenvalue,
+                           grid_nodes)
 
-from conftest import circulant_term, imex_four_fft, imex_two_fft
+from conftest import circulant_term, imex_four_fft, imex_two_fft, sampled
 
 LAMBDA0 = 2.926453923110091
 
@@ -23,7 +24,7 @@ class TestNonlocalTerm:
     def test_eigenfunction_property(self, unit_kernel):
         # rho = v_j + v_-j is a real eigenfunction with eigenvalue lambda_j
         N = 256
-        s = gridsim.grid_nodes(N)
+        s = grid_nodes(N)
         for j in (1, 2, 5):
             rho = 2.0 * np.cos(j * s) / SQRT_TWO_PI
             state = gridsim.GridState.__new__(gridsim.GridState)
@@ -45,41 +46,41 @@ class TestNonlocalTerm:
 
 class TestStep:
     def test_free_growth(self, unit_kernel):
-        state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
-        rho0 = state.rho.copy()
-        out = gridsim.integrate(state, unit_kernel, 1.0, 0.0, 0.0, 0.01, 2.0,
+        rho0 = sampled("gaussian_bump", 64, T=10.0)
+        out = gridsim.integrate(rho0, unit_kernel, 1.0, 0.0, 0.0, 0.01, 2.0,
                                 "rk4")
         np.testing.assert_allclose(out.y, rho0 * math.exp(2.0), rtol=1e-9)
 
     def test_homogeneous_follows_exact_solution(self, unit_kernel):
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
-        state = gridsim.make_initial("homogeneous", 64, beta00=1.0)
+        rho0 = sampled("homogeneous", 64, beta00=1.0)
         for scheme, D, dt, tol in (("rk4", 0.1, 0.01, 1e-6),
                                    ("euler", 0.0, 0.0005, 1e-3),
                                    ("imex", 0.1, 0.001, 1e-3)):
-            out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, D, dt, 20.0,
+            out = gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, D, dt, 20.0,
                                     scheme)
             assert np.max(np.abs(out.y - exact.rho0(20.0, m))) < tol
 
     def test_stability_bound_enforced(self, unit_kernel):
-        state = gridsim.make_initial("homogeneous", 64)
+        rho0 = sampled("homogeneous", 64)
         with pytest.raises(ValueError):
-            gridsim.step(state, unit_kernel, 1.0, 0.2, 0.5, 0.05, "euler")
+            gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, 0.5, 0.05, 0.05,
+                              "euler")
         # imex lifts the diffusive restriction at the same dt
-        gridsim.step(state, unit_kernel, 1.0, 0.2, 0.5, 0.05, "imex")
+        gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, 0.5, 0.05, 0.05, "imex")
 
     def test_imex_keeps_flat_steady_state(self, unit_kernel):
         m = exact.HomogeneousModel(1.0, 0.2, LAMBDA0, 1.0)
         rho_inf = exact.rho_lim(m)
-        state = gridsim.GridState(64, np.full(64, rho_inf))
-        out = gridsim.step(state, unit_kernel, 1.0, 0.2, 0.5, 0.05, "imex")
-        np.testing.assert_allclose(out.rho, rho_inf, rtol=1e-13)
+        out = gridsim.integrate(np.full(64, rho_inf), unit_kernel, 1.0, 0.2,
+                                0.5, 0.05, 0.05, "imex")
+        np.testing.assert_allclose(out.y, rho_inf, rtol=1e-13)
 
     def test_blowup_detected(self, unit_kernel):
-        state = gridsim.make_initial("homogeneous", 64)
+        rho0 = sampled("homogeneous", 64)
         with pytest.raises(RuntimeError):
             # negative coupling turns the quadratic term into a source
-            gridsim.integrate(state, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0,
+            gridsim.integrate(rho0, unit_kernel, 5.0, 0.0, 0.0, 0.05, 20.0,
                               "euler")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 * stepping.BLOWUP_LIMIT])
@@ -89,24 +90,23 @@ class TestStep:
         dt = 0.01
         monkeypatch.setattr(gridsim, "_rhs",
                             lambda rho, *args: np.full_like(rho, bad / dt))
-        state = gridsim.make_initial("homogeneous", 64)
+        rho0 = sampled("homogeneous", 64)
         with pytest.raises(RuntimeError, match="blew up"):
-            gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, dt, "euler")
+            gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, 0.0, dt, dt, "euler")
 
     def test_run_time_is_an_exact_multiple_of_dt(self, unit_kernel):
         # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
-        state = gridsim.make_initial("homogeneous", 64)
-        out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0, 0.01, 1.0,
-                                "euler")
+        out = gridsim.integrate(sampled("homogeneous", 64), unit_kernel, 1.0,
+                                0.2, 0.0, 0.01, 1.0, "euler")
         assert out.t == 1.0
 
     def test_grid_convergence(self, unit_kernel):
         # halving ds changes the t=5 profile below 1e-4 relative
         profiles = {}
         for N in (256, 512):
-            state = gridsim.make_initial("gaussian_bump", N, T=10.0)
-            out = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.1, 0.002,
-                                    5.0, "imex")
+            out = gridsim.integrate(sampled("gaussian_bump", N, T=10.0),
+                                    unit_kernel, 1.0, 0.2, 0.1, 0.002, 5.0,
+                                    "imex")
             profiles[N] = out.y
         coarse = profiles[256]
         fine = profiles[512][::2]
@@ -127,8 +127,8 @@ class TestRunInvariantOperator:
             return bessel(order, mu)
 
         monkeypatch.setattr(kernel, "bessel_i_scaled", counted)
-        state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
-        out = gridsim.integrate(state, kern, 1.0, 0.2, 0.1, 0.01, 0.5, "imex")
+        out = gridsim.integrate(sampled("gaussian_bump", 64, T=10.0), kern,
+                                1.0, 0.2, 0.1, 0.01, 0.5, "imex")
         assert out.t == pytest.approx(0.5)
         assert calls == [0]
 
@@ -145,8 +145,7 @@ class TestRunInvariantOperator:
         # carried Y = rfft(rho) and I; rho and I / ds from one irfft of
         # [Z, S Z]
         a, kappa, D, dt, N = 1.0, 0.2, 0.1, 0.01, 128
-        state = gridsim.make_initial("gaussian_bump", N, T=10.0)
-        rho, ds = state.rho, TWO_PI / N
+        rho, ds = sampled("gaussian_bump", N, T=10.0), TWO_PI / N
         S = np.fft.rfft(gridsim.kernel_row(unit_kernel, N))
         Y = np.fft.rfft(rho)
         interaction = ds * np.fft.irfft(S * Y, n=N)
@@ -157,17 +156,17 @@ class TestRunInvariantOperator:
         # the real and imaginary parts each divided by the real symbol
         Z = (Z.view(float) / np.repeat(eig, 2)).view(complex)
         expected = np.fft.irfft(np.stack([Z, S * Z]), n=N)[0]
-        out = gridsim.step(state, unit_kernel, a, kappa, D, dt, "imex")
-        assert np.array_equal(out.rho, expected)
+        out = gridsim.integrate(rho, unit_kernel, a, kappa, D, dt, dt, "imex")
+        assert np.array_equal(out.y, expected)
 
     def test_imex_tracks_the_four_fft_step(self, unit_kernel):
         # carrying the state in Fourier space reorders the step's round-off
         # only: 500 steps stay within 1e-13 of interaction-then-solve
         a, kappa, D, dt, N = 1.0, 0.2, 0.1, 0.01, 128
-        state = gridsim.make_initial("gaussian_bump", N, T=10.0)
-        out = gridsim.integrate(state, unit_kernel, a, kappa, D, dt,
+        rho0 = sampled("gaussian_bump", N, T=10.0)
+        out = gridsim.integrate(rho0, unit_kernel, a, kappa, D, dt,
                                 500 * dt, "imex")
-        reference = imex_four_fft(state.rho, unit_kernel, a, kappa, D, dt, 500)
+        reference = imex_four_fft(rho0, unit_kernel, a, kappa, D, dt, 500)
         assert analysis.relative_linf(out.y, reference) <= 1e-13
 
 
@@ -185,13 +184,12 @@ class TestImexModes:
         ds = TWO_PI / N
         L = ds * np.fft.rfft(gridsim.kernel_row(unit_kernel, N)).real
         rho_star = a / (kappa * L[0])
-        s = gridsim.GridState(N, np.zeros(N)).s
-        state = gridsim.GridState(N, rho_star * (1.0 + 1e-7 * np.cos(j * s)))
-        rec = gridsim.integrate(state, unit_kernel, a, kappa, D, dt, k * dt,
+        rho0 = rho_star * (1.0 + 1e-7 * np.cos(j * grid_nodes(N)))
+        rec = gridsim.integrate(rho0, unit_kernel, a, kappa, D, dt, k * dt,
                                 "imex")
         g = (1.0 - dt * kappa * rho_star * L[j]) / (
             1.0 + 4.0 * dt * D * math.sin(j * ds / 2.0) ** 2 / ds**2)
-        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(state.rho)[j].real
+        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(rho0)[j].real
         assert ratio == pytest.approx(g**k, rel=1e-4)
         assert g**k < 0.99  # the mode decays visibly over the k steps
 
@@ -213,13 +211,12 @@ class TestExplicitModes:
         ds = TWO_PI / N
         L = ds * np.fft.rfft(gridsim.kernel_row(unit_kernel, N)).real
         rho_star = a / (kappa * L[0])
-        s = gridsim.grid_nodes(N)
-        state = gridsim.GridState(N, rho_star * (1.0 + 1e-7 * np.cos(j * s)))
-        rec = gridsim.integrate(state, unit_kernel, a, kappa, D, dt, k * dt,
+        rho0 = rho_star * (1.0 + 1e-7 * np.cos(j * grid_nodes(N)))
+        rec = gridsim.integrate(rho0, unit_kernel, a, kappa, D, dt, k * dt,
                                 scheme)
         sigma = -kappa * rho_star * L[j] \
             - 4.0 * D * math.sin(j * ds / 2.0) ** 2 / ds**2
-        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(state.rho)[j].real
+        ratio = np.fft.rfft(rec.y)[j].real / np.fft.rfft(rho0)[j].real
         # the 1e-7 seed keeps the nonlinear terms below 1e-7 relative, which
         # tells rk4's R from exp(dt sigma_j) at j = 8 (3.7e-7 apart)
         assert ratio == pytest.approx(self.R[scheme](dt * sigma) ** k,
@@ -234,14 +231,13 @@ class TestImexClampRefresh:
     N, DT, STEPS = 256, 0.01, 100
 
     def run_alone(self, kind, D, kern):
-        state = gridsim.make_initial(kind, self.N)
-        return gridsim.integrate(state, kern, 1.0, 0.2, D, self.DT,
+        return gridsim.integrate(sampled(kind, self.N), kern, 1.0, 0.2, D, self.DT,
                                  self.STEPS * self.DT, "imex")
 
     def test_clamping_run_matches_the_oracle(self, unit_kernel):
         # weak diffusion of the cutoff's jump leaves round-off negatives
         rec = self.run_alone("cutoff", 0.001, unit_kernel)
-        rho0 = gridsim.make_initial("cutoff", self.N).rho
+        rho0 = sampled("cutoff", self.N)
         rho, clamped = imex_two_fft(rho0, unit_kernel, 1.0, 0.2, 0.001,
                                     self.DT, self.STEPS)
         assert rec.clamped == clamped > 0
@@ -252,7 +248,7 @@ class TestImexClampRefresh:
         # bump's spectrum too would move its last bits
         kerns = [unit_kernel, CircleKernelParams(1.0, 1.5, 1.0)]
         runs = [("cutoff", 0.001), ("gaussian_bump", 0.1)]
-        rho0 = [gridsim.make_initial(kind, self.N).rho for kind, _ in runs]
+        rho0 = [sampled(kind, self.N) for kind, _ in runs]
         rec = gridsim.integrate_batch(rho0, kerns, [1.0, 1.0], [0.2, 0.2],
                                       [D for _, D in runs], self.DT,
                                       self.STEPS * self.DT, "imex")
@@ -265,57 +261,63 @@ class TestImexClampRefresh:
 
 class TestInitialProfiles:
     def test_homogeneous(self):
-        state = gridsim.make_initial("homogeneous", 32, beta00=1.0)
-        np.testing.assert_allclose(state.rho, 1.0 / SQRT_TWO_PI, rtol=0)
+        rho = gridsim.initial_profile("homogeneous", beta00=1.0)(grid_nodes(32))
+        assert rho.shape == (32,)
+        np.testing.assert_allclose(rho, 1.0 / SQRT_TWO_PI, rtol=0)
 
     def test_gaussian_bump_center_value(self):
-        state = gridsim.make_initial("gaussian_bump", 64, T=10.0)
-        k0 = np.argmin(np.abs(state.s))
-        assert state.rho[k0] == pytest.approx(1.0 / SQRT_TWO_PI + 0.1, abs=1e-12)
+        s = grid_nodes(64)
+        rho = gridsim.initial_profile("gaussian_bump", T=10.0)(s)
+        k0 = np.argmin(np.abs(s))
+        assert rho[k0] == pytest.approx(1.0 / SQRT_TWO_PI + 0.1, abs=1e-12)
 
     def test_cutoff_values(self):
-        state = gridsim.make_initial("cutoff", 512, edge=2.0)
-        inside = np.abs(state.s) < 2.0 - 1e-9
-        outside = np.abs(state.s) > 2.0 + 1e-9
-        assert np.all(state.rho[inside] == 1.0)
-        assert np.all(state.rho[outside] == 0.0)
+        s = grid_nodes(512)
+        rho = gridsim.initial_profile("cutoff", edge=2.0)(s)
+        inside = np.abs(s) < 2.0 - 1e-9
+        outside = np.abs(s) > 2.0 + 1e-9
+        assert np.all(rho[inside] == 1.0)
+        assert np.all(rho[outside] == 0.0)
 
     def test_cutoff_midpoint_at_jump(self):
         # N = 256 places nodes exactly at |s| = pi/2
-        state = gridsim.make_initial("cutoff", 256, edge=math.pi / 2)
-        jumps = np.isclose(np.abs(state.s), math.pi / 2, atol=1e-12)
+        s = grid_nodes(256)
+        rho = gridsim.initial_profile("cutoff", edge=math.pi / 2)(s)
+        jumps = np.isclose(np.abs(s), math.pi / 2, atol=1e-12)
         assert np.count_nonzero(jumps) == 2
-        assert np.all(state.rho[jumps] == 0.5)
+        assert np.all(rho[jumps] == 0.5)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            gridsim.make_initial("ring", 64)
+        with pytest.raises(ValueError, match="unknown initial-condition kind"):
+            gridsim.initial_profile("ring")
 
 
-def total_mass(state: gridsim.GridState) -> float:
+def total_mass(rho) -> float:
     """m = (2 pi / N) sum_k rho_k, as analysis.diagnose reports it."""
-    return analysis.diagnose(state.rho, TWO_PI / state.N).mass
+    return analysis.diagnose(rho, TWO_PI / len(rho)).mass
 
 
 class TestMass:
     def test_constant_profile(self):
         # rho = v0 beta00 over the full circle: m = 2 pi v0 = sqrt(2 pi)
-        state = gridsim.make_initial("homogeneous", 128, beta00=1.0)
-        assert total_mass(state) == pytest.approx(SQRT_TWO_PI, rel=1e-14)
+        rho = sampled("homogeneous", 128, beta00=1.0)
+        assert total_mass(rho) == pytest.approx(SQRT_TWO_PI, rel=1e-14)
 
     def test_cutoff_mass(self):
-        state = gridsim.make_initial("cutoff", 512, edge=2.0)
-        assert total_mass(state) == pytest.approx(4.0, abs=2e-2)
+        assert total_mass(sampled("cutoff", 512, edge=2.0)) == pytest.approx(
+            4.0, abs=2e-2)
 
     def test_logistic_mass_law(self, unit_kernel):
         # homogeneous: dm/dt = a m - kappa lambda0 m^2 / (2 pi)
-        state = gridsim.make_initial("homogeneous", 64, beta00=1.0)
         dt = 1e-4
-        rec = gridsim.integrate(state, unit_kernel, 1.0, 0.2, 0.0, dt, 1.0,
-                                "rk4")
-        out = gridsim.GridState(64, rec.y, rec.t)
-        mid = gridsim.step(out, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
-        out2 = gridsim.step(mid, unit_kernel, 1.0, 0.2, 0.0, dt, "rk4")
+
+        def advance(rho, t_end):
+            return gridsim.integrate(rho, unit_kernel, 1.0, 0.2, 0.0, dt,
+                                     t_end, "rk4").y
+
+        out = advance(sampled("homogeneous", 64, beta00=1.0), 1.0)
+        mid = advance(out, dt)
+        out2 = advance(mid, dt)
         # centered difference around the midpoint state
         fd = (total_mass(out2) - total_mass(out)) / (2 * dt)
         m_mid = total_mass(mid)
@@ -327,14 +329,16 @@ class TestClamping:
     def test_roundoff_band_clamped(self, unit_kernel):
         rho = np.full(64, 1.0)
         rho[3] = -1e-12
-        state = gridsim.GridState(64, rho)
-        out = gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, 0.01, "euler")
-        assert out.rho[3] >= 0.0
+        out = gridsim.integrate(rho, unit_kernel, 1.0, 0.2, 0.0, 0.01, 0.01,
+                                "euler")
+        assert out.y[3] >= 0.0
 
-    def test_hard_negative_rejected(self):
+    def test_hard_negative_rejected(self, unit_kernel):
         rho = np.full(64, 1.0)
         rho[3] = -0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hard negative"):
+            gridsim.integrate(rho, unit_kernel, 1.0, 0.2, 0.0, 0.01, 0.01)
+        with pytest.raises(ValueError, match="hard negative"):
             gridsim.GridState(64, rho)
 
     def test_hard_negative_during_run_aborts(self, unit_kernel, monkeypatch):
@@ -348,6 +352,23 @@ class TestClamping:
             return out
 
         monkeypatch.setattr(gridsim, "_rhs", rhs)
-        state = gridsim.make_initial("homogeneous", 64)
         with pytest.raises(RuntimeError, match="hard negative"):
-            gridsim.step(state, unit_kernel, 1.0, 0.2, 0.0, dt, "euler")
+            gridsim.integrate(sampled("homogeneous", 64), unit_kernel, 1.0,
+                              0.2, 0.0, dt, dt, "euler")
+
+
+class TestGridStateWrappers:
+    """GridState, step and nonlocal_term stay for perfbench: step is one
+    step of the array integrate from state.t."""
+
+    @pytest.mark.parametrize("scheme, D", [("euler", 0.0), ("rk4", 0.1),
+                                           ("imex", 0.1)])
+    def test_step_is_one_step_of_integrate(self, unit_kernel, scheme, D):
+        rho0, t, dt = sampled("gaussian_bump", 64, T=10.0), 0.3, 0.01
+        out = gridsim.step(gridsim.GridState(64, rho0, t), unit_kernel, 1.0,
+                           0.2, D, dt, scheme)
+        rec = gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, D, dt, t + dt,
+                                scheme, t0=t)
+        assert isinstance(out, gridsim.GridState)
+        assert out.N == 64 and out.t == rec.t == t + dt
+        assert np.array_equal(out.rho, rec.y)

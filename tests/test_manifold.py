@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special
 
 from nlfkpp import analysis, gridsim, manifold, stepping
-from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams
+from nlfkpp.kernel import SQRT_TWO_PI, CircleKernelParams, grid_nodes
 
 from conftest import (bits, circulant_term, gaussian_influence_oracle,
                       richardson_order)
@@ -46,9 +46,8 @@ class TestEeRhs:
         # on the static circle the influence reduces to the angular kernel
         kern = CircleKernelParams(1.0, 1.0, 1.0)
         rho_dot, _ = manifold.ee_rhs(circle, static_spec)
-        grid = gridsim.GridState(64, bump(gridsim.grid_nodes(64)))
-        I = circulant_term(grid.rho, kern)
-        expected = 1.0 * grid.rho - 0.2 * grid.rho * I
+        rho = bump(grid_nodes(64))
+        expected = 1.0 * rho - 0.2 * rho * circulant_term(rho, kern)
         assert np.max(np.abs(rho_dot - expected)) < 1e-12
 
     def test_linear_drag_velocity(self, circle):
@@ -197,8 +196,8 @@ class TestIntegrate:
         kern = CircleKernelParams(1.0, 1.0, 1.0)
         rho, _ = manifold.unpack(
             manifold.integrate(circle, static_spec, 20.0, 0.01).y, 64)
-        grid0 = gridsim.GridState(64, bump(gridsim.grid_nodes(64)))
-        out = gridsim.integrate(grid0, kern, 1.0, 0.2, 0.0, 0.01, 20.0, "rk4")
+        out = gridsim.integrate(bump(grid_nodes(64)), kern, 1.0, 0.2, 0.0,
+                                0.01, 20.0, "rk4")
         assert np.max(np.abs(rho - out.y)) < 1e-8
 
     def test_pure_growth_with_zero_influence(self, circle):

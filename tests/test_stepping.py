@@ -5,12 +5,14 @@ from nlfkpp import gridsim, manifold, planar, spectral, stepping
 from nlfkpp.config import ConfigError
 from nlfkpp.kernel import CircleKernelParams
 
+from conftest import sampled
+
 KERNEL = CircleKernelParams(1.0, 1.0, 1.0)
 
 
 def run_grid(t0, t_end, dt):
-    return gridsim.integrate(gridsim.GridState(16, np.ones(16), t0), KERNEL,
-                             1.0, 0.2, 0.0, dt, t_end)
+    return gridsim.integrate(np.ones(16), KERNEL, 1.0, 0.2, 0.0, dt, t_end,
+                             t0=t0)
 
 
 def run_spectral(t0, t_end, dt):
@@ -62,8 +64,7 @@ def test_run_length_checked(run, t0, t_end, dt, message):
 
 @pytest.mark.parametrize("D", [-0.1, np.nan], ids=["negative", "nan"])
 @pytest.mark.parametrize("run", [
-    lambda D: gridsim.integrate(gridsim.GridState(16, np.ones(16)), KERNEL,
-                                1.0, 0.2, D, 0.01, 0.1),
+    lambda D: gridsim.integrate(np.ones(16), KERNEL, 1.0, 0.2, D, 0.01, 0.1),
     lambda D: spectral.integrate(np.eye(3)[0], KERNEL, 1.0, 0.2, D, 0.01, 0.1),
     lambda D: planar.run2d(planar.gaussian_ring(3.0, 16, 1.0, 0.3, D=D),
                            planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, 0.01,
@@ -79,8 +80,8 @@ def test_negative_diffusion_rejected(run, D):
 def test_single_step_late_in_a_run():
     # t + dt rounds at the scale of t, not of dt: one step is still one
     t, dt = 10.0, 1e-7
-    grid = gridsim.step(gridsim.GridState(16, np.ones(16), t), KERNEL,
-                        1.0, 0.2, 0.0, dt)
+    grid = gridsim.integrate(np.ones(16), KERNEL, 1.0, 0.2, 0.0, dt, t + dt,
+                             t0=t)
     field = planar.run2d(planar.Field2D(3.0, 16, np.ones((16, 16)), t),
                          planar.GaussianKernel2D(1.0, 1.0), 1.0, 0.2, dt,
                          t + dt)
@@ -110,8 +111,7 @@ def manifold_run(value, part):
 
 NONFINITE_RUNS = {
     "grid": lambda v: gridsim.integrate(
-        gridsim.GridState(16, with_value(16, 3, v)), KERNEL, 1.0, 0.2, 0.0,
-        0.01, 0.1, "euler"),
+        with_value(16, 3, v), KERNEL, 1.0, 0.2, 0.0, 0.01, 0.1, "euler"),
     "spectral": lambda v: spectral.integrate(
         with_value(3, 1, v) + 0j, KERNEL, 1.0, 0.2, 0.0, 0.01, 0.1),
     "manifold_rho": lambda v: manifold_run(v, "rho"),
@@ -318,7 +318,7 @@ def grid_batch(steps, store_every, reduce=None, kinds=("gaussian_bump",
                                                        "cutoff"), D=0.1):
     """An imex batch of one N = 64 run per initial kind, stepped from 0 by
     steps of 0.01 and stored every store_every steps."""
-    rho0 = [gridsim.make_initial(kind, 64).rho for kind in kinds]
+    rho0 = [sampled(kind, 64) for kind in kinds]
     runs = len(kinds)
     return gridsim.integrate_batch(rho0, [KERNEL] * runs, [1.0] * runs,
                                    [0.2] * runs, [D] * runs, 0.01,

@@ -262,14 +262,19 @@ def machine() -> dict:
             "platform": platform.platform(), "machine": platform.machine()}
 
 
-def paired(n: int, run) -> dict:
-    """run(side), a dict of named times, over n alternating pairs,
-    summarised per side and name (see workload_record; less is better)."""
+def paired(n: int, run, better: dict = None, progress=None) -> dict:
+    """run(side), a dict of named values, over n alternating pairs,
+    summarised per side and name (see workload_record); better maps each
+    name to the direction that wins, by default less for every name.
+    progress(k, runs), if given, is called after pair k."""
     runs = {side: [] for side in SIDES}
     for k in range(n):
         for side in order(k):
             runs[side].append(run(side))
-    return workload_record(runs, dict.fromkeys(runs["base"][0], "lower"))
+        if progress:
+            progress(k, runs)
+    return workload_record(
+        runs, better or dict.fromkeys(runs["base"][0], "lower"))
 
 
 def counts(items: list, what: str) -> dict:
@@ -309,15 +314,13 @@ def main(argv=None) -> int:
               "src_lines": {side: src_lines(trees[side]) for side in SIDES},
               "workloads": {}, "presets": {}}
     for name, n in counts(args.pairs, "--pairs").items():
-        runs = {side: [] for side in SIDES}
-        for k in range(n):
-            for side in order(k):
-                runs[side].append(workload_run(trees[side], name, args.seed,
-                                               args.seconds))
+        def progress(k, runs):
             print(f"{name} pair {k + 1}/{n}: " + ", ".join(
                 f"{side} {runs[side][-1]['steps_per_cpu_s']:.4g}"
                 for side in SIDES), file=sys.stderr)
-        record["workloads"][name] = workload_record(runs)
+        record["workloads"][name] = paired(
+            n, lambda side: workload_run(trees[side], name, args.seed,
+                                         args.seconds), METRICS, progress)
     record["past_bound"] = past_bound(record["workloads"])
     for item in record["past_bound"]:
         print("past bound: {workload} {metric} {base:.4g} -> {change:.4g} "
