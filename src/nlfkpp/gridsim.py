@@ -143,9 +143,11 @@ def integrate(rho0, kern: CircleKernelParams, a: float, kappa: float,
               t0: float = 0.0) -> stepping.Record:
     """Step the (N,) density rho0 from t0 to t_end with the shared driver: a
     batch of one (see integrate_batch)."""
-    return integrate_batch(np.asarray(rho0, dtype=float)[None], [kern], [a],
-                           [kappa], [D], dt, t_end, scheme, snapshot_times,
-                           store_every, t0).row(0)
+    rho0 = np.asarray(rho0, dtype=float)
+    if rho0.ndim != 1:
+        raise ValueError(f"expected an (N,) density, got shape {rho0.shape}")
+    return integrate_batch(rho0[None], [kern], [a], [kappa], [D], dt, t_end,
+                           scheme, snapshot_times, store_every, t0).row(0)
 
 
 def integrate_batch(rho0, kerns, a, kappa, D, dt: float, t_end: float,

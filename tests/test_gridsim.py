@@ -94,6 +94,13 @@ class TestStep:
         with pytest.raises(RuntimeError, match="blew up"):
             gridsim.integrate(rho0, unit_kernel, 1.0, 0.2, 0.0, dt, dt, "euler")
 
+    @pytest.mark.parametrize("shape", [(), (2, 16)])
+    def test_density_must_be_one_dimensional(self, unit_kernel, shape):
+        # a batch goes to integrate_batch; integrate takes one run's density
+        with pytest.raises(ValueError, match=r"expected an \(N,\) density"):
+            gridsim.integrate(np.ones(shape), unit_kernel, 1.0, 0.2, 0.0,
+                              0.01, 0.1)
+
     def test_run_time_is_an_exact_multiple_of_dt(self, unit_kernel):
         # t0 + k dt, not a running sum: 100 steps of 0.01 sum to 1.0000000000000007
         out = gridsim.integrate(sampled("homogeneous", 64), unit_kernel, 1.0,
